@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "vpd/common/error.hpp"
@@ -839,14 +840,20 @@ std::vector<CgResult> solve_cg_batch(const CsrMatrix& a,
 namespace {
 
 /// Dense symmetric w x w Cholesky (row-major, lower triangle; strict
-/// upper ignored). Returns false on a non-positive pivot — a
-/// rank-deficient Gram matrix, which in block CG means the panel's
-/// columns have become linearly dependent.
+/// upper ignored). Returns false on a pivot at or below sqrt(eps) times
+/// its diagonal entry — a numerically rank-deficient Gram matrix, which
+/// in block CG means the panel's columns have become linearly dependent.
+/// A merely positive pivot is not enough: a near-singular panel can keep
+/// pivots around 1e-31 relative for tens of thousands of iterations
+/// without converging, where the scalar fallback finishes in dozens.
+/// Healthy panels keep relative pivots above 1e-4.
 bool chol_factor_small(double* s, std::size_t w) {
+  const double rank_tol = std::sqrt(std::numeric_limits<double>::epsilon());
   for (std::size_t j = 0; j < w; ++j) {
-    double d = s[j * w + j];
+    const double diag = s[j * w + j];
+    double d = diag;
     for (std::size_t k = 0; k < j; ++k) d -= s[j * w + k] * s[j * w + k];
-    if (!(d > 0.0)) return false;
+    if (!(d > rank_tol * diag)) return false;
     const double l = std::sqrt(d);
     s[j * w + j] = l;
     for (std::size_t i = j + 1; i < w; ++i) {

@@ -1,6 +1,7 @@
 #include "vpd/io/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +18,7 @@ const char* type_name(Value::Type type) {
     case Value::Type::kString: return "string";
     case Value::Type::kArray: return "array";
     case Value::Type::kObject: return "object";
+    case Value::Type::kEncoded: return "encoded document";
   }
   return "unknown";
 }
@@ -27,6 +29,14 @@ const char* type_name(Value::Type type) {
 }
 
 }  // namespace
+
+Value Value::encoded(std::shared_ptr<const std::string> json) {
+  VPD_REQUIRE(json != nullptr, "encoded JSON needs its bytes");
+  Value v;
+  v.type_ = Type::kEncoded;
+  v.encoded_ = std::move(json);
+  return v;
+}
 
 bool Value::as_bool() const {
   if (type_ != Type::kBool) type_error("bool", type_);
@@ -61,6 +71,11 @@ const Value::Object& Value::as_object() const {
 Value::Object& Value::as_object() {
   if (type_ != Type::kObject) type_error("object", type_);
   return object_;
+}
+
+const std::string& Value::as_encoded() const {
+  if (type_ != Type::kEncoded) type_error("encoded document", type_);
+  return *encoded_;
 }
 
 std::size_t Value::size() const {
@@ -106,6 +121,9 @@ const Value& Value::at(std::string_view key) const {
 }
 
 bool Value::operator==(const Value& other) const {
+  // An encoded value equals whatever its document parses to.
+  if (type_ == Type::kEncoded) return parse(*encoded_) == other;
+  if (other.type_ == Type::kEncoded) return *this == parse(*other.encoded_);
   if (type_ != other.type_) return false;
   switch (type_) {
     case Type::kNull: return true;
@@ -114,6 +132,7 @@ bool Value::operator==(const Value& other) const {
     case Type::kString: return string_ == other.string_;
     case Type::kArray: return array_ == other.array_;
     case Type::kObject: return object_ == other.object_;
+    case Type::kEncoded: break;  // handled above
   }
   return false;
 }
@@ -405,6 +424,32 @@ void write_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
+// Shortest of %.15g / %.16g / %.17g that round-trips to identical bits,
+// through std::to_chars (printf's %g form in the "C" locale, whatever the
+// process locale) and std::from_chars. Exact integers (|v| < 2^53) print
+// without fraction or exponent so counts and indices look like integers on
+// the wire.
+void write_number(std::string& out, double value) {
+  VPD_REQUIRE(std::isfinite(value), "JSON cannot represent NaN/Inf");
+  char buf[32];
+  char* end = buf;
+  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
+    end = std::to_chars(buf, buf + sizeof buf, value, std::chars_format::fixed,
+                        0)
+              .ptr;
+  } else {
+    for (int precision = 15; precision <= 17; ++precision) {
+      end = std::to_chars(buf, buf + sizeof buf, value,
+                          std::chars_format::general, precision)
+                .ptr;
+      double back = 0.0;
+      std::from_chars(buf, end, back);
+      if (back == value) break;
+    }
+  }
+  out.append(buf, end);
+}
+
 void write_value(std::string& out, const Value& v, int indent, int level) {
   const bool pretty = indent >= 0;
   const auto newline_pad = [&](int lvl) {
@@ -415,8 +460,15 @@ void write_value(std::string& out, const Value& v, int indent, int level) {
   switch (v.type()) {
     case Value::Type::kNull: out += "null"; return;
     case Value::Type::kBool: out += v.as_bool() ? "true" : "false"; return;
-    case Value::Type::kNumber: out += dump_number(v.as_number()); return;
+    case Value::Type::kNumber: write_number(out, v.as_number()); return;
     case Value::Type::kString: write_escaped(out, v.as_string()); return;
+    case Value::Type::kEncoded:
+      if (pretty) {
+        write_value(out, parse(v.as_encoded()), indent, level);
+      } else {
+        out += v.as_encoded();
+      }
+      return;
     case Value::Type::kArray: {
       const Value::Array& a = v.as_array();
       if (a.empty()) {
@@ -473,21 +525,9 @@ std::string dump_pretty(const Value& value, int indent) {
 }
 
 std::string dump_number(double value) {
-  VPD_REQUIRE(std::isfinite(value), "JSON cannot represent NaN/Inf");
-  // Exact integers (|v| < 2^53) print without fraction or exponent so
-  // counts and indices look like integers on the wire.
-  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", value);
-    return buf;
-  }
-  // Shortest of %.15g / %.16g / %.17g that round-trips to identical bits.
-  char buf[40];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
+  std::string out;
+  write_number(out, value);
+  return out;
 }
 
 }  // namespace io

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,7 +43,10 @@ class Value;
 /// canonical request key possible without a separate normalization pass.
 class Value {
  public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+  /// kEncoded is a document already in dump()'s compact form (see
+  /// encoded()); parse() never produces it.
+  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject,
+                    kEncoded };
 
   using Array = std::vector<Value>;
   using Member = std::pair<std::string, Value>;
@@ -72,6 +76,12 @@ class Value {
     v.type_ = Type::kObject;
     return v;
   }
+  /// A pre-encoded document: `json` must be exactly what dump() printed
+  /// for some value V. dump() writes the bytes verbatim, so an encoding
+  /// shared by many responses is paid for once; dump_pretty() parses and
+  /// indents them, printing what it would print for V; operator== compares
+  /// the document they denote. The bytes are shared and never mutated.
+  static Value encoded(std::shared_ptr<const std::string> json);
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
@@ -80,6 +90,7 @@ class Value {
   bool is_string() const { return type_ == Type::kString; }
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
+  bool is_encoded() const { return type_ == Type::kEncoded; }
 
   /// Checked accessors: throw vpd::InvalidArgument naming the actual type
   /// (structured error, not a crash) on a mismatch.
@@ -90,6 +101,8 @@ class Value {
   Array& as_array();
   const Object& as_object() const;
   Object& as_object();
+  /// The compact bytes of an encoded() value.
+  const std::string& as_encoded() const;
 
   /// Array element count or object member count; throws otherwise.
   std::size_t size() const;
@@ -118,6 +131,7 @@ class Value {
   std::string string_;
   Array array_;
   Object object_;
+  std::shared_ptr<const std::string> encoded_;
 };
 
 /// Parses one complete JSON document (trailing non-whitespace is an
@@ -127,10 +141,12 @@ Value parse(std::string_view text);
 /// Compact canonical serialization: no whitespace, members in insertion
 /// order, numbers in shortest round-trip form. Two structurally equal
 /// values built in the same member order always serialize identically.
+/// Encoded values are copied verbatim.
 std::string dump(const Value& value);
 
 /// Indented serialization for human consumption (same number/member
-/// rules, `indent` spaces per level).
+/// rules, `indent` spaces per level). Encoded values are parsed and
+/// indented like the tree they encode.
 std::string dump_pretty(const Value& value, int indent = 2);
 
 /// Shortest decimal form that strtod parses back to the identical bits.

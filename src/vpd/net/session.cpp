@@ -16,12 +16,11 @@ io::Value error_body(const std::string& message) {
   return body;
 }
 
-std::string response_line(const io::Value& id, const io::Value& body,
-                          bool pretty) {
+std::string response_line(const io::Value& id, io::Value body, bool pretty) {
   io::Value framed = io::Value::object();
   framed.set("id", id);
-  for (const auto& [key, value] : body.as_object()) {
-    framed.set(key, value);
+  for (auto& [key, value] : body.as_object()) {
+    framed.set(std::move(key), std::move(value));
   }
   return pretty ? io::dump_pretty(framed) : io::dump(framed);
 }

@@ -71,9 +71,9 @@ using SessionFactory = std::function<std::unique_ptr<Session>(Sink sink)>;
 /// The canonical {"status":"error"} response body.
 io::Value error_body(const std::string& message);
 
-/// Frames a response line: the client's id first, then the body members.
-std::string response_line(const io::Value& id, const io::Value& body,
-                          bool pretty);
+/// Frames a response line: the client's id first, then the body members,
+/// moved out of `body` rather than copied.
+std::string response_line(const io::Value& id, io::Value body, bool pretty);
 
 /// Order-preserving asynchronous response emitter: push() enqueues a
 /// resolver per request, a dedicated writer thread runs each resolver at

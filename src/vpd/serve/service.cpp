@@ -44,6 +44,38 @@ io::Value to_json(const ServiceMetrics& metrics) {
   return metrics.observability.to_json();
 }
 
+namespace {
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Publishes an evaluated entry into `response`: its status, the shared
+/// entry and its wire encoding, the encode timed into
+/// timings.serialize_seconds. Every later response carrying the entry
+/// reuses these bytes. An entry the wire cannot carry (a non-finite
+/// number) makes the response an error instead.
+void publish(ServiceResponse& response,
+             std::shared_ptr<const ExplorationEntry> entry) {
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    response.result_json =
+        std::make_shared<const std::string>(io::dump(io::to_json(*entry)));
+  } catch (const std::exception& e) {
+    response.status = ResponseStatus::kError;
+    response.error = e.what();
+    return;
+  }
+  response.timings.serialize_seconds = seconds_since(start);
+  response.status =
+      entry->excluded() ? ResponseStatus::kExcluded : ResponseStatus::kOk;
+  response.entry = std::move(entry);
+}
+
+}  // namespace
+
 io::Value to_json(const ServiceResponse& response) {
   const auto serialize_start = std::chrono::steady_clock::now();
   io::Value v = io::Value::object();
@@ -52,7 +84,9 @@ io::Value to_json(const ServiceResponse& response) {
   v.set("status", to_string(response.status));
   v.set("schema_version", io::kSchemaVersion);
   if (!response.error.empty()) v.set("error", response.error);
-  if (response.entry != nullptr) {
+  if (response.result_json != nullptr) {
+    v.set("result", io::Value::encoded(response.result_json));
+  } else if (response.entry != nullptr) {
     v.set("result", io::to_json(*response.entry));
   }
   v.set("from_cache", response.from_cache);
@@ -61,10 +95,8 @@ io::Value to_json(const ServiceResponse& response) {
   timings.set("mesh_seconds", response.timings.mesh_seconds);
   timings.set("solve_seconds", response.timings.solve_seconds);
   timings.set("evaluate_seconds", response.timings.evaluate_seconds);
-  timings.set("serialize_seconds",
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - serialize_start)
-                  .count());
+  timings.set("serialize_seconds", response.timings.serialize_seconds +
+                                       seconds_since(serialize_start));
   v.set("timings", std::move(timings));
   return v;
 }
@@ -121,17 +153,13 @@ std::vector<ServiceResponse> EvaluationService::evaluate_batch(
     }
     if (leader_by_key.count(keys[i]) != 0) continue;
     leader_by_key.emplace(keys[i], i);
-    std::shared_ptr<const ExplorationEntry> hit;
+    bool hit;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      hit = cache_lookup(keys[i]);
+      hit = cache_lookup(keys[i], responses[i]);
     }
-    if (hit != nullptr) {
+    if (hit) {
       ++cache_hits;
-      responses[i].status = hit->excluded() ? ResponseStatus::kExcluded
-                                            : ResponseStatus::kOk;
-      responses[i].entry = std::move(hit);
-      responses[i].from_cache = true;
       resolved[i] = 1;
       continue;
     }
@@ -186,14 +214,11 @@ std::vector<ServiceResponse> EvaluationService::evaluate_batch(
           }
           continue;
         }
-        auto entry = std::make_shared<ExplorationEntry>(
-            std::move(batch.entry(k)));
-        responses[index].status = entry->excluded()
-                                      ? ResponseStatus::kExcluded
-                                      : ResponseStatus::kOk;
-        responses[index].entry = std::move(entry);
+        publish(responses[index], std::make_shared<const ExplorationEntry>(
+                                      std::move(batch.entry(k))));
+        if (responses[index].status == ResponseStatus::kError) continue;
         std::lock_guard<std::mutex> lock(mutex_);
-        cache_insert(keys[index], responses[index].entry);
+        cache_insert(keys[index], responses[index]);
       }
     } catch (const std::exception& e) {
       // Construction-time failure (e.g. an invalid spec) fails the whole
@@ -351,16 +376,11 @@ std::shared_future<ServiceResponse> EvaluationService::submit(
   std::lock_guard<std::mutex> lock(mutex_);
   ++counters_.requests;
 
-  if (std::shared_ptr<const ExplorationEntry> hit = cache_lookup(key)) {
+  if (ServiceResponse hit; cache_lookup(key, hit)) {
     ++counters_.result_cache_hits;
     ++counters_.completed;
     record_latency(now);
-    ServiceResponse response;
-    response.status = hit->excluded() ? ResponseStatus::kExcluded
-                                      : ResponseStatus::kOk;
-    response.entry = std::move(hit);
-    response.from_cache = true;
-    return ready(std::move(response));
+    return ready(std::move(hit));
   }
   ++counters_.result_cache_misses;
 
@@ -415,18 +435,16 @@ void EvaluationService::run_evaluation(std::string key,
   ServiceResponse response;
   response.timings.queue_seconds =
       std::chrono::duration<double>(start - submitted).count();
+  std::shared_ptr<const ExplorationEntry> result;
   try {
     request.options.mesh_cache = &mesh_cache_;
     request.options.trace = span.context();
     // Stage capture: the evaluator's mesh and solve sections add their
     // elapsed time into this thread's response timings.
     const obs::ScopedStageCapture capture(&response.timings);
-    auto result = std::make_shared<ExplorationEntry>(evaluate_with_exclusion(
+    result = std::make_shared<const ExplorationEntry>(evaluate_with_exclusion(
         request.spec, request.architecture, request.topology, request.tech,
         request.options));
-    response.status = result->excluded() ? ResponseStatus::kExcluded
-                                         : ResponseStatus::kOk;
-    response.entry = std::move(result);
   } catch (const std::exception& e) {
     response.status = ResponseStatus::kError;
     response.error = e.what();
@@ -434,9 +452,9 @@ void EvaluationService::run_evaluation(std::string key,
     response.status = ResponseStatus::kError;
     response.error = "unknown evaluation failure";
   }
-  response.timings.evaluate_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  response.timings.evaluate_seconds = seconds_since(start);
+  // Encoded here, once, so hits and coalesced waiters serve these bytes.
+  if (result != nullptr) publish(response, std::move(result));
   queue_wait_hist_.record(response.timings.queue_seconds);
   mesh_stage_hist_.record(response.timings.mesh_seconds);
   solve_stage_hist_.record(response.timings.solve_seconds);
@@ -472,7 +490,7 @@ void EvaluationService::run_evaluation(std::string key,
     if (response.status == ResponseStatus::kError) {
       counters_.errors += flight->submitted.size();
     } else {
-      cache_insert(key, response.entry);
+      cache_insert(key, response);
     }
     for (const auto& waiter_submitted : flight->submitted) {
       record_latency(waiter_submitted);
@@ -503,10 +521,10 @@ void EvaluationService::log_slow_request(const std::string& key,
   }
 }
 
-void EvaluationService::cache_insert(
-    const std::string& key, std::shared_ptr<const ExplorationEntry> entry) {
+void EvaluationService::cache_insert(const std::string& key,
+                                     const ServiceResponse& response) {
   if (config_.result_cache_capacity == 0) return;
-  lru_.emplace_front(key, std::move(entry));
+  lru_.emplace_front(key, CachedResult{response.entry, response.result_json});
   lru_index_[key] = lru_.begin();
   if (lru_.size() > config_.result_cache_capacity) {
     lru_index_.erase(lru_.back().first);
@@ -515,12 +533,18 @@ void EvaluationService::cache_insert(
   counters_.result_cache_size = lru_.size();
 }
 
-std::shared_ptr<const ExplorationEntry> EvaluationService::cache_lookup(
-    const std::string& key) {
+bool EvaluationService::cache_lookup(const std::string& key,
+                                     ServiceResponse& response) {
   auto it = lru_index_.find(key);
-  if (it == lru_index_.end()) return nullptr;
+  if (it == lru_index_.end()) return false;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return lru_.front().second;
+  const CachedResult& cached = lru_.front().second;
+  response.status = cached.entry->excluded() ? ResponseStatus::kExcluded
+                                             : ResponseStatus::kOk;
+  response.entry = cached.entry;
+  response.result_json = cached.json;
+  response.from_cache = true;
+  return true;
 }
 
 void EvaluationService::record_latency(

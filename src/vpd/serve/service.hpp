@@ -13,8 +13,9 @@
 // concurrency, coalescing, or cache state — evaluations are pure
 // functions of the request, cached mesh operators are numerically
 // identical to per-call assembly, and cached/coalesced responses share
-// the one result object that evaluation produced. Only latency and
-// from_cache metadata vary run to run.
+// the one result object that evaluation produced and the bytes it was
+// encoded to when published. Only latency and from_cache metadata vary
+// run to run.
 #pragma once
 
 #include <chrono>
@@ -75,12 +76,21 @@ struct ServiceResponse {
   /// Populated for kOk / kExcluded; shared with the result cache and any
   /// coalesced waiters (immutable once published).
   std::shared_ptr<const ExplorationEntry> entry;
+  /// io::dump(io::to_json(*entry)), encoded once when the service
+  /// published the result and shared, like `entry`, by the result cache
+  /// and every response that carries it. to_json(ServiceResponse) writes
+  /// these bytes as "result"; when they are absent (a response built by
+  /// hand) it encodes `entry` instead.
+  std::shared_ptr<const std::string> result_json;
   /// True when served from the completed-result LRU without evaluating.
   bool from_cache{false};
   /// Where this request spent its wall time (queue wait, mesh get/build,
-  /// CG solve, whole evaluator run). All zero for cache hits, rejections
-  /// and request errors — nothing was queued or evaluated. serialize is
-  /// filled by to_json(ServiceResponse), which times the body build.
+  /// CG solve, whole evaluator run, result encode). queue/mesh/solve/
+  /// evaluate are zero for cache hits, rejections and request errors —
+  /// nothing was queued or evaluated. serialize is the one-time result
+  /// encode on the response that published the result (shared by its
+  /// coalesced waiters and in-batch duplicates) and zero on cache hits;
+  /// to_json(ServiceResponse) adds the time it spends building the body.
   /// Timings are measurements only: they never affect the result.
   obs::StageTimings timings;
 };
@@ -166,8 +176,10 @@ io::Value to_json(const TransientServiceResponse& response);
 io::Value to_json(const OptimizeServiceResponse& response);
 /// Full wire response body (status, schema_version, error, result,
 /// from_cache, timings). The daemon prepends the client's request id.
-/// Fills the serialized "timings.serialize_seconds" with the time spent
-/// building the body itself.
+/// "result" is response.result_json as an encoded value when present, so
+/// serving a published result re-encodes nothing. The serialized
+/// "timings.serialize_seconds" is response.timings.serialize_seconds plus
+/// the time spent building the body itself.
 io::Value to_json(const ServiceResponse& response);
 
 class EvaluationService {
@@ -238,10 +250,18 @@ class EvaluationService {
     std::vector<std::chrono::steady_clock::time_point> submitted;
   };
 
+  /// A published result as the LRU keeps it: the entry and its encoding.
+  struct CachedResult {
+    std::shared_ptr<const ExplorationEntry> entry;
+    std::shared_ptr<const std::string> json;
+  };
+
   void run_evaluation(std::string key, io::EvaluationRequest request);
-  void cache_insert(const std::string& key,
-                    std::shared_ptr<const ExplorationEntry> entry);
-  std::shared_ptr<const ExplorationEntry> cache_lookup(const std::string& key);
+  /// Stores `response`'s published result. Caller holds mutex_.
+  void cache_insert(const std::string& key, const ServiceResponse& response);
+  /// On a hit, refreshes its recency and fills `response` as a from_cache
+  /// answer sharing the cached entry and bytes. Caller holds mutex_.
+  bool cache_lookup(const std::string& key, ServiceResponse& response);
   void record_latency(std::chrono::steady_clock::time_point submitted);
 
   void log_slow_request(const std::string& key, double seconds,
@@ -266,8 +286,7 @@ class EvaluationService {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
   /// LRU: most recent at the front; index maps key -> list node.
-  std::list<std::pair<std::string, std::shared_ptr<const ExplorationEntry>>>
-      lru_;
+  std::list<std::pair<std::string, CachedResult>> lru_;
   std::unordered_map<std::string, decltype(lru_)::iterator> lru_index_;
   std::size_t pending_{0};  // queued + executing evaluations
   ServiceMetrics counters_;  // latency fields filled lazily by metrics()

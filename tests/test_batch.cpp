@@ -313,6 +313,31 @@ TEST(SweepBatch, BatchedParallelIsBitIdenticalToBatchedSerial) {
   EXPECT_EQ(a.batch.deduped_solves, b.batch.deduped_solves);
 }
 
+// A 129^2 paper-mode grid sweep whose A3@6V panel goes numerically rank
+// deficient: its Gram pivots sink to ~1e-31 relative yet stay positive.
+// Accepting them kept block CG iterating for ~70k iterations per column
+// (216k in all, ~50 s) where loop mode needs ~660; treating a pivot under
+// sqrt(eps) of its diagonal as rank-deficient falls back to scalar CG
+// from the block iterate instead.
+TEST(SweepBatch, NearSingularBlockPanelFallsBackInsteadOfStagnating) {
+  PowerDeliverySpec spec = paper_system();
+  spec.total_power = Power{992.574749821718};
+  spec.die_area = Area{5.3257547382838276e-4};
+  EvaluationOptions options = paper_options(129);
+  options.distribution_sheet_ohms = 1.8685333733777199e-3;
+  const std::vector<SweepPoint> points = SweepGridBuilder(options).build();
+  const auto cg_iterations = [&](bool block) {
+    SweepConfig config;
+    config.threads = 1;
+    config.batch_block = block;
+    return SweepRunner(spec, config).run(points).solver.cg_iterations;
+  };
+  const std::uint64_t loop = cg_iterations(false);
+  const std::uint64_t block = cg_iterations(true);
+  EXPECT_GT(loop, 0u);
+  EXPECT_LE(block, 2 * loop) << "loop mode: " << loop;
+}
+
 // ---------------------------------------------------------------------------
 // FaultCampaignRunner: batch accounting and the N-0 bit-exactness rule
 // ---------------------------------------------------------------------------

@@ -7,10 +7,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "vpd/common/error.hpp"
+#include "vpd/common/rng.hpp"
 #include "vpd/fault/fault_model.hpp"
 #include "vpd/fault/transient_scenario.hpp"
 #include "vpd/io/json.hpp"
@@ -72,6 +78,112 @@ TEST(JsonWriter, NumberFormattingIsShortestRoundTrip) {
                    123456789.123456789, -2.2250738585072014e-308}) {
     EXPECT_EQ(std::strtod(io::dump_number(x).c_str(), nullptr), x) << x;
   }
+}
+
+// The printf/strtod number writer dump_number replaced, kept verbatim as
+// the reference its output must match byte for byte.
+std::string reference_dump_number(double value) {
+  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.0f", value);
+    return buf;
+  }
+  char buf[40];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) break;
+  }
+  return buf;
+}
+
+TEST(JsonWriter, NumberWriterMatchesPrintfReferenceOnSeededDoubles) {
+  Rng rng(20241017, 1);
+  const auto bits = [&] {
+    return (std::uint64_t{rng.next_u32()} << 32) | rng.next_u32();
+  };
+  const auto from_bits = [](std::uint64_t b) {
+    double d;
+    std::memcpy(&d, &b, sizeof d);
+    return d;
+  };
+  std::vector<double> values = {0.0, -0.0, 5e-324, -5e-324,
+                                2.2250738585072014e-308, 1.7976931348623157e308};
+  // Random bit patterns (every exponent and sign), finite ones only.
+  while (values.size() < 60000) {
+    const double d = from_bits(bits());
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  // Subnormals: random mantissas under a zero exponent.
+  for (int i = 0; i < 10000; ++i) {
+    const double d = from_bits(bits() & 0x800fffffffffffffULL);
+    values.push_back(d);
+  }
+  // Integers near +-2^53, where the integer form hands over to %.17g.
+  for (std::int64_t k = -5000; k <= 5000; ++k) {
+    const double d = 9007199254740992.0 + double(k);
+    values.push_back(d);
+    values.push_back(-d);
+  }
+  // Powers of ten, and their neighbours one ulp away.
+  for (int e = -323; e <= 308; ++e) {
+    const double p = std::pow(10.0, e);
+    for (double d : {p, std::nextafter(p, 0.0), std::nextafter(p, INFINITY)}) {
+      values.push_back(d);
+      values.push_back(-d);
+    }
+  }
+  // Uniform magnitudes the service actually prints (volts, watts, ohms).
+  for (int i = 0; i < 20000; ++i) values.push_back(rng.uniform(-1e4, 1e4));
+  ASSERT_GE(values.size(), 100000u);
+
+  std::size_t differences = 0;
+  for (double d : values) {
+    const std::string got = io::dump_number(d);
+    if (got != reference_dump_number(d)) {
+      if (++differences <= 5) {
+        ADD_FAILURE() << std::hexfloat << d << ": " << got << " vs "
+                      << reference_dump_number(d);
+      }
+    }
+  }
+  EXPECT_EQ(differences, 0u) << "of " << values.size();
+}
+
+TEST(JsonValue, EncodedValueIsWrittenVerbatimAndExpandedWhenPretty) {
+  Value tree = Value::object();
+  tree.set("v", 1.5);
+  Value list = Value::array();
+  list.push_back(-0.0);
+  list.push_back("x\n");
+  list.push_back(1e-300);
+  tree.set("list", list);
+  const auto bytes = std::make_shared<const std::string>(io::dump(tree));
+  const Value encoded = Value::encoded(bytes);
+  EXPECT_TRUE(encoded.is_encoded());
+  EXPECT_EQ(&encoded.as_encoded(), bytes.get());  // shared, not copied
+
+  Value framed = Value::object();
+  framed.set("id", 7);
+  framed.set("result", encoded);
+  Value expected = Value::object();
+  expected.set("id", 7);
+  expected.set("result", tree);
+  EXPECT_EQ(io::dump(framed), io::dump(expected));
+  EXPECT_EQ(io::dump_pretty(framed), io::dump_pretty(expected));
+  EXPECT_EQ(io::dump_pretty(framed, 4), io::dump_pretty(expected, 4));
+
+  // Equality is over the document denoted; parse never yields the kind.
+  EXPECT_EQ(encoded, tree);
+  EXPECT_EQ(tree, encoded);
+  EXPECT_EQ(framed, expected);
+  EXPECT_NE(encoded, Value(1.5));
+  EXPECT_FALSE(io::parse(io::dump(framed)).at("result").is_encoded());
+  EXPECT_EQ(io::parse(io::dump(framed)), expected);
+
+  EXPECT_THROW(encoded.as_object(), InvalidArgument);
+  EXPECT_EQ(encoded.find("v"), nullptr);
+  EXPECT_THROW(tree.as_encoded(), InvalidArgument);
+  EXPECT_THROW(Value::encoded(nullptr), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -334,10 +334,15 @@ TEST(LineSession, MalformedLineEchoesRecoveredId) {
 
 class NetServerTest : public ::testing::Test {
  protected:
-  /// Starts a server over a scratch unix socket and returns when it is
-  /// accepting. The server thread joins in TearDown.
-  void start_server(serve::EvaluationService& service,
-                    net::ServerOptions options = {}) {
+  /// Starts a service and a server over a scratch unix socket in front of
+  /// it, and returns the service once the server is accepting. The fixture
+  /// owns the service so that it outlives the server: TearDown joins the
+  /// server's connection threads, which still update the service registry
+  /// as they finish, before the service is destroyed.
+  serve::EvaluationService& start_server(const serve::ServiceConfig& config,
+                                         net::ServerOptions options = {}) {
+    service_ = std::make_unique<serve::EvaluationService>(config);
+    serve::EvaluationService& service = *service_;
     path_ = scratch_socket_path(
         ::testing::UnitTest::GetInstance()->current_test_info()->name());
     server_ = std::make_unique<net::NdjsonServer>(
@@ -348,6 +353,7 @@ class NetServerTest : public ::testing::Test {
         },
         service.registry(), options);
     serve_thread_ = std::thread([this] { server_->serve(); });
+    return service;
   }
 
   net::Connection connect() {
@@ -362,6 +368,7 @@ class NetServerTest : public ::testing::Test {
   }
 
   std::string path_;
+  std::unique_ptr<serve::EvaluationService> service_;
   std::unique_ptr<net::NdjsonServer> server_;
   std::thread serve_thread_;
 };
@@ -369,8 +376,7 @@ class NetServerTest : public ::testing::Test {
 TEST_F(NetServerTest, ConcurrentClientsShareTheServiceCaches) {
   serve::ServiceConfig config;
   config.threads = 2;
-  serve::EvaluationService service(config);
-  start_server(service);
+  serve::EvaluationService& service = start_server(config);
 
   const io::EvaluationRequest shared = make_request();
   auto client = [&](int base_id) {
@@ -402,10 +408,9 @@ TEST_F(NetServerTest, ConcurrentClientsShareTheServiceCaches) {
 TEST_F(NetServerTest, ConnectionsBeyondMaxAreRejectedNotQueued) {
   serve::ServiceConfig config;
   config.threads = 1;
-  serve::EvaluationService service(config);
   net::ServerOptions options;
   options.max_connections = 1;
-  start_server(service, options);
+  serve::EvaluationService& service = start_server(config, options);
 
   net::Connection first = connect();
   // A full round trip proves the first connection is registered before
@@ -439,8 +444,7 @@ TEST_F(NetServerTest, SaturationRejectsCleanlyAndAnswersEveryLine) {
   config.threads = 2;
   config.queue_capacity = 4;
   config.result_cache_capacity = 0;  // every distinct submit evaluates
-  serve::EvaluationService service(config);
-  start_server(service);
+  serve::EvaluationService& service = start_server(config);
 
   constexpr int kClients = 3;
   constexpr int kPerClient = 40;
@@ -498,8 +502,7 @@ TEST_F(NetServerTest, SaturationRejectsCleanlyAndAnswersEveryLine) {
 TEST_F(NetServerTest, ShutdownVerbDrainsWithZeroLoss) {
   serve::ServiceConfig config;
   config.threads = 2;
-  serve::EvaluationService service(config);
-  start_server(service);
+  start_server(config);
 
   constexpr int kRequests = 8;
   net::Connection conn = connect();

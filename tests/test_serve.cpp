@@ -7,12 +7,14 @@
 
 #include <atomic>
 #include <future>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "vpd/core/explorer.hpp"
 #include "vpd/io/schema.hpp"
+#include "vpd/net/session.hpp"
 #include "vpd/serve/service.hpp"
 #include "vpd/sweep/thread_pool.hpp"
 
@@ -319,6 +321,211 @@ TEST(EvaluationService, ResponseJsonCarriesStatusAndResult) {
   EXPECT_EQ(err.at("status").as_string(), "error");
   EXPECT_FALSE(err.at("error").as_string().empty());
   EXPECT_EQ(err.find("result"), nullptr);
+}
+
+// --- Wire bytes: results are encoded once, responses stay byte-identical ----
+
+// The body to_json(ServiceResponse) built when every call re-encoded the
+// result from its entry. serialize_seconds is a measurement, so it is
+// taken from `body`.
+io::Value reencoded_body(const serve::ServiceResponse& response,
+                         const io::Value& body) {
+  io::Value v = io::Value::object();
+  v.set("status", serve::to_string(response.status));
+  v.set("schema_version", io::kSchemaVersion);
+  if (!response.error.empty()) v.set("error", response.error);
+  if (response.entry != nullptr) v.set("result", io::to_json(*response.entry));
+  v.set("from_cache", response.from_cache);
+  io::Value timings = io::Value::object();
+  timings.set("queue_seconds", response.timings.queue_seconds);
+  timings.set("mesh_seconds", response.timings.mesh_seconds);
+  timings.set("solve_seconds", response.timings.solve_seconds);
+  timings.set("evaluate_seconds", response.timings.evaluate_seconds);
+  timings.set("serialize_seconds",
+              body.at("timings").at("serialize_seconds"));
+  v.set("timings", std::move(timings));
+  return v;
+}
+
+std::vector<std::string> member_names(const io::Value& object) {
+  std::vector<std::string> names;
+  for (const auto& member : object.as_object()) names.push_back(member.first);
+  return names;
+}
+
+// A response object's bytes from "status" up to its timings' first member:
+// `middle` is the "result" or "error" member.
+std::string response_head(const char* status, const std::string& middle,
+                          bool from_cache) {
+  return std::string("\"status\":\"") + status + "\",\"schema_version\":" +
+         std::to_string(io::kSchemaVersion) + "," + middle +
+         ",\"from_cache\":" + (from_cache ? "true" : "false") +
+         ",\"timings\":{\"queue_seconds\":";
+}
+
+std::string result_member(const io::EvaluationRequest& request) {
+  return "\"result\":" + serial_dump(request);
+}
+
+TEST(ServiceWire, PrettyAndCompactBodiesMatchReencodingForEveryKind) {
+  serve::ServiceConfig config;
+  config.threads = 1;
+  serve::EvaluationService service(config);
+  const io::EvaluationRequest a1 = make_request(
+      ArchitectureKind::kA1_InterposerPeriphery, TopologyKind::kDsch);
+  const io::EvaluationRequest a3 =
+      make_request(ArchitectureKind::kA3_TwoStage12V, TopologyKind::kDsch);
+  const io::EvaluationRequest excluded = make_request(
+      ArchitectureKind::kA1_InterposerPeriphery, TopologyKind::kDickson);
+  io::EvaluationRequest bad = make_request(
+      ArchitectureKind::kA2_InterposerBelowDie, TopologyKind::kDsch);
+  bad.options.faults.dropped_sites = {9999};
+
+  // The slow request holds the single worker, so its twin coalesces.
+  auto slow = service.submit(slow_request());
+  auto twin = service.submit(slow_request());
+  const serve::ServiceResponse miss = service.evaluate(a1);
+  const serve::ServiceResponse hit = service.evaluate(a1);
+  const serve::ServiceResponse coalesced = twin.get();
+  const serve::ServiceResponse batch_member =
+      service.evaluate_batch({a1, a3})[1];
+  const serve::ServiceResponse excluded_response = service.evaluate(excluded);
+  const serve::ServiceResponse error = service.evaluate(bad);
+  EXPECT_EQ(service.metrics().coalesced, 1u);
+  EXPECT_TRUE(hit.from_cache);
+  EXPECT_FALSE(batch_member.from_cache);
+  ASSERT_EQ(excluded_response.status, serve::ResponseStatus::kExcluded);
+  ASSERT_EQ(error.status, serve::ResponseStatus::kError);
+
+  const std::vector<std::pair<const serve::ServiceResponse*, std::string>>
+      published = {{&miss, serial_dump(a1)},
+                   {&hit, serial_dump(a1)},
+                   {&coalesced, serial_dump(slow_request())},
+                   {&batch_member, serial_dump(a3)},
+                   {&excluded_response, serial_dump(excluded)}};
+  for (const auto& [response, expected] : published) {
+    ASSERT_NE(response->result_json, nullptr);
+    EXPECT_EQ(*response->result_json, expected);
+    const io::Value body = serve::to_json(*response);
+    EXPECT_TRUE(body.at("result").is_encoded());
+    const io::Value reencoded = reencoded_body(*response, body);
+    EXPECT_EQ(io::dump(body), io::dump(reencoded));
+    EXPECT_EQ(io::dump_pretty(body), io::dump_pretty(reencoded));
+  }
+  // Hits and coalesced waiters share the bytes their result was published
+  // with; only the publishing response paid for the encode.
+  EXPECT_EQ(hit.result_json.get(), miss.result_json.get());
+  EXPECT_EQ(coalesced.result_json.get(), slow.get().result_json.get());
+  EXPECT_GT(miss.timings.serialize_seconds, 0.0);
+  EXPECT_EQ(hit.timings.serialize_seconds, 0.0);
+
+  EXPECT_EQ(error.result_json, nullptr);
+  const io::Value error_body = serve::to_json(error);
+  EXPECT_EQ(io::dump_pretty(error_body),
+            io::dump_pretty(reencoded_body(error, error_body)));
+
+  // A response built by hand, without the bytes, still encodes its entry.
+  serve::ServiceResponse by_hand;
+  by_hand.status = serve::ResponseStatus::kOk;
+  by_hand.entry = miss.entry;
+  const io::Value hand_body = serve::to_json(by_hand);
+  EXPECT_FALSE(hand_body.at("result").is_encoded());
+  EXPECT_EQ(io::dump(hand_body.at("result")), serial_dump(a1));
+}
+
+TEST(ServiceWire, SessionLinesKeepMemberOrderAndResultBytes) {
+  serve::ServiceConfig config;
+  config.threads = 1;
+  serve::EvaluationService service(config);
+  std::mutex mutex;
+  std::vector<std::string> lines;
+  net::LineSession session(service, [&](const std::string& line) {
+    std::lock_guard<std::mutex> lock(mutex);
+    lines.push_back(line);
+  });
+  const auto line_of = [](int id, const io::EvaluationRequest& request) {
+    io::Value v = io::to_json(request);
+    v.set("id", id);
+    return io::dump(v);
+  };
+
+  const io::EvaluationRequest a1 = make_request(
+      ArchitectureKind::kA1_InterposerPeriphery, TopologyKind::kDsch);
+  const io::EvaluationRequest a3 =
+      make_request(ArchitectureKind::kA3_TwoStage12V, TopologyKind::kDsch);
+  const io::EvaluationRequest excluded = make_request(
+      ArchitectureKind::kA1_InterposerPeriphery, TopologyKind::kDickson);
+  io::EvaluationRequest bad = make_request(
+      ArchitectureKind::kA2_InterposerBelowDie, TopologyKind::kDsch);
+  bad.options.faults.dropped_sites = {9999};
+
+  session.feed(line_of(1, a1));  // miss
+  session.drain();
+  session.feed(line_of(2, a1));  // result-LRU hit
+  session.feed(line_of(3, slow_request()));
+  session.feed(line_of(4, slow_request()));  // coalesced waiter
+  session.feed(line_of(5, excluded));
+  session.feed(line_of(6, bad));
+  io::Value batch = io::Value::object();
+  batch.set("id", 7);
+  batch.set("cmd", "evaluate_batch");
+  io::Value members = io::Value::array();
+  members.push_back(io::to_json(a1));  // hit inside the batch
+  members.push_back(io::to_json(a3));  // evaluated by the batch engine
+  batch.set("requests", members);
+  session.feed(io::dump(batch));
+  session.drain();
+  EXPECT_EQ(service.metrics().coalesced, 1u);
+
+  ASSERT_EQ(lines.size(), 7u);
+  const std::vector<std::string> evaluate_order = {
+      "id", "status", "schema_version", "result", "from_cache", "timings"};
+  const std::vector<std::string> error_order = {
+      "id", "status", "schema_version", "error", "from_cache", "timings"};
+  const std::vector<std::string> timings_order = {
+      "queue_seconds", "mesh_seconds", "solve_seconds", "evaluate_seconds",
+      "serialize_seconds"};
+  const auto expect_line = [&](std::size_t index, const char* status,
+                               const std::string& middle, bool from_cache) {
+    const std::string& line = lines[index];
+    const std::string head = "{\"id\":" + std::to_string(index + 1) + "," +
+                             response_head(status, middle, from_cache);
+    EXPECT_EQ(line.compare(0, head.size(), head), 0)
+        << "line " << index + 1 << ": " << line.substr(0, 200);
+    const io::Value doc = io::parse(line);
+    EXPECT_EQ(member_names(doc),
+              std::string(status) == "error" ? error_order : evaluate_order)
+        << "line " << index + 1;
+    EXPECT_EQ(member_names(doc.at("timings")), timings_order)
+        << "line " << index + 1;
+  };
+  expect_line(0, "ok", result_member(a1), false);
+  expect_line(1, "ok", result_member(a1), true);
+  const std::string slow_result = result_member(slow_request());
+  expect_line(2, "ok", slow_result, false);
+  expect_line(3, "ok", slow_result, false);
+  expect_line(4, "excluded", result_member(excluded), false);
+  const std::string message = io::parse(lines[5]).at("error").as_string();
+  EXPECT_FALSE(message.empty());
+  expect_line(5, "error", "\"error\":" + io::dump(io::Value(message)), false);
+
+  // The batch line: envelope first, then each member in request order.
+  const std::string head = "{\"id\":7,\"status\":\"ok\",\"schema_version\":" +
+                           std::to_string(io::kSchemaVersion) +
+                           ",\"results\":[{";
+  EXPECT_EQ(lines[6].compare(0, head.size(), head), 0) << lines[6];
+  const std::size_t second = lines[6].find(
+      "},{" + response_head("ok", result_member(a3), false));
+  EXPECT_NE(second, std::string::npos);
+  EXPECT_EQ(lines[6].find(response_head("ok", result_member(a1), true)),
+            head.size());
+  const io::Value doc = io::parse(lines[6]);
+  ASSERT_EQ(doc.at("results").size(), 2u);
+  for (const io::Value& member : doc.at("results").as_array()) {
+    EXPECT_EQ(member_names(member),
+              std::vector<std::string>(evaluate_order.begin() + 1,
+                                       evaluate_order.end()));
+  }
 }
 
 // --- ThreadPool exception contract (the service depends on it) -------------

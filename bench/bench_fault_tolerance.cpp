@@ -13,9 +13,9 @@
 //
 // `--check` adds the batch-evaluation regression guard (exit 1 on
 // violation): the campaigns must route scenarios through the batch
-// engine with at least one block panel launched, and a loop-mode rerun
-// of the A3@12V campaign (batch on, block off) must reproduce the
-// pre-batch scalar loop bit for bit.
+// engine with at least one multi-column group solved, and the batched
+// A3@12V campaign must reproduce a scalar-loop rerun (batch off) bit for
+// bit.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -99,52 +99,43 @@ int main(int argc, char** argv) {
   // --- Batch-engine regression guards (--check) -----------------------------
   // The campaigns run with the default batch-first sweep: across the four
   // architectures the stage-2 dropouts and the order-2 Monte-Carlo samples
-  // must produce same-operator groups with at least one multi-column block
-  // panel, and the accounting must agree between the campaign reports and
-  // the solver's own counters.
+  // must produce same-operator groups with at least one multi-column
+  // solve.
   bool guard_ok = true;
   if (check) {
     std::size_t panel_columns = 0;
-    std::uint64_t block_panels = 0;
     for (const FaultCampaignReport& r : reports) {
       panel_columns += r.batch.panel_columns;
-      block_panels += r.solver.cg_block_panels;
     }
     if (panel_columns == 0) {
       guard_ok = false;
       std::fprintf(stderr, "bench_fault_tolerance: no campaign routed a "
-                           "multi-column panel through the batch engine\n");
-    }
-    if (block_panels == 0) {
-      guard_ok = false;
-      std::fprintf(stderr, "bench_fault_tolerance: solver.cg_block_panels "
-                           "stayed 0 across every campaign\n");
+                           "multi-column group through the batch engine\n");
     }
 
-    // Loop mode (batch on, block off) must reproduce the pre-batch scalar
-    // loop (batch off) bit for bit on the A3@12V campaign — the tightest
+    // The batched campaign (batch on) must reproduce the scalar loop
+    // (batch off) bit for bit on the A3@12V campaign — the tightest
     // architecture with both stage-1 and stage-2 fault families.
-    FaultCampaignConfig loop_config = config;
-    loop_config.sweep.batch = true;
-    loop_config.sweep.batch_block = false;
+    FaultCampaignConfig batched_config = config;
+    batched_config.sweep.batch = true;
     FaultCampaignConfig scalar_config = config;
     scalar_config.sweep.batch = false;
-    const FaultCampaignReport loop_report =
-        FaultCampaignRunner(spec, loop_config)
+    const FaultCampaignReport batched_report =
+        FaultCampaignRunner(spec, batched_config)
             .run(ArchitectureKind::kA3_TwoStage12V, TopologyKind::kDsch,
                  DeviceTechnology::kGalliumNitride, options);
     const FaultCampaignReport scalar_report =
         FaultCampaignRunner(spec, scalar_config)
             .run(ArchitectureKind::kA3_TwoStage12V, TopologyKind::kDsch,
                  DeviceTechnology::kGalliumNitride, options);
-    if (!campaigns_bit_identical(loop_report, scalar_report)) {
+    if (!campaigns_bit_identical(batched_report, scalar_report)) {
       guard_ok = false;
-      std::fprintf(stderr, "bench_fault_tolerance: the loop-mode A3@12V "
+      std::fprintf(stderr, "bench_fault_tolerance: the batched A3@12V "
                            "campaign diverges from the scalar loop\n");
     }
-    if (loop_report.batch.grouped_points == 0) {
+    if (batched_report.batch.grouped_points == 0) {
       guard_ok = false;
-      std::fprintf(stderr, "bench_fault_tolerance: the loop-mode campaign "
+      std::fprintf(stderr, "bench_fault_tolerance: the batched campaign "
                            "bypassed the batch engine entirely\n");
     }
   }
@@ -220,8 +211,6 @@ int main(int argc, char** argv) {
       acc("solver.cg_iterations");
       acc("solver.precond_factorizations");
       acc("solver.precond_reuses");
-      acc("solver.cg_block_panels");
-      acc("solver.cg_block_columns");
     }
     out.set_observability(merged);
     out.print();
@@ -270,8 +259,8 @@ int main(int argc, char** argv) {
       "   and the 6 V variant's doubled rail current makes it the tighter\n"
       "   of the two.\n");
   if (check) {
-    std::printf("\nGuard: %s (batch panels engaged, loop mode bit-identical "
-                "to the scalar loop).\n",
+    std::printf("\nGuard: %s (points grouped, batched campaign "
+                "bit-identical to the scalar loop).\n",
                 guard_ok ? "OK" : "VIOLATED - see stderr");
   }
   return guard_ok ? 0 : 1;

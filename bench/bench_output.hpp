@@ -78,17 +78,12 @@ class JsonReport {
     v.set("cg_iterations", counters.cg_iterations);
     v.set("precond_factorizations", counters.precond_factorizations);
     v.set("precond_reuses", counters.precond_reuses);
-    v.set("cg_block_panels", counters.cg_block_panels);
-    v.set("cg_block_columns", counters.cg_block_columns);
     doc_.set("solver", std::move(v));
     snapshot_.set_counter("solver.cg_solves", counters.cg_solves);
     snapshot_.set_counter("solver.cg_iterations", counters.cg_iterations);
     snapshot_.set_counter("solver.precond_factorizations",
                           counters.precond_factorizations);
     snapshot_.set_counter("solver.precond_reuses", counters.precond_reuses);
-    snapshot_.set_counter("solver.cg_block_panels", counters.cg_block_panels);
-    snapshot_.set_counter("solver.cg_block_columns",
-                          counters.cg_block_columns);
   }
 
   /// Merges a unified-telemetry snapshot (e.g. SweepReport::snapshot(),

@@ -1,9 +1,9 @@
 // Solver-core bench: Jacobi vs IC(0) (modified, level-1 fill) vs geometric
 // multigrid CG on the distribution mesh operators, across mesh sizes and
-// on the default evaluation grid, plus the multi-RHS loop-vs-block
-// comparison. Every preconditioner converges to the same certified
-// normwise backward-error criterion; the comparison is purely about how
-// many iterations (and how much wall time) that certification costs.
+// on the default evaluation grid. Every preconditioner converges to the
+// same certified normwise backward-error criterion; the comparison is
+// purely about how many iterations (and how much wall time) that
+// certification costs.
 //
 // Modes:
 //   (default)  human-readable tables + ratios
@@ -71,7 +71,7 @@ struct SolveSample {
 };
 
 // Four mid-edge VR patches sourcing the paper die's rail, shared by the
-// mesh-size scan, the refinement ladder and the multi-RHS section.
+// mesh-size scan and the refinement ladder.
 std::vector<VrAttachment> mid_edge_vrs(const GridMesh& mesh) {
   const double w = mesh.width().value;
   const double h = mesh.height().value;
@@ -130,54 +130,6 @@ SolveSample assembled_solve(const AssembledMesh& assembled,
     const IrDropResult result = solve_irdrop(assembled, vrs, sinks, options);
     const double seconds = seconds_since(start);
     sample.iterations = result.cg_iterations;
-    if (rep == 0 || seconds < sample.best_seconds)
-      sample.best_seconds = seconds;
-  }
-  return sample;
-}
-
-// Sink maps for the multi-RHS section: a shared uniform draw plus one
-// hotspot per map at a different die location, so the right-hand sides
-// are genuinely independent (parallel columns would deflate trivially).
-std::vector<Vector> hotspot_sink_maps(const GridMesh& mesh,
-                                      std::size_t maps) {
-  std::vector<Vector> sink_maps;
-  sink_maps.reserve(maps);
-  for (std::size_t j = 0; j < maps; ++j) {
-    Vector sinks = uniform_sinks(mesh, Current{400.0});
-    const std::size_t hotspot =
-        (j + 1) * mesh.node_count() / (maps + 1);
-    sinks[hotspot] += 100.0;
-    sink_maps.push_back(std::move(sinks));
-  }
-  return sink_maps;
-}
-
-struct BatchSample {
-  std::size_t iterations{0};
-  double best_seconds{0.0};
-};
-
-// Multi-RHS batch solve through solve_irdrop_batch, block panels vs
-// sequential loop selected by batch_block.
-BatchSample batch_solve(const AssembledMesh& assembled,
-                        const std::vector<VrAttachment>& vrs,
-                        const std::vector<Vector>& sink_maps,
-                        CgPreconditioner preconditioner, bool block,
-                        int repetitions) {
-  IrDropOptions options;
-  options.warm_start_voltage = 1.0;
-  options.preconditioner = preconditioner;
-  options.batch_block = block;
-
-  BatchSample sample;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    const std::vector<IrDropResult> results =
-        solve_irdrop_batch(assembled, vrs, sink_maps, options);
-    const double seconds = seconds_since(start);
-    sample.iterations = 0;
-    for (const IrDropResult& r : results) sample.iterations += r.cg_iterations;
     if (rep == 0 || seconds < sample.best_seconds)
       sample.best_seconds = seconds;
   }
@@ -300,31 +252,6 @@ int main(int argc, char** argv) {
                            static_cast<double>(mg_min_iterations);
   const bool mg_ladder_flat = mg_growth <= 2.0;
 
-  // --- Multi-RHS: sequential loop vs block panels ---------------------------
-  const std::size_t batch_nodes = 128;
-  const std::size_t batch_maps = 8;
-  const auto batch_mesh = assemble_mesh(Length{10e-3}, Length{10e-3},
-                                        batch_nodes, batch_nodes, 2e-3);
-  const std::vector<VrAttachment> batch_vrs = mid_edge_vrs(batch_mesh->mesh);
-  const std::vector<Vector> batch_maps_v =
-      hotspot_sink_maps(batch_mesh->mesh, batch_maps);
-  const BatchSample loop_sample =
-      batch_solve(*batch_mesh, batch_vrs, batch_maps_v,
-                  CgPreconditioner::kMultigrid, false, repetitions);
-  const BatchSample block_sample =
-      batch_solve(*batch_mesh, batch_vrs, batch_maps_v,
-                  CgPreconditioner::kMultigrid, true, repetitions);
-  const double block_speedup =
-      loop_sample.best_seconds / block_sample.best_seconds;
-  io::Value multi_rhs = io::Value::object();
-  multi_rhs.set("nodes", batch_nodes * batch_nodes);
-  multi_rhs.set("sink_maps", batch_maps);
-  multi_rhs.set("loop_iterations", loop_sample.iterations);
-  multi_rhs.set("block_iterations", block_sample.iterations);
-  multi_rhs.set("loop_seconds", loop_sample.best_seconds);
-  multi_rhs.set("block_seconds", block_sample.best_seconds);
-  multi_rhs.set("block_speedup", block_speedup);
-
   // --- Default evaluation grid ----------------------------------------------
   const SolverCounters before = solver_counters();
   TextTable grid_table({"Point", "Jacobi its", "IC(0) its", "Ratio",
@@ -365,7 +292,6 @@ int main(int argc, char** argv) {
     report.add("refinement_ladder", std::move(ladder_rows));
     report.add("mg_iteration_growth", mg_growth);
     report.add("mg_ladder_flat", mg_ladder_flat);
-    report.add("multi_rhs", std::move(multi_rhs));
     report.add("default_grid", std::move(grid_rows));
     report.add("worst_grid_iteration_ratio", worst_ratio);
     report.add("guard_ok", guard_ok);
@@ -385,27 +311,16 @@ int main(int argc, char** argv) {
   std::printf("Multigrid iteration growth across the ladder: %.2fx "
               "(flat means <= 2x): %s\n\n",
               mg_growth, mg_ladder_flat ? "ok" : "EXCEEDED");
-  std::printf("Multi-RHS batch (%zu sink maps, %zux%zu mesh, multigrid, "
-              "best of %d):\n"
-              "  loop:  %zu iterations, %s\n"
-              "  block: %zu iterations, %s  (%.2fx speedup)\n\n",
-              batch_maps, batch_nodes, batch_nodes, repetitions,
-              loop_sample.iterations, format_us(loop_sample.best_seconds).c_str(),
-              block_sample.iterations,
-              format_us(block_sample.best_seconds).c_str(), block_speedup);
   std::printf("Default evaluation grid (per-evaluation CG iterations):\n");
   std::cout << grid_table << '\n';
   std::printf(
       "Worst default-grid iteration ratio: %.2fx (acceptance floor 3x).\n"
       "Solver counters over the grid section: %llu solves, %llu "
-      "iterations, %llu factorizations, %llu reuses, %llu block panels, "
-      "%llu block columns.\n",
+      "iterations, %llu factorizations, %llu reuses.\n",
       worst_ratio, static_cast<unsigned long long>(delta.cg_solves),
       static_cast<unsigned long long>(delta.cg_iterations),
       static_cast<unsigned long long>(delta.precond_factorizations),
-      static_cast<unsigned long long>(delta.precond_reuses),
-      static_cast<unsigned long long>(delta.cg_block_panels),
-      static_cast<unsigned long long>(delta.cg_block_columns));
+      static_cast<unsigned long long>(delta.precond_reuses));
   if (check) {
     std::printf("\nGuard: IC iterations %s the recorded Jacobi baselines; "
                 "multigrid ladder %s.\n",

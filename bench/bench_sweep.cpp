@@ -1,25 +1,22 @@
 // Sweep-engine bench: the batch-first evaluation path (core/batch.hpp)
-// against the pre-batch scalar loop, on the default evaluation grid plus
+// against the scalar loop, on the default evaluation grid plus
 // stage-2-dropout variants of the two-stage points (the canonical
-// same-operator panel case: identical stamped mesh, sink scaling only).
+// same-operator group case: identical stamped mesh, sink scaling only).
 //
-// Three configurations of the same point list:
-//   scalar  SweepConfig::batch = false — the pre-batch point-at-a-time
-//           loop, the bit-identity reference
-//   loop    batch on, batch_block = false — grouped and deduplicated,
-//           distinct right-hand sides solved as a sequential loop that
-//           is bit-identical to the scalar path
-//   block   the default — grouped points solve as block-CG panels
-//           (certified backward error)
+// Two configurations of the same point list:
+//   scalar   SweepConfig::batch = false — the point-at-a-time loop, the
+//            bit-identity reference
+//   batched  the default — points grouped by operator and deduplicated,
+//            distinct right-hand sides solved against one stamped
+//            operator, bit-identical to the scalar path
 //
 // Modes:
 //   (default)  human-readable comparison table
 //   --json     one JSON document through benchio::JsonReport (per-mode
-//              wall clock, batch accounting, block-vs-scalar speedup)
-//   --check    regression guard (exit 1 on violation): the block sweep
-//              must group points and launch panels (batch accounting and
-//              solver.cg_block_panels both nonzero), and the loop-mode
-//              sweep must reproduce the scalar loop bit for bit
+//              wall clock and batch accounting)
+//   --check    regression guard (exit 1 on violation): the batched sweep
+//              must group points (groups and panel_columns both nonzero)
+//              and reproduce the scalar loop bit for bit
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -45,7 +42,7 @@ using namespace vpd;
 /// The survivors re-split the load uniformly, which makes all N-1
 /// dropouts share ONE right-hand side (the batch engine solves it once),
 /// while the N-2 variant's different survivor count adds a genuinely
-/// distinct panel column. A finer mesh keeps the distribution solve a
+/// distinct right-hand side. A finer mesh keeps the distribution solve a
 /// meaningful slice of each evaluation, so the dedup shows on the wall
 /// clock.
 std::vector<SweepPoint> bench_grid() {
@@ -83,11 +80,10 @@ struct ModeSample {
 
 ModeSample run_mode(const PowerDeliverySpec& spec,
                     const std::vector<SweepPoint>& points, bool batch,
-                    bool block, int repetitions) {
+                    int repetitions) {
   SweepConfig config;
   config.threads = 4;
   config.batch = batch;
-  config.batch_block = block;
   const SweepRunner runner(spec, config);
   ModeSample sample;
   for (int rep = 0; rep < repetitions; ++rep) {
@@ -135,34 +131,31 @@ int main(int argc, char** argv) {
   const std::vector<SweepPoint> points = bench_grid();
 
   const ModeSample scalar =
-      run_mode(spec, points, /*batch=*/false, /*block=*/false, repetitions);
-  const ModeSample loop =
-      run_mode(spec, points, /*batch=*/true, /*block=*/false, repetitions);
-  const ModeSample block =
-      run_mode(spec, points, /*batch=*/true, /*block=*/true, repetitions);
+      run_mode(spec, points, /*batch=*/false, repetitions);
+  const ModeSample batched =
+      run_mode(spec, points, /*batch=*/true, repetitions);
 
   // --- Guards ---------------------------------------------------------------
-  // Loop mode must reproduce the pre-batch scalar loop bit for bit: the
-  // full wire dump of every entry, not a tolerance comparison.
-  bool loop_bit_identical = true;
+  // The batched sweep must reproduce the scalar loop bit for bit: the full
+  // wire dump of every entry, not a tolerance comparison.
+  bool bit_identical = true;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (entry_dump(loop.report.outcomes[i].entry) !=
+    if (entry_dump(batched.report.outcomes[i].entry) !=
         entry_dump(scalar.report.outcomes[i].entry)) {
-      loop_bit_identical = false;
-      std::fprintf(stderr, "bench_sweep: loop-mode entry differs from the "
+      bit_identical = false;
+      std::fprintf(stderr, "bench_sweep: batched entry differs from the "
                            "scalar loop at %s\n",
                    points[i].label.c_str());
     }
   }
-  // Block mode must actually group and launch panels.
-  const bool panels_engaged = block.report.batch.groups > 0 &&
-                              block.report.batch.grouped_points > 0 &&
-                              block.report.batch.panel_columns > 0 &&
-                              block.report.solver.cg_block_panels > 0;
-  const bool guard_ok = loop_bit_identical && panels_engaged;
-  const double block_speedup = block.best_seconds > 0.0
-                                   ? scalar.best_seconds / block.best_seconds
-                                   : 0.0;
+  // ...and must actually group points and solve distinct right-hand sides
+  // together.
+  const bool grouped = batched.report.batch.groups > 0 &&
+                       batched.report.batch.panel_columns > 0;
+  const bool guard_ok = bit_identical && grouped;
+  const double speedup = batched.best_seconds > 0.0
+                             ? scalar.best_seconds / batched.best_seconds
+                             : 0.0;
 
   const auto mode_row = [&](const char* name, const ModeSample& sample) {
     io::Value row = io::Value::object();
@@ -173,8 +166,6 @@ int main(int argc, char** argv) {
     row.set("grouped_points", sample.report.batch.grouped_points);
     row.set("panel_columns", sample.report.batch.panel_columns);
     row.set("deduped_solves", sample.report.batch.deduped_solves);
-    row.set("block_panels", sample.report.solver.cg_block_panels);
-    row.set("block_columns", sample.report.solver.cg_block_columns);
     return row;
   };
 
@@ -182,45 +173,41 @@ int main(int argc, char** argv) {
     benchio::JsonReport report("bench_sweep");
     io::Value modes = io::Value::array();
     modes.push_back(mode_row("scalar", scalar));
-    modes.push_back(mode_row("loop", loop));
-    modes.push_back(mode_row("block", block));
+    modes.push_back(mode_row("batched", batched));
     report.add("points", points.size());
     report.add("modes", std::move(modes));
-    report.add("block_speedup_vs_scalar", block_speedup);
-    report.add("loop_bit_identical", loop_bit_identical);
-    report.add("panels_engaged", panels_engaged);
+    report.add("bit_identical", bit_identical);
+    report.add("grouped", grouped);
     report.add("guard_ok", guard_ok);
-    report.set_mesh_cache(block.report.cache_stats);
-    report.set_solver(block.report.solver);
-    report.set_observability(block.report.snapshot());
+    report.set_mesh_cache(batched.report.cache_stats);
+    report.set_solver(batched.report.solver);
+    report.set_observability(batched.report.snapshot());
     report.print();
     return guard_ok ? 0 : 1;
   }
 
   TextTable table({"Mode", "Wall (best of 3)", "CG its", "Groups",
-                   "Grouped", "Panel cols", "Deduped", "Block panels"});
+                   "Grouped", "Panel cols", "Deduped"});
   const auto add_row = [&](const char* name, const ModeSample& sample) {
     table.add_row({name, format_ms(sample.best_seconds),
                    std::to_string(sample.report.total_cg_iterations()),
                    std::to_string(sample.report.batch.groups),
                    std::to_string(sample.report.batch.grouped_points),
                    std::to_string(sample.report.batch.panel_columns),
-                   std::to_string(sample.report.batch.deduped_solves),
-                   std::to_string(sample.report.solver.cg_block_panels)});
+                   std::to_string(sample.report.batch.deduped_solves)});
   };
   std::printf("=== Batch-first sweep vs the scalar loop (%zu points, "
               "4 threads) ===\n\n",
               points.size());
   add_row("scalar", scalar);
-  add_row("loop", loop);
-  add_row("block", block);
+  add_row("batched", batched);
   std::cout << table << '\n';
-  std::printf("Block-vs-scalar wall speedup: %.2fx\n", block_speedup);
+  std::printf("Batched-vs-scalar wall speedup: %.2fx\n", speedup);
   if (check) {
-    std::printf("\nGuard: loop mode %s the scalar loop bit for bit; "
-                "block panels %s.\n",
-                loop_bit_identical ? "reproduces" : "DIVERGES FROM",
-                panels_engaged ? "engaged" : "DID NOT ENGAGE");
+    std::printf("\nGuard: the batched sweep %s the scalar loop bit for "
+                "bit; points %s.\n",
+                bit_identical ? "reproduces" : "DIVERGES FROM",
+                grouped ? "grouped" : "DID NOT GROUP");
   }
   return guard_ok ? 0 : 1;
 }

@@ -40,7 +40,7 @@ const VrDerate* derate_for(const FaultInjection& faults, std::size_t site) {
 Power vr_conversion_loss(const Converter& converter,
                          const std::vector<double>& currents,
                          const std::vector<double>& loss_scales,
-                         const EvaluationOptions& options,
+                         bool allow_extrapolation,
                          ArchitectureEvaluation& eval) {
   VPD_REQUIRE(loss_scales.empty() || loss_scales.size() == currents.size(),
               "loss_scales must be empty or match the current vector");
@@ -52,7 +52,7 @@ Power vr_conversion_loss(const Converter& converter,
       loss = converter.loss(load).value;
     } else {
       eval.within_rating = false;
-      if (!options.allow_extrapolation) {
+      if (!allow_extrapolation) {
         throw InfeasibleDesign(detail::concat(
             converter.name(), " cannot deliver ", load.value,
             " A per VR and extrapolation is disabled"));
@@ -64,148 +64,6 @@ Power vr_conversion_loss(const Converter& converter,
     total += loss;
   }
   return Power{total};
-}
-
-struct DistributionResult {
-  Power grid_loss{};
-  Power attach_loss{};
-  std::vector<double> vr_currents;    // per surviving site
-  std::vector<std::size_t> site_map;  // surviving -> nominal placement index
-  Voltage min_voltage{};
-  std::size_t cg_iterations{0};
-
-  /// Conversion-loss multipliers for the surviving sites, aligned with
-  /// vr_currents; empty when no derate applies (nominal path).
-  std::vector<double> loss_scales(const FaultInjection& faults) const {
-    if (faults.derates.empty()) return {};
-    std::vector<double> scales(vr_currents.size(), 1.0);
-    for (std::size_t k = 0; k < site_map.size(); ++k) {
-      if (const VrDerate* derate = derate_for(faults, site_map[k])) {
-        scales[k] = derate->loss_scale;
-      }
-    }
-    return scales;
-  }
-};
-
-/// Mesh solve of one distribution rail: VR outputs at `sites`, uniform
-/// sinks totalling `total_current`. Fault injection drops sites, scales
-/// attach resistances and perturbs the mesh operator; the survivors pick
-/// up the redistributed load through the solve itself.
-DistributionResult solve_distribution(const PowerDeliverySpec& spec,
-                                      const std::vector<VrSite>& sites,
-                                      Voltage rail, Current total_current,
-                                      Resistance attach_series,
-                                      const EvaluationOptions& options) {
-  const FaultInjection& faults = options.faults;
-  // Surviving sites of the nominal deployment (dropped_sites is sorted).
-  std::vector<VrSite> active;
-  std::vector<std::size_t> site_map;
-  active.reserve(sites.size());
-  site_map.reserve(sites.size());
-  {
-    std::size_t cursor = 0;
-    for (std::size_t s = 0; s < sites.size(); ++s) {
-      if (cursor < faults.dropped_sites.size() &&
-          faults.dropped_sites[cursor] == s) {
-        ++cursor;
-        continue;
-      }
-      active.push_back(sites[s]);
-      site_map.push_back(s);
-    }
-  }
-  if (active.empty()) {
-    throw InfeasibleDesign(
-        "every distribution-stage VR is dropped: no source left to solve "
-        "the rail");
-  }
-  // The mesh operator depends only on (die side, resolution, sheet,
-  // conductance perturbation): reuse a shared assembly across sweep points
-  // when the caller provides a cache. Cached and per-call assemblies are
-  // numerically identical, and a perturbed operator can never alias the
-  // nominal cache entry (the key carries the perturbation digest).
-  std::shared_ptr<const AssembledMesh> assembled;
-  if (options.solve_hook != nullptr) {
-    // Replay path: reuse the probe-time assembly so a replayed evaluation
-    // touches the mesh cache exactly once per point.
-    assembled = options.solve_hook->assembled_mesh();
-  }
-  if (assembled == nullptr) {
-    const obs::StageTimer mesh_timer(obs::Stage::kMesh);
-    assembled =
-        options.mesh_cache
-            ? options.mesh_cache->get(spec.die_side(), spec.die_side(),
-                                      options.mesh_nodes, options.mesh_nodes,
-                                      options.distribution_sheet_ohms,
-                                      faults.mesh_perturbation, options.trace)
-            : assemble_mesh(spec.die_side(), spec.die_side(),
-                            options.mesh_nodes, options.mesh_nodes,
-                            options.distribution_sheet_ohms,
-                            faults.mesh_perturbation);
-  }
-  const GridMesh& mesh = assembled->mesh;
-  // Patch footprints: capped per site by the placement geometry so
-  // neighbouring patches can never overlap and share attachment nodes.
-  // Computed over the survivors: a dropped neighbour frees no extra
-  // footprint at fault time (the cap only ever shrinks patches, and the
-  // survivors' positions are unchanged), but it must not re-introduce the
-  // dropped site's nodes either.
-  const std::vector<Length> patch_sides =
-      disjoint_patch_sides(active, options.vr_patch);
-  std::vector<VrAttachment> legs;
-  std::vector<std::size_t> legs_per_site;
-  legs_per_site.reserve(active.size());
-  for (std::size_t s = 0; s < active.size(); ++s) {
-    const VrSite& site = active[s];
-    const double ring_extra = site.ring * options.ring_series_squares *
-                              options.distribution_sheet_ohms;
-    double attach_value = attach_series.value;
-    if (const double* scale = attach_scale_for(faults, site_map[s])) {
-      attach_value *= *scale;
-    }
-    const auto patch = patch_attachment(
-        mesh, site.x, site.y, patch_sides[s], rail,
-        Resistance{attach_value + ring_extra});
-    legs_per_site.push_back(patch.size());
-    legs.insert(legs.end(), patch.begin(), patch.end());
-  }
-  Vector sinks = options.sink_map ? options.sink_map(mesh, total_current)
-                                  : uniform_sinks(mesh, total_current);
-  VPD_REQUIRE(sinks.size() == mesh.node_count(),
-              "sink map returned wrong node count");
-  double sink_total = 0.0;
-  for (double s : sinks) sink_total += s;
-  VPD_REQUIRE(std::fabs(sink_total - total_current.value) <=
-                  1e-3 * total_current.value,
-              "sink map totals ", sink_total, " A, expected ",
-              total_current.value);
-  IrDropOptions solve_options;
-  solve_options.relative_tolerance = options.irdrop_relative_tolerance;
-  solve_options.preconditioner = resolved_irdrop_preconditioner(options);
-  solve_options.trace = options.trace;
-  if (options.cg_warm_start) solve_options.warm_start_voltage = rail.value;
-  IrDropResult ir;
-  if (options.solve_hook == nullptr ||
-      !options.solve_hook->solve(assembled, legs, sinks, solve_options,
-                                 ir)) {
-    ir = solve_irdrop(*assembled, legs, sinks, solve_options);
-  }
-
-  DistributionResult result;
-  result.grid_loss = ir.grid_loss;
-  result.attach_loss = ir.series_loss;
-  result.min_voltage = ir.min_node_voltage;
-  result.cg_iterations = ir.cg_iterations;
-  result.site_map = std::move(site_map);
-  result.vr_currents.reserve(active.size());
-  std::size_t cursor = 0;
-  for (std::size_t count : legs_per_site) {
-    double sum = 0.0;
-    for (std::size_t k = 0; k < count; ++k) sum += ir.vr_currents[cursor++];
-    result.vr_currents.push_back(sum);
-  }
-  return result;
 }
 
 /// Adds the 48 V feed stages (PCB lateral, BGAs, package lateral, C4s;
@@ -342,12 +200,176 @@ ArchitectureEvaluation evaluate_a0(const PowerDeliverySpec& spec,
   return eval;
 }
 
-ArchitectureEvaluation evaluate_single_stage(ArchitectureKind kind,
-                                             const PowerDeliverySpec& spec,
-                                             TopologyKind topology,
-                                             DeviceTechnology tech,
-                                             const EvaluationOptions& options) {
+/// An evaluation prepared up to its distribution solve: the request, the
+/// evaluation rolled up so far, and everything finish() needs after the
+/// solve — copied out of the caller's options, so it outlives them.
+struct PendingRail {
+  DistributionRequest request;
+  PowerDeliverySpec spec;
   ArchitectureEvaluation eval;
+  std::shared_ptr<const Converter> converter;  // VRs driving the rail
+  /// The rail is the POL rail (A1/A2): its VRs are the final stage.
+  /// Otherwise it is A3's intermediate rail, fed by stage 1.
+  bool pol_rail{false};
+  /// Current climbing the u-bump field after the rail; unset for A2,
+  /// whose die crossing is already inside the attach series.
+  std::optional<Current> bump_current;
+  bool tsv_at_input{false};
+  bool allow_extrapolation{true};
+  /// Nominal placement sites when faults are injected (sizes
+  /// fault_site_currents); 0 on the nominal path.
+  std::size_t fault_sites{0};
+  std::vector<std::size_t> legs_per_site;  // per surviving site
+  std::vector<std::size_t> site_map;  // surviving -> nominal placement index
+  std::vector<double> loss_scales;    // empty unless a derate applies
+
+  ArchitectureEvaluation finish(const IrDropResult& ir) {
+    std::vector<double> vr_currents;
+    vr_currents.reserve(legs_per_site.size());
+    std::size_t cursor = 0;
+    for (std::size_t count : legs_per_site) {
+      double sum = 0.0;
+      for (std::size_t k = 0; k < count; ++k) sum += ir.vr_currents[cursor++];
+      vr_currents.push_back(sum);
+    }
+    eval.horizontal_loss += ir.grid_loss;
+    eval.vertical_loss += ir.series_loss;
+    eval.vr_current_spread = summarize(vr_currents);
+    if (pol_rail) eval.min_pol_voltage = ir.min_node_voltage;
+    eval.min_distribution_voltage = ir.min_node_voltage;
+    eval.cg_iterations += ir.cg_iterations;
+    if (fault_sites > 0) {
+      eval.fault_site_currents.assign(fault_sites, 0.0);
+      for (std::size_t k = 0; k < site_map.size(); ++k) {
+        eval.fault_site_currents[site_map[k]] = vr_currents[k];
+      }
+    }
+    const Power conversion = vr_conversion_loss(
+        *converter, vr_currents, loss_scales, allow_extrapolation, eval);
+    (pol_rail ? eval.conversion_stage2 : eval.conversion_stage1) = conversion;
+    if (bump_current) {
+      add_vertical_field(eval, InterconnectLevel::kInterposerToDieBump,
+                         *bump_current);
+    }
+    // 48 V feed sized self-consistently from the actual input power.
+    add_upstream(eval, spec, tsv_at_input);
+    return std::move(eval);
+  }
+};
+
+/// Prepares the mesh solve of one distribution rail: VR outputs at the
+/// surviving `sites`, sinks totalling `total_current`. Fault injection
+/// drops sites, scales attach resistances and perturbs the mesh operator;
+/// the survivors pick up the redistributed load through the solve itself.
+/// Fills `pending`'s request and the per-site bookkeeping its finish()
+/// needs.
+void prepare_rail(PendingRail& pending, const std::vector<VrSite>& sites,
+                  Voltage rail, Current total_current,
+                  Resistance attach_series,
+                  const EvaluationOptions& options) {
+  const PowerDeliverySpec& spec = pending.spec;
+  const FaultInjection& faults = options.faults;
+  // Surviving sites of the nominal deployment (dropped_sites is sorted).
+  std::vector<VrSite> active;
+  std::vector<std::size_t>& site_map = pending.site_map;
+  active.reserve(sites.size());
+  site_map.reserve(sites.size());
+  {
+    std::size_t cursor = 0;
+    for (std::size_t s = 0; s < sites.size(); ++s) {
+      if (cursor < faults.dropped_sites.size() &&
+          faults.dropped_sites[cursor] == s) {
+        ++cursor;
+        continue;
+      }
+      active.push_back(sites[s]);
+      site_map.push_back(s);
+    }
+  }
+  if (active.empty()) {
+    throw InfeasibleDesign(
+        "every distribution-stage VR is dropped: no source left to solve "
+        "the rail");
+  }
+  // The mesh operator depends only on (die side, resolution, sheet,
+  // conductance perturbation): reuse a shared assembly across sweep points
+  // when the caller provides a cache. Cached and per-call assemblies are
+  // numerically identical, and a perturbed operator can never alias the
+  // nominal cache entry (the key carries the perturbation digest).
+  DistributionRequest& request = pending.request;
+  {
+    const obs::StageTimer mesh_timer(obs::Stage::kMesh);
+    request.assembled =
+        options.mesh_cache
+            ? options.mesh_cache->get(spec.die_side(), spec.die_side(),
+                                      options.mesh_nodes, options.mesh_nodes,
+                                      options.distribution_sheet_ohms,
+                                      faults.mesh_perturbation, options.trace)
+            : assemble_mesh(spec.die_side(), spec.die_side(),
+                            options.mesh_nodes, options.mesh_nodes,
+                            options.distribution_sheet_ohms,
+                            faults.mesh_perturbation);
+  }
+  const GridMesh& mesh = request.assembled->mesh;
+  // Patch footprints: capped per site by the placement geometry so
+  // neighbouring patches can never overlap and share attachment nodes.
+  // Computed over the survivors: a dropped neighbour frees no extra
+  // footprint at fault time (the cap only ever shrinks patches, and the
+  // survivors' positions are unchanged), but it must not re-introduce the
+  // dropped site's nodes either.
+  const std::vector<Length> patch_sides =
+      disjoint_patch_sides(active, options.vr_patch);
+  pending.legs_per_site.reserve(active.size());
+  for (std::size_t s = 0; s < active.size(); ++s) {
+    const VrSite& site = active[s];
+    const double ring_extra = site.ring * options.ring_series_squares *
+                              options.distribution_sheet_ohms;
+    double attach_value = attach_series.value;
+    if (const double* scale = attach_scale_for(faults, site_map[s])) {
+      attach_value *= *scale;
+    }
+    const auto patch = patch_attachment(
+        mesh, site.x, site.y, patch_sides[s], rail,
+        Resistance{attach_value + ring_extra});
+    pending.legs_per_site.push_back(patch.size());
+    request.legs.insert(request.legs.end(), patch.begin(), patch.end());
+  }
+  request.sinks = options.sink_map ? options.sink_map(mesh, total_current)
+                                   : uniform_sinks(mesh, total_current);
+  VPD_REQUIRE(request.sinks.size() == mesh.node_count(),
+              "sink map returned wrong node count");
+  double sink_total = 0.0;
+  for (double s : request.sinks) sink_total += s;
+  VPD_REQUIRE(std::fabs(sink_total - total_current.value) <=
+                  1e-3 * total_current.value,
+              "sink map totals ", sink_total, " A, expected ",
+              total_current.value);
+  request.options.relative_tolerance = options.irdrop_relative_tolerance;
+  request.options.preconditioner = resolved_irdrop_preconditioner(options);
+  request.options.trace = options.trace;
+  if (options.cg_warm_start) request.options.warm_start_voltage = rail.value;
+
+  pending.allow_extrapolation = options.allow_extrapolation;
+  if (!faults.empty()) pending.fault_sites = sites.size();
+  // Conversion-loss multipliers for the surviving sites, aligned with
+  // site_map; empty when no derate applies (nominal path).
+  if (!faults.derates.empty()) {
+    pending.loss_scales.assign(site_map.size(), 1.0);
+    for (std::size_t k = 0; k < site_map.size(); ++k) {
+      if (const VrDerate* derate = derate_for(faults, site_map[k])) {
+        pending.loss_scales[k] = derate->loss_scale;
+      }
+    }
+  }
+}
+
+PendingRail prepare_single_stage(ArchitectureKind kind,
+                                 const PowerDeliverySpec& spec,
+                                 TopologyKind topology, DeviceTechnology tech,
+                                 const EvaluationOptions& options) {
+  PendingRail pending;
+  pending.spec = spec;
+  ArchitectureEvaluation& eval = pending.eval;
   eval.architecture = kind;
   const Current i_die = spec.die_current();
   const bool periphery = (kind == ArchitectureKind::kA1_InterposerPeriphery);
@@ -405,44 +427,25 @@ ArchitectureEvaluation evaluate_single_stage(ArchitectureKind kind,
 
   options.faults.validate(placement.sites.size(), 0);
 
-  const DistributionResult dist = solve_distribution(
-      spec, placement.sites, spec.die_voltage, i_die, attach, options);
-  eval.horizontal_loss += dist.grid_loss;
-  eval.vertical_loss += dist.attach_loss;
-  eval.vr_current_spread = summarize(dist.vr_currents);
-  eval.min_pol_voltage = dist.min_voltage;
+  prepare_rail(pending, placement.sites, spec.die_voltage, i_die, attach,
+               options);
   eval.distribution_rail = spec.die_voltage;
-  eval.min_distribution_voltage = dist.min_voltage;
-  eval.cg_iterations += dist.cg_iterations;
-  if (!options.faults.empty()) {
-    eval.fault_site_currents.assign(placement.sites.size(), 0.0);
-    for (std::size_t k = 0; k < dist.site_map.size(); ++k) {
-      eval.fault_site_currents[dist.site_map[k]] = dist.vr_currents[k];
-    }
-  }
-
-  eval.conversion_stage2 =
-      vr_conversion_loss(*converter, dist.vr_currents,
-                         dist.loss_scales(options.faults), options, eval);
-
+  pending.converter = converter;
+  pending.pol_rail = true;
   // Die interface field: A1's 1 V current climbs the u-bump field after
   // its lateral journey; A2's climb is already inside the attach series.
-  if (periphery) {
-    add_vertical_field(eval, InterconnectLevel::kInterposerToDieBump,
-                       i_die);
-  }
-
-  // 48 V feed sized self-consistently from the actual input power.
-  add_upstream(eval, spec, /*tsv_at_input=*/periphery);
-  return eval;
+  if (periphery) pending.bump_current = i_die;
+  pending.tsv_at_input = periphery;
+  return pending;
 }
 
-ArchitectureEvaluation evaluate_two_stage(ArchitectureKind kind,
-                                          const PowerDeliverySpec& spec,
-                                          TopologyKind topology,
-                                          DeviceTechnology tech,
-                                          const EvaluationOptions& options) {
-  ArchitectureEvaluation eval;
+PendingRail prepare_two_stage(ArchitectureKind kind,
+                              const PowerDeliverySpec& spec,
+                              TopologyKind topology, DeviceTechnology tech,
+                              const EvaluationOptions& options) {
+  PendingRail pending;
+  pending.spec = spec;
+  ArchitectureEvaluation& eval = pending.eval;
   eval.architecture = kind;
   const Voltage v_mid = intermediate_voltage(kind);
   const Current i_die = spec.die_current();
@@ -471,7 +474,8 @@ ArchitectureEvaluation evaluate_two_stage(ArchitectureKind kind,
   const std::size_t live2 = count2 - options.faults.dropped_stage2.size();
   std::vector<double> stage2_currents(live2, i_die.value / live2);
   eval.conversion_stage2 =
-      vr_conversion_loss(*stage2, stage2_currents, {}, options, eval);
+      vr_conversion_loss(*stage2, stage2_currents, {},
+                         options.allow_extrapolation, eval);
 
   // 1 V crossing from power die to functional die: the Cu-pad field.
   add_vertical_field(eval, InterconnectLevel::kInterposerToDiePad, i_die);
@@ -485,7 +489,8 @@ ArchitectureEvaluation evaluate_two_stage(ArchitectureKind kind,
     ArchitectureEvaluation sizing_scratch;
     std::vector<double> nominal2(count2, i_die.value / count2);
     stage2_design_loss =
-        vr_conversion_loss(*stage2, nominal2, {}, options, sizing_scratch)
+        vr_conversion_loss(*stage2, nominal2, {},
+                           options.allow_extrapolation, sizing_scratch)
             .value;
   }
   const double p_mid_design =
@@ -507,31 +512,14 @@ ArchitectureEvaluation evaluate_two_stage(ArchitectureKind kind,
   eval.periphery_rings = placement1.rings_used;
   options.faults.validate_sites(placement1.sites.size());
 
-  const DistributionResult dist =
-      solve_distribution(spec, placement1.sites, v_mid, i_mid,
-                         options.vr_attach_series, options);
-  eval.horizontal_loss += dist.grid_loss;
-  eval.vertical_loss += dist.attach_loss;
-  eval.vr_current_spread = summarize(dist.vr_currents);
+  prepare_rail(pending, placement1.sites, v_mid, i_mid,
+               options.vr_attach_series, options);
   eval.distribution_rail = v_mid;
-  eval.min_distribution_voltage = dist.min_voltage;
-  eval.cg_iterations += dist.cg_iterations;
-  if (!options.faults.empty()) {
-    eval.fault_site_currents.assign(placement1.sites.size(), 0.0);
-    for (std::size_t k = 0; k < dist.site_map.size(); ++k) {
-      eval.fault_site_currents[dist.site_map[k]] = dist.vr_currents[k];
-    }
-  }
-
-  eval.conversion_stage1 =
-      vr_conversion_loss(*stage1, dist.vr_currents,
-                         dist.loss_scales(options.faults), options, eval);
-
+  pending.converter = stage1;
   // V_mid climbs into the power die through the u-bump field.
-  add_vertical_field(eval, InterconnectLevel::kInterposerToDieBump, i_mid);
-
-  add_upstream(eval, spec, /*tsv_at_input=*/true);
-  return eval;
+  pending.bump_current = i_mid;
+  pending.tsv_at_input = true;
+  return pending;
 }
 
 }  // namespace
@@ -546,11 +534,11 @@ CgPreconditioner resolved_irdrop_preconditioner(
              : CgPreconditioner::kIncompleteCholesky;
 }
 
-ArchitectureEvaluation evaluate_architecture(ArchitectureKind architecture,
-                                             const PowerDeliverySpec& spec,
-                                             TopologyKind topology,
-                                             DeviceTechnology tech,
-                                             const EvaluationOptions& options) {
+PreparedEvaluation prepare_evaluation(ArchitectureKind architecture,
+                                      const PowerDeliverySpec& spec,
+                                      TopologyKind topology,
+                                      DeviceTechnology tech,
+                                      const EvaluationOptions& options) {
   spec.validate();
   VPD_REQUIRE(options.mesh_nodes >= 5, "mesh_nodes must be >= 5, got ",
               options.mesh_nodes);
@@ -559,33 +547,69 @@ ArchitectureEvaluation evaluate_architecture(ArchitectureKind architecture,
   VPD_REQUIRE(options.irdrop_relative_tolerance > 0.0,
               "IR-drop relative tolerance must be positive");
 
-  obs::Span span("vpd.evaluate", options.trace);
-  // Child spans (mesh assembly, IR-drop, CG) parent onto this one. The
-  // copy only happens when tracing is live, so the disabled path stays a
-  // single relaxed load with zero extra work.
-  const EvaluationOptions* opts = &options;
-  EvaluationOptions traced;
-  if (span.active()) {
-    span.set_arg("architecture", double(static_cast<int>(architecture)));
-    span.set_arg("mesh_nodes", double(options.mesh_nodes));
-    traced = options;
-    traced.trace = span.context();
-    opts = &traced;
-  }
-
+  PreparedEvaluation prepared;
+  PendingRail pending;
   switch (architecture) {
     case ArchitectureKind::kA0_PcbConversion:
-      return evaluate_a0(spec, *opts);
+      prepared.finish_ = [eval = evaluate_a0(spec, options)](
+                             const IrDropResult&) { return eval; };
+      return prepared;
     case ArchitectureKind::kA1_InterposerPeriphery:
     case ArchitectureKind::kA2_InterposerBelowDie:
-      return evaluate_single_stage(architecture, spec, topology, tech,
-                                   *opts);
+      pending = prepare_single_stage(architecture, spec, topology, tech,
+                                     options);
+      break;
     case ArchitectureKind::kA3_TwoStage12V:
     case ArchitectureKind::kA3_TwoStage6V:
-      return evaluate_two_stage(architecture, spec, topology, tech,
-                                *opts);
+      pending = prepare_two_stage(architecture, spec, topology, tech,
+                                  options);
+      break;
+    default:
+      throw InvalidArgument("unknown architecture kind");
   }
-  throw InvalidArgument("unknown architecture kind");
+  prepared.request_ = std::move(pending.request);
+  prepared.finish_ = [pending = std::move(pending)](
+                         const IrDropResult& result) mutable {
+    return pending.finish(result);
+  };
+  return prepared;
+}
+
+IrDropResult solve_distribution(const DistributionRequest* request,
+                                DistributionSolveHook* hook) {
+  IrDropResult result;
+  if (request == nullptr) return result;
+  if (hook == nullptr || !hook->solve(request->assembled, request->legs,
+                                      request->sinks, request->options,
+                                      result)) {
+    result = solve_irdrop(*request->assembled, request->legs,
+                          request->sinks, request->options);
+  }
+  return result;
+}
+
+EvaluationSpan::EvaluationSpan(ArchitectureKind architecture,
+                               const EvaluationOptions& options)
+    : span_("vpd.evaluate", options.trace), options_(&options) {
+  if (span_.active()) {
+    span_.set_arg("architecture", double(static_cast<int>(architecture)));
+    span_.set_arg("mesh_nodes", double(options.mesh_nodes));
+    traced_ = options;
+    traced_.trace = span_.context();
+    options_ = &traced_;
+  }
+}
+
+ArchitectureEvaluation evaluate_architecture(ArchitectureKind architecture,
+                                             const PowerDeliverySpec& spec,
+                                             TopologyKind topology,
+                                             DeviceTechnology tech,
+                                             const EvaluationOptions& options) {
+  const EvaluationSpan span(architecture, options);
+  PreparedEvaluation prepared =
+      prepare_evaluation(architecture, spec, topology, tech, span.options());
+  return prepared.finish(
+      solve_distribution(prepared.request(), options.solve_hook));
 }
 
 }  // namespace vpd

@@ -13,34 +13,37 @@
 #include "vpd/arch/report.hpp"
 #include "vpd/converters/catalog.hpp"
 #include "vpd/core/spec.hpp"
+#include "vpd/obs/trace.hpp"
 #include "vpd/package/irdrop.hpp"
 #include "vpd/package/mesh.hpp"
 #include "vpd/package/mesh_cache.hpp"
 
 namespace vpd {
 
-/// Interception point for the distribution IR-drop solve, consulted once
-/// per solve with the fully assembled request (operator, VR legs, sink
-/// vector, resolved solve options). The batch evaluation engine
-/// (core/batch.hpp) uses it twice: a probe hook records the request and
-/// aborts the evaluation, and a replay hook injects a result that was
-/// solved as part of a multi-RHS panel. Process-local plumbing like
-/// mesh_cache and trace: never on the wire, ignored by the io schema.
+/// The distribution-rail mesh solve of one evaluation: the assembled mesh
+/// operator, the VR legs stamped onto it, the per-node sink currents and
+/// the resolved solve options. A scalar evaluation runs it as
+/// solve_irdrop(*assembled, legs, sinks, options).
+struct DistributionRequest {
+  std::shared_ptr<const AssembledMesh> assembled;
+  std::vector<VrAttachment> legs;
+  Vector sinks;
+  IrDropOptions options;
+};
+
+/// Interception point for the distribution IR-drop solve of a scalar
+/// evaluation: evaluate_architecture and evaluate_with_exclusion consult
+/// it once, between prepare and finish, with the fully assembled request
+/// (layer probes use it to capture a workload's own solve inputs). The
+/// batch engine (core/batch.hpp) runs its solves itself and ignores it.
+/// Process-local plumbing like mesh_cache and trace: never on the wire,
+/// ignored by the io schema.
 class DistributionSolveHook {
  public:
   virtual ~DistributionSolveHook() = default;
 
-  /// Pre-assembled operator to use for this evaluation, or nullptr to
-  /// assemble (or fetch from the mesh cache) as usual. Replay injects the
-  /// probe-time assembly so a replayed evaluation does not touch the mesh
-  /// cache a second time.
-  virtual std::shared_ptr<const AssembledMesh> assembled_mesh() {
-    return nullptr;
-  }
-
   /// Substitute the solve: return true with `result` filled to skip the
-  /// scalar solve, false to run it as usual. May throw to abort the
-  /// evaluation (the probe hook throws after recording the request).
+  /// scalar solve, false to run it as usual.
   virtual bool solve(const std::shared_ptr<const AssembledMesh>& assembled,
                      const std::vector<VrAttachment>& legs,
                      const Vector& sinks, const IrDropOptions& options,
@@ -104,10 +107,9 @@ struct EvaluationOptions {
   /// default) selects automatically by mesh size: IC(0) below
   /// kAutoMultigridMeshNodes nodes per edge — it cuts CG iteration counts
   /// several-fold over Jacobi on mesh operators — and kMultigrid at or
-  /// above, where its mesh-size-independent iteration count wins and the
-  /// V-cycle amortizes best across batched panels. Set explicitly to
-  /// override the automatic choice; every choice converges to the same
-  /// certified criterion. See resolved_irdrop_preconditioner().
+  /// above, where its mesh-size-independent iteration count wins. Set
+  /// explicitly to override the automatic choice; every choice converges
+  /// to the same certified criterion. See resolved_irdrop_preconditioner().
   std::optional<CgPreconditioner> irdrop_preconditioner;
   /// Shared cache of assembled mesh operators; nullptr = assemble per
   /// call. The cache is thread-safe and must outlive the evaluation; a
@@ -124,9 +126,9 @@ struct EvaluationOptions {
   /// Process-local observability plumbing (like mesh_cache): never on the
   /// wire, never read by the numerics.
   obs::TraceContext trace{};
-  /// Distribution-solve interception for batched evaluation (see
-  /// core/batch.hpp). Process-local plumbing like mesh_cache and trace:
-  /// never on the wire, ignored by the io schema. nullptr = scalar solve.
+  /// Distribution-solve interception (see DistributionSolveHook).
+  /// Process-local plumbing like mesh_cache and trace: never on the wire,
+  /// ignored by the io schema. nullptr = solve_irdrop.
   DistributionSolveHook* solve_hook{nullptr};
 };
 
@@ -142,11 +144,85 @@ inline constexpr std::size_t kAutoMultigridMeshNodes = 256;
 CgPreconditioner resolved_irdrop_preconditioner(
     const EvaluationOptions& options);
 
-/// Evaluates one (architecture, topology, device technology) combination.
-/// For A0 the topology argument is ignored (the paper models A0 with a 90%
-/// PCB regulator). For the two-stage architectures the first stage is a
-/// DPMIH (the paper's choice) retargeted to 48V -> V_mid, and `topology`
-/// provides the second stage retargeted to V_mid -> 1V.
+/// An evaluation split at its distribution solve. prepare_evaluation runs
+/// everything before the mesh solve — VR allocation, placement, the mesh
+/// cache lookup, legs and sinks — and finish() completes the evaluation
+/// from the solve's result. The prepared state owns everything finish()
+/// needs and keeps no pointer into the caller's options, so the halves
+/// may run on different threads: the batch engine (core/batch.hpp)
+/// prepares every point, solves each same-operator group once and then
+/// finishes the members.
+class PreparedEvaluation {
+ public:
+  /// The pending distribution solve; nullptr when the evaluation needs
+  /// none (A0, which prepare already completed).
+  const DistributionRequest* request() const {
+    return request_ ? &*request_ : nullptr;
+  }
+
+  /// Completes the evaluation with `result`, the solve of request()
+  /// (ignored when request() is nullptr). Call once. Throws
+  /// InfeasibleDesign when a solved per-VR current exceeds the rating and
+  /// extrapolation is disabled.
+  ArchitectureEvaluation finish(const IrDropResult& result) {
+    return finish_(result);
+  }
+
+ private:
+  friend PreparedEvaluation prepare_evaluation(ArchitectureKind,
+                                               const PowerDeliverySpec&,
+                                               TopologyKind, DeviceTechnology,
+                                               const EvaluationOptions&);
+
+  std::optional<DistributionRequest> request_;
+  std::function<ArchitectureEvaluation(const IrDropResult&)> finish_;
+};
+
+/// Prepares one (architecture, topology, device technology) evaluation
+/// (see PreparedEvaluation). Throws InvalidArgument on bad options and
+/// InfeasibleDesign when the design fails before its mesh solve (area or
+/// periphery caps, every rail VR dropped, a final stage over its rating
+/// with extrapolation disabled). options.trace parents the mesh-assembly
+/// span and rides on the request's solve options.
+PreparedEvaluation prepare_evaluation(
+    ArchitectureKind architecture, const PowerDeliverySpec& spec,
+    TopologyKind topology,
+    DeviceTechnology tech = DeviceTechnology::kGalliumNitride,
+    const EvaluationOptions& options = {});
+
+/// Runs a prepared request the way a scalar evaluation does: through
+/// `hook` when one is set and takes the solve, otherwise solve_irdrop.
+/// Returns an empty result when `request` is nullptr.
+IrDropResult solve_distribution(const DistributionRequest* request,
+                                DistributionSolveHook* hook);
+
+/// The "vpd.evaluate" trace span of one evaluation, plus the options its
+/// child spans (mesh assembly, IR-drop, CG) parent onto. The options are
+/// copied only while tracing is live, so the disabled path stays a single
+/// relaxed load with zero extra work.
+class EvaluationSpan {
+ public:
+  EvaluationSpan(ArchitectureKind architecture,
+                 const EvaluationOptions& options);
+  EvaluationSpan(const EvaluationSpan&) = delete;
+  EvaluationSpan& operator=(const EvaluationSpan&) = delete;
+
+  /// The caller's options, re-parented onto this span when it records.
+  const EvaluationOptions& options() const { return *options_; }
+
+ private:
+  obs::Span span_;
+  EvaluationOptions traced_;
+  const EvaluationOptions* options_;
+};
+
+/// Evaluates one (architecture, topology, device technology) combination:
+/// prepare, the distribution solve (through options.solve_hook when set)
+/// and finish, under one "vpd.evaluate" span. For A0 the topology
+/// argument is ignored (the paper models A0 with a 90% PCB regulator).
+/// For the two-stage architectures the first stage is a DPMIH (the
+/// paper's choice) retargeted to 48V -> V_mid, and `topology` provides
+/// the second stage retargeted to V_mid -> 1V.
 ArchitectureEvaluation evaluate_architecture(
     ArchitectureKind architecture, const PowerDeliverySpec& spec,
     TopologyKind topology,

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "vpd/common/error.hpp"
-#include "vpd/common/panel_width.hpp"
 
 namespace vpd {
 
@@ -385,114 +384,6 @@ void MgPreconditioner::apply(const Vector& r, Vector& z) {
   levels_.front().rhs = r;
   cycle(0);
   z = levels_.front().x;
-}
-
-// W is the compile-time panel width (dispatched once in apply_panel):
-// with the innermost loops' trip count known, the per-column accumulators
-// stay in registers through every sweep of the cycle.
-template <std::size_t W>
-void MgPreconditioner::cycle_panel(std::size_t l) {
-  Level& level = levels_[l];
-  const std::size_t n = level.n;
-
-  if (l + 1 == levels_.size()) {
-    // Coarsest: dense Cholesky solve per column, panel layout preserved.
-    level.panel_x.assign(level.panel_rhs.begin(), level.panel_rhs.end());
-    double* x = level.panel_x.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t k = 0; k < i; ++k) {
-        const double l_ik = coarse_chol_[i * n + k];
-        for (std::size_t j = 0; j < W; ++j)
-          x[i * W + j] -= l_ik * x[k * W + j];
-      }
-      const double inv = 1.0 / coarse_chol_[i * n + i];
-      for (std::size_t j = 0; j < W; ++j) x[i * W + j] *= inv;
-    }
-    for (std::size_t i = n; i-- > 0;) {
-      for (std::size_t k = i + 1; k < n; ++k) {
-        const double l_ki = coarse_chol_[k * n + i];
-        for (std::size_t j = 0; j < W; ++j)
-          x[i * W + j] -= l_ki * x[k * W + j];
-      }
-      const double inv = 1.0 / coarse_chol_[i * n + i];
-      for (std::size_t j = 0; j < W; ++j) x[i * W + j] *= inv;
-    }
-    return;
-  }
-
-  level.panel_x.resize(n * W);
-  level.panel_r.resize(n * W);
-  double* x = level.panel_x.data();
-  double* rr = level.panel_r.data();
-  const double* rhs = level.panel_rhs.data();
-
-  // Pre-smooth from zero.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double scale = kJacobiDamping * level.inv_diag[i];
-    for (std::size_t j = 0; j < W; ++j) x[i * W + j] = scale * rhs[i * W + j];
-  }
-  // Residual panel.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc[W];
-    for (std::size_t j = 0; j < W; ++j) acc[j] = rhs[i * W + j];
-    for (std::uint32_t k = level.a_offsets[i]; k < level.a_offsets[i + 1];
-         ++k) {
-      const double v = level.a_vals[k];
-      const double* xc = x + std::size_t{level.a_cols[k]} * W;
-      for (std::size_t j = 0; j < W; ++j) acc[j] -= v * xc[j];
-    }
-    for (std::size_t j = 0; j < W; ++j) rr[i * W + j] = acc[j];
-  }
-  // Restrict and recurse.
-  Level& coarse = levels_[l + 1];
-  coarse.panel_rhs.assign(coarse.n * W, 0.0);
-  for (std::size_t I = 0; I < coarse.n; ++I) {
-    double* dst = coarse.panel_rhs.data() + I * W;
-    for (std::uint32_t t = level.r_offsets[I]; t < level.r_offsets[I + 1];
-         ++t) {
-      const double v = level.r_vals[t];
-      const double* src = rr + std::size_t{level.r_rows[t]} * W;
-      for (std::size_t j = 0; j < W; ++j) dst[j] += v * src[j];
-    }
-  }
-  cycle_panel<W>(l + 1);
-
-  // Prolongate and correct.
-  const double* cx = coarse.panel_x.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::uint32_t k = level.p_offsets[i]; k < level.p_offsets[i + 1];
-         ++k) {
-      const double v = level.p_vals[k];
-      const double* src = cx + std::size_t{level.p_cols[k]} * W;
-      for (std::size_t j = 0; j < W; ++j) x[i * W + j] += v * src[j];
-    }
-  }
-  // Post-smooth.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc[W];
-    for (std::size_t j = 0; j < W; ++j) acc[j] = rhs[i * W + j];
-    for (std::uint32_t k = level.a_offsets[i]; k < level.a_offsets[i + 1];
-         ++k) {
-      const double v = level.a_vals[k];
-      const double* xc = x + std::size_t{level.a_cols[k]} * W;
-      for (std::size_t j = 0; j < W; ++j) acc[j] -= v * xc[j];
-    }
-    for (std::size_t j = 0; j < W; ++j) rr[i * W + j] = acc[j];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const double scale = kJacobiDamping * level.inv_diag[i];
-    for (std::size_t j = 0; j < W; ++j) x[i * W + j] += scale * rr[i * W + j];
-  }
-}
-
-void MgPreconditioner::apply_panel(const double* r, double* z,
-                                   std::size_t width) {
-  VPD_REQUIRE(!empty(), "MgPreconditioner::apply_panel before factor()");
-  Level& fine = levels_.front();
-  fine.panel_rhs.assign(r, r + fine.n * width);
-  detail::dispatch_panel_width(width,
-                               [&](auto wc) { cycle_panel<wc()>(0); });
-  std::copy(fine.panel_x.begin(), fine.panel_x.end(), z);
 }
 
 }  // namespace vpd

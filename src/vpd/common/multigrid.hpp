@@ -105,11 +105,6 @@ class MgPreconditioner {
   /// resized to fit.
   void apply(const Vector& r, Vector& z);
 
-  /// Panel form: r and z hold `width` interleaved right-hand sides
-  /// (node-major, r[i * width + j]); each column gets the same V-cycle
-  /// arithmetic as a standalone apply(). z must not alias r.
-  void apply_panel(const double* r, double* z, std::size_t width);
-
   bool empty() const { return levels_.empty(); }
   std::size_t level_count() const { return levels_.size(); }
 
@@ -132,12 +127,9 @@ class MgPreconditioner {
     std::vector<double> r_vals;
     // V-cycle scratch (lazily sized): iterate, residual, restricted rhs.
     Vector x, r, rhs;
-    std::vector<double> panel_x, panel_r, panel_rhs;
   };
 
   void cycle(std::size_t level);
-  template <std::size_t W>
-  void cycle_panel(std::size_t level);
 
   std::vector<Level> levels_;
   // Dense lower-triangular Cholesky factor of the coarsest operator,

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "vpd/common/error.hpp"
 #include "vpd/common/multigrid.hpp"
-#include "vpd/common/panel_width.hpp"
 
 namespace vpd {
 
@@ -100,25 +98,6 @@ void CsrMatrix::multiply_into(const Vector& x, Vector& y) const {
       s += values_[k] * x[col_indices_[k]];
     y[r] = s;
   }
-}
-
-void CsrMatrix::multiply_panel(const double* x, double* y,
-                               std::size_t width) const {
-  VPD_REQUIRE(width > 0, "SpMM: panel width must be positive");
-  VPD_REQUIRE(x != y, "SpMM: input and output panels must be distinct");
-  detail::dispatch_panel_width(width, [&](auto wc) {
-    constexpr std::size_t W = wc();
-    for (std::size_t r = 0; r < rows_; ++r) {
-      double acc[W] = {};
-      for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-        const double v = values_[k];
-        const double* in = x + col_indices_[k] * W;
-        for (std::size_t j = 0; j < W; ++j) acc[j] += v * in[j];
-      }
-      double* out = y + r * W;
-      for (std::size_t j = 0; j < W; ++j) out[j] = acc[j];
-    }
-  });
 }
 
 double CsrMatrix::at(std::size_t row, std::size_t col) const {
@@ -499,59 +478,6 @@ void IcPreconditioner::apply(const Vector& r, Vector& z) const {
   }
 }
 
-void IcPreconditioner::apply_panel(const double* r, double* z,
-                                   std::size_t width) const {
-  VPD_REQUIRE(!empty(), "IcPreconditioner::apply_panel before factor()");
-  VPD_REQUIRE(width > 0 && width <= kMaxCgBlockWidth, "panel width ", width,
-              " outside [1, ", kMaxCgBlockWidth, "]");
-  const std::size_t n = n_;
-  VPD_REQUIRE(r != z, "apply_panel: input and output panels must be "
-              "distinct");
-  // The same wavefront-ordered gather sweeps as apply(), with the panel
-  // width as the innermost loop at a dispatched compile-time value so the
-  // per-column accumulators live in registers; each column sees exactly a
-  // standalone apply()'s arithmetic. The forward sweep reads its source
-  // values straight from r (every row is visited exactly once, and the
-  // gathers only touch already-written rows of z), skipping apply()'s
-  // whole-vector copy — a full panel pass at large n.
-  detail::dispatch_panel_width(width, [&](auto wc) {
-    constexpr std::size_t W = wc();
-    double s[W];
-    for (std::size_t idx = 0; idx < n; ++idx) {
-      const std::uint32_t i = fwd_row_[idx];
-      double* zi = z + std::size_t{i} * W;
-      const double* ri = r + std::size_t{i} * W;
-      for (std::size_t j = 0; j < W; ++j) s[j] = ri[j];
-      for (std::uint32_t k = fwd_off_[idx]; k < fwd_off_[idx + 1]; ++k) {
-        const double v = fwd_vals_[k];
-        const double* zc = z + std::size_t{fwd_cols_[k]} * W;
-        for (std::size_t j = 0; j < W; ++j) s[j] -= v * zc[j];
-      }
-      const double inv = inv_diag_[i];
-      for (std::size_t j = 0; j < W; ++j) zi[j] = s[j] * inv;
-    }
-    if (ssor_) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double d = diag_[i];
-        double* zi = z + i * W;
-        for (std::size_t j = 0; j < W; ++j) zi[j] *= d;
-      }
-    }
-    for (std::size_t idx = 0; idx < n; ++idx) {
-      const std::uint32_t i = bwd_row_[idx];
-      double* zi = z + std::size_t{i} * W;
-      for (std::size_t j = 0; j < W; ++j) s[j] = zi[j];
-      for (std::uint32_t k = bwd_off_[idx]; k < bwd_off_[idx + 1]; ++k) {
-        const double v = bwd_vals_[k];
-        const double* zc = z + std::size_t{bwd_cols_[k]} * W;
-        for (std::size_t j = 0; j < W; ++j) s[j] -= v * zc[j];
-      }
-      const double inv = inv_diag_[i];
-      for (std::size_t j = 0; j < W; ++j) zi[j] = s[j] * inv;
-    }
-  });
-}
-
 CgWorkspace::CgWorkspace() = default;
 CgWorkspace::~CgWorkspace() = default;
 
@@ -596,8 +522,6 @@ struct AtomicSolverCounters {
   std::atomic<std::uint64_t> cg_iterations{0};
   std::atomic<std::uint64_t> precond_factorizations{0};
   std::atomic<std::uint64_t> precond_reuses{0};
-  std::atomic<std::uint64_t> cg_block_panels{0};
-  std::atomic<std::uint64_t> cg_block_columns{0};
 };
 
 AtomicSolverCounters& global_counters() {
@@ -615,25 +539,27 @@ SolverCounters solver_counters() {
   c.precond_factorizations =
       g.precond_factorizations.load(std::memory_order_relaxed);
   c.precond_reuses = g.precond_reuses.load(std::memory_order_relaxed);
-  c.cg_block_panels = g.cg_block_panels.load(std::memory_order_relaxed);
-  c.cg_block_columns = g.cg_block_columns.load(std::memory_order_relaxed);
   return c;
 }
 
 SolverCounters operator-(const SolverCounters& a, const SolverCounters& b) {
-  return {a.cg_solves - b.cg_solves, a.cg_iterations - b.cg_iterations,
-          a.precond_factorizations - b.precond_factorizations,
-          a.precond_reuses - b.precond_reuses,
-          a.cg_block_panels - b.cg_block_panels,
-          a.cg_block_columns - b.cg_block_columns};
+  SolverCounters c;
+  c.cg_solves = a.cg_solves - b.cg_solves;
+  c.cg_iterations = a.cg_iterations - b.cg_iterations;
+  c.precond_factorizations =
+      a.precond_factorizations - b.precond_factorizations;
+  c.precond_reuses = a.precond_reuses - b.precond_reuses;
+  return c;
 }
 
 SolverCounters operator+(const SolverCounters& a, const SolverCounters& b) {
-  return {a.cg_solves + b.cg_solves, a.cg_iterations + b.cg_iterations,
-          a.precond_factorizations + b.precond_factorizations,
-          a.precond_reuses + b.precond_reuses,
-          a.cg_block_panels + b.cg_block_panels,
-          a.cg_block_columns + b.cg_block_columns};
+  SolverCounters c;
+  c.cg_solves = a.cg_solves + b.cg_solves;
+  c.cg_iterations = a.cg_iterations + b.cg_iterations;
+  c.precond_factorizations =
+      a.precond_factorizations + b.precond_factorizations;
+  c.precond_reuses = a.precond_reuses + b.precond_reuses;
+  return c;
 }
 
 void CgWorkspace::prepare(const CsrMatrix& a, const CgOptions& options) {
@@ -834,466 +760,6 @@ std::vector<CgResult> solve_cg_batch(const CsrMatrix& a,
   results.reserve(rhs.size());
   for (const Vector& b : rhs)
     results.push_back(solve_cg(a, b, options, workspace));
-  return results;
-}
-
-namespace {
-
-/// Dense symmetric w x w Cholesky (row-major, lower triangle; strict
-/// upper ignored). Returns false on a pivot at or below sqrt(eps) times
-/// its diagonal entry — a numerically rank-deficient Gram matrix, which
-/// in block CG means the panel's columns have become linearly dependent.
-/// A merely positive pivot is not enough: a near-singular panel can keep
-/// pivots around 1e-31 relative for tens of thousands of iterations
-/// without converging, where the scalar fallback finishes in dozens.
-/// Healthy panels keep relative pivots above 1e-4.
-bool chol_factor_small(double* s, std::size_t w) {
-  const double rank_tol = std::sqrt(std::numeric_limits<double>::epsilon());
-  for (std::size_t j = 0; j < w; ++j) {
-    const double diag = s[j * w + j];
-    double d = diag;
-    for (std::size_t k = 0; k < j; ++k) d -= s[j * w + k] * s[j * w + k];
-    if (!(d > rank_tol * diag)) return false;
-    const double l = std::sqrt(d);
-    s[j * w + j] = l;
-    for (std::size_t i = j + 1; i < w; ++i) {
-      double v = s[i * w + j];
-      for (std::size_t k = 0; k < j; ++k) v -= s[i * w + k] * s[j * w + k];
-      s[i * w + j] = v / l;
-    }
-  }
-  return true;
-}
-
-/// Solves (L L^T) X = B in place for a w x m row-major block.
-void chol_solve_small(const double* l, std::size_t w, double* b,
-                      std::size_t m) {
-  for (std::size_t i = 0; i < w; ++i) {
-    for (std::size_t k = 0; k < i; ++k) {
-      const double l_ik = l[i * w + k];
-      for (std::size_t j = 0; j < m; ++j) b[i * m + j] -= l_ik * b[k * m + j];
-    }
-    const double inv = 1.0 / l[i * w + i];
-    for (std::size_t j = 0; j < m; ++j) b[i * m + j] *= inv;
-  }
-  for (std::size_t i = w; i-- > 0;) {
-    for (std::size_t k = i + 1; k < w; ++k) {
-      const double l_ki = l[k * w + i];
-      for (std::size_t j = 0; j < m; ++j) b[i * m + j] -= l_ki * b[k * m + j];
-    }
-    const double inv = 1.0 / l[i * w + i];
-    for (std::size_t j = 0; j < m; ++j) b[i * m + j] *= inv;
-  }
-}
-
-}  // namespace
-
-std::vector<CgResult> solve_cg_block(const CsrMatrix& a,
-                                     const std::vector<Vector>& rhs,
-                                     const CgOptions& options,
-                                     CgWorkspace& ws) {
-  VPD_REQUIRE(a.rows() == a.cols(), "CG requires a square matrix, got ",
-              a.rows(), "x", a.cols());
-  const std::size_t n = a.rows();
-  for (const Vector& b : rhs)
-    VPD_REQUIRE(b.size() == n, "rhs has ", b.size(), " entries, expected ",
-                n);
-  if (!options.x0.empty())
-    VPD_REQUIRE(options.x0.size() == n, "warm start has ", options.x0.size(),
-                " entries, expected ", n);
-
-  obs::Span span("solve.cg_block", options.trace);
-
-  ws.prepare(a, options);
-
-  const bool jacobi = options.preconditioner == CgPreconditioner::kJacobi;
-  const bool mgp = options.preconditioner == CgPreconditioner::kMultigrid;
-  const std::size_t max_iterations =
-      options.max_iterations > 0 ? options.max_iterations : 10 * n + 100;
-  const double rtol = options.relative_tolerance;
-
-  AtomicSolverCounters& g = global_counters();
-  std::vector<CgResult> results(rhs.size());
-
-  // Panel position metadata, parallel arrays over the active columns.
-  std::vector<std::size_t> active;  // index into rhs/results
-  std::vector<double> b_norms, targets;
-  std::vector<std::size_t> col_iters;
-  std::size_t w = 0;
-
-  auto& B = ws.panel_b_;
-  auto& X = ws.panel_x_;
-  auto& R = ws.panel_r_;
-  auto& Z = ws.panel_z_;
-  auto& P = ws.panel_p_;
-  auto& Q = ws.panel_q_;
-
-  const auto apply_precond_panel = [&](const double* r, double* z) {
-    if (jacobi) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double d = ws.inv_diag_[i];
-        for (std::size_t j = 0; j < w; ++j) z[i * w + j] = d * r[i * w + j];
-      }
-    } else if (mgp) {
-      ws.mg_->apply_panel(r, z, w);
-    } else {
-      ws.ic_.apply_panel(r, z, w);
-    }
-  };
-  // All w column norms in one pass over the panel (a per-column loop
-  // would re-read the whole panel w times; at large n the panels live in
-  // DRAM and the traffic dominates the iteration). Per column the
-  // accumulation order matches a standalone norm2 exactly.
-  const auto col_norms = [&](const std::vector<double>& panel, double* out) {
-    detail::dispatch_panel_width(w, [&](auto wc) {
-      constexpr std::size_t W = wc();
-      double s[W] = {};
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* row = &panel[i * W];
-        for (std::size_t j = 0; j < W; ++j) s[j] += row[j] * row[j];
-      }
-      for (std::size_t j = 0; j < W; ++j) out[j] = std::sqrt(s[j]);
-    });
-  };
-  // out = A_^T B_ over the panel columns (w x w, row-major). Width
-  // dispatched to a compile-time value (like every O(n w^2) kernel
-  // below): with w constexpr the inner loops unroll and the accumulators
-  // stay in registers, which is where the block path's wall-clock
-  // advantage over the sequential loop comes from. The node loop is
-  // tiled and the output rows processed in pairs: a full w x w
-  // accumulator block spills to the stack (a store-forwarding round
-  // trip per multiply-add), while two rows of it fit in registers and
-  // the tile keeps the re-read panel chunks in L1.
-  const auto gram = [&](const std::vector<double>& a_,
-                        const std::vector<double>& b_, double* out) {
-    detail::dispatch_panel_width(w, [&](auto wc) {
-      constexpr std::size_t W = wc();
-      constexpr std::size_t kTile = 256;
-      double acc[W * W] = {};
-      for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
-        const std::size_t t1 = std::min(n, t0 + kTile);
-        std::size_t c = 0;
-        for (; c + 1 < W; c += 2) {
-          double r0[W] = {}, r1[W] = {};
-          for (std::size_t i = t0; i < t1; ++i) {
-            const double* ra = &a_[i * W];
-            const double* rb = &b_[i * W];
-            const double v0 = ra[c];
-            const double v1 = ra[c + 1];
-            for (std::size_t j = 0; j < W; ++j) {
-              r0[j] += v0 * rb[j];
-              r1[j] += v1 * rb[j];
-            }
-          }
-          for (std::size_t j = 0; j < W; ++j) {
-            acc[c * W + j] += r0[j];
-            acc[(c + 1) * W + j] += r1[j];
-          }
-        }
-        if (c < W) {
-          double r0[W] = {};
-          for (std::size_t i = t0; i < t1; ++i) {
-            const double v0 = a_[i * W + c];
-            const double* rb = &b_[i * W];
-            for (std::size_t j = 0; j < W; ++j) r0[j] += v0 * rb[j];
-          }
-          for (std::size_t j = 0; j < W; ++j) acc[c * W + j] += r0[j];
-        }
-      }
-      std::copy(acc, acc + W * W, out);
-    });
-  };
-  // R -= Q m (m is w x w row-major), accumulating the updated residual
-  // panel's column norms in the same pass: the recurrence trigger needs
-  // them every iteration, and a separate re-read of R is a full DRAM
-  // pass at large n. Per column the arithmetic (update then ascending
-  // sum of squares) matches the unfused update + col_norms exactly.
-  const auto residual_madd = [&](const double* m, double* norms_out) {
-    detail::dispatch_panel_width(w, [&](auto wc) {
-      constexpr std::size_t W = wc();
-      double t[W];
-      double s[W] = {};
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* rq = &Q[i * W];
-        for (std::size_t j = 0; j < W; ++j) t[j] = 0.0;
-        for (std::size_t k = 0; k < W; ++k) {
-          const double v = rq[k];
-          const double* mk = m + k * W;
-          for (std::size_t j = 0; j < W; ++j) t[j] += v * mk[j];
-        }
-        double* rr = &R[i * W];
-        for (std::size_t j = 0; j < W; ++j) {
-          rr[j] -= t[j];
-          s[j] += rr[j] * rr[j];
-        }
-      }
-      for (std::size_t j = 0; j < W; ++j) norms_out[j] = std::sqrt(s[j]);
-    });
-  };
-  // y += sign * (p_ m) over the panel (m is w x w row-major).
-  const auto panel_madd = [&](std::vector<double>& y_,
-                              const std::vector<double>& p_, const double* m,
-                              double sign) {
-    detail::dispatch_panel_width(w, [&](auto wc) {
-      constexpr std::size_t W = wc();
-      double t[W];
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* rp = &p_[i * W];
-        for (std::size_t j = 0; j < W; ++j) t[j] = 0.0;
-        for (std::size_t k = 0; k < W; ++k) {
-          const double v = rp[k];
-          const double* mk = m + k * W;
-          for (std::size_t j = 0; j < W; ++j) t[j] += v * mk[j];
-        }
-        double* ry = &y_[i * W];
-        for (std::size_t j = 0; j < W; ++j) ry[j] += sign * t[j];
-      }
-    });
-  };
-  // P = Z + P beta (beta is w x w row-major).
-  const auto dir_update = [&](const double* beta) {
-    detail::dispatch_panel_width(w, [&](auto wc) {
-      constexpr std::size_t W = wc();
-      double t[W];
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* rp = &P[i * W];
-        const double* rz = &Z[i * W];
-        for (std::size_t j = 0; j < W; ++j) t[j] = rz[j];
-        for (std::size_t k = 0; k < W; ++k) {
-          const double v = rp[k];
-          const double* bk = beta + k * W;
-          for (std::size_t j = 0; j < W; ++j) t[j] += v * bk[j];
-        }
-        double* out = &P[i * W];
-        for (std::size_t j = 0; j < W; ++j) out[j] = t[j];
-      }
-    });
-  };
-  // Record panel position c's result (X still at the current width).
-  const auto retire = [&](std::size_t c, bool converged, double residual) {
-    CgResult& out = results[active[c]];
-    out.x.resize(n);
-    for (std::size_t i = 0; i < n; ++i) out.x[i] = X[i * w + c];
-    out.iterations = col_iters[c];
-    out.converged = converged;
-    out.residual_norm = residual;
-    ++ws.stats_.solves;
-    ws.stats_.iterations += col_iters[c];
-    g.cg_solves.fetch_add(1, std::memory_order_relaxed);
-    g.cg_iterations.fetch_add(col_iters[c], std::memory_order_relaxed);
-    g.cg_block_columns.fetch_add(1, std::memory_order_relaxed);
-  };
-  // Drop retired positions: in-place forward repack (every destination
-  // index precedes its source, so ascending traversal never clobbers an
-  // unread element) of the named panels plus the column metadata.
-  const auto repack = [&](const std::vector<bool>& keep,
-                          std::initializer_list<std::vector<double>*> panels) {
-    std::size_t new_w = 0;
-    for (bool k : keep)
-      if (k) ++new_w;
-    for (std::vector<double>* panel : panels) {
-      auto& v = *panel;
-      for (std::size_t i = 0; i < n; ++i) {
-        std::size_t out = 0;
-        for (std::size_t c = 0; c < w; ++c)
-          if (keep[c]) v[i * new_w + out++] = v[i * w + c];
-      }
-    }
-    std::size_t out = 0;
-    for (std::size_t c = 0; c < w; ++c) {
-      if (!keep[c]) continue;
-      active[out] = active[c];
-      b_norms[out] = b_norms[c];
-      targets[out] = targets[c];
-      col_iters[out] = col_iters[c];
-      ++out;
-    }
-    active.resize(out);
-    b_norms.resize(out);
-    targets.resize(out);
-    col_iters.resize(out);
-    w = out;
-  };
-
-  for (std::size_t chunk = 0; chunk < rhs.size();
-       chunk += kMaxCgBlockWidth) {
-    const std::size_t chunk_end =
-        std::min(rhs.size(), chunk + kMaxCgBlockWidth);
-
-    active.clear();
-    b_norms.clear();
-    targets.clear();
-    col_iters.clear();
-    for (std::size_t c = chunk; c < chunk_end; ++c) {
-      const double b_norm = norm2(rhs[c]);
-      if (b_norm == 0.0) {
-        // The scalar path's shortcut: x = 0 is the unique SPD solution.
-        results[c].x.assign(n, 0.0);
-        results[c].converged = true;
-        ++ws.stats_.solves;
-        g.cg_solves.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      active.push_back(c);
-      b_norms.push_back(b_norm);
-      targets.push_back(rtol * b_norm);
-      col_iters.push_back(0);
-    }
-    if (active.empty()) continue;
-    g.cg_block_panels.fetch_add(1, std::memory_order_relaxed);
-
-    w = active.size();
-    B.resize(n * w);
-    X.resize(n * w);
-    R.resize(n * w);
-    Z.resize(n * w);
-    P.resize(n * w);
-    Q.resize(n * w);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < w; ++j) B[i * w + j] = rhs[active[j]][i];
-
-    if (options.x0.empty()) {
-      std::fill(X.begin(), X.end(), 0.0);
-      std::copy(B.begin(), B.end(), R.begin());
-    } else {
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < w; ++j) X[i * w + j] = options.x0[i];
-      a.multiply_panel(X.data(), Q.data(), w);
-      for (std::size_t k = 0; k < n * w; ++k) R[k] = B[k] - Q[k];
-      // The scalar path's warm-start early exit, per column.
-      const double x0_norm = norm2(options.x0);
-      double r_norms[kMaxCgBlockWidth];
-      col_norms(R, r_norms);
-      std::vector<bool> keep(w, true);
-      bool any = false;
-      for (std::size_t c = 0; c < w; ++c) {
-        if (r_norms[c] <= rtol * (ws.a_inf_ * x0_norm + b_norms[c])) {
-          retire(c, true, r_norms[c]);
-          keep[c] = false;
-          any = true;
-        }
-      }
-      if (any) repack(keep, {&B, &X, &R});
-      if (w == 0) continue;
-    }
-
-    double rho[kMaxCgBlockWidth * kMaxCgBlockWidth];
-    double scratch[kMaxCgBlockWidth * kMaxCgBlockWidth];
-    double alpha[kMaxCgBlockWidth * kMaxCgBlockWidth];
-
-    bool need_setup = true;
-    bool fell_back = false;
-    std::size_t iter = 0;
-    while (w > 0 && iter < max_iterations) {
-      if (need_setup) {
-        apply_precond_panel(R.data(), Z.data());
-        std::copy(Z.begin(), Z.begin() + n * w, P.begin());
-        gram(R, Z, rho);
-        need_setup = false;
-      }
-      a.multiply_panel(P.data(), Q.data(), w);
-      gram(P, Q, scratch);  // P^T A P
-      if (!chol_factor_small(scratch, w)) {
-        fell_back = true;
-        break;
-      }
-      std::copy(rho, rho + w * w, alpha);
-      chol_solve_small(scratch, w, alpha, w);  // alpha = (P^T A P)^{-1} rho
-      panel_madd(X, P, alpha, +1.0);
-      double r_norms[kMaxCgBlockWidth];
-      residual_madd(alpha, r_norms);
-      ++iter;
-      for (std::size_t c = 0; c < w; ++c) ++col_iters[c];
-
-      // Same b-relative trigger as the scalar path; certification is
-      // against the true residual (the recurrence drifts over many
-      // iterations), and surviving columns restart from it.
-      bool trigger = false;
-      for (std::size_t c = 0; c < w && !trigger; ++c)
-        trigger = r_norms[c] <= targets[c];
-      if (trigger) {
-        a.multiply_panel(X.data(), Q.data(), w);
-        for (std::size_t k = 0; k < n * w; ++k) Q[k] = B[k] - Q[k];
-        double t_norms[kMaxCgBlockWidth];
-        double x_norms[kMaxCgBlockWidth];
-        col_norms(Q, t_norms);
-        col_norms(X, x_norms);
-        std::vector<bool> keep(w, true);
-        bool any = false;
-        for (std::size_t c = 0; c < w; ++c) {
-          if (t_norms[c] <= rtol * (ws.a_inf_ * x_norms[c] + b_norms[c])) {
-            retire(c, true, t_norms[c]);
-            keep[c] = false;
-            any = true;
-          }
-        }
-        std::copy(Q.begin(), Q.begin() + n * w, R.begin());
-        if (any) repack(keep, {&B, &X, &R});
-        need_setup = true;
-        continue;
-      }
-
-      apply_precond_panel(R.data(), Z.data());
-      gram(R, Z, scratch);  // rho_next
-      double rho_chol[kMaxCgBlockWidth * kMaxCgBlockWidth];
-      std::copy(rho, rho + w * w, rho_chol);
-      if (!chol_factor_small(rho_chol, w)) {
-        fell_back = true;
-        break;
-      }
-      std::copy(scratch, scratch + w * w, alpha);
-      chol_solve_small(rho_chol, w, alpha, w);  // beta = rho^{-1} rho_next
-      dir_update(alpha);
-      std::copy(scratch, scratch + w * w, rho);
-    }
-
-    if (fell_back) {
-      // Rank-deficient panel (duplicate right-hand sides, or columns that
-      // converged together): finish each remaining column with scalar CG
-      // warm-started from its block iterate. The workspace key makes the
-      // factorization reuse free, so only iterations are spent.
-      std::vector<std::size_t> cols(active);
-      std::vector<std::size_t> spent(col_iters);
-      std::vector<Vector> warm(w);
-      for (std::size_t c = 0; c < w; ++c) {
-        warm[c].resize(n);
-        for (std::size_t i = 0; i < n; ++i) warm[c][i] = X[i * w + c];
-      }
-      CgOptions fallback = options;
-      for (std::size_t c = 0; c < w; ++c) {
-        fallback.x0 = std::move(warm[c]);
-        CgResult res = solve_cg(a, rhs[cols[c]], fallback, ws);
-        res.iterations += spent[c];
-        ws.stats_.iterations += spent[c];
-        g.cg_iterations.fetch_add(spent[c], std::memory_order_relaxed);
-        results[cols[c]] = std::move(res);
-      }
-      w = 0;
-    } else if (w > 0) {
-      // Out of iterations; the iterates may still satisfy the certified
-      // criterion (the scalar path's exit semantics).
-      a.multiply_panel(X.data(), Q.data(), w);
-      for (std::size_t k = 0; k < n * w; ++k) Q[k] = B[k] - Q[k];
-      double t_norms[kMaxCgBlockWidth];
-      double x_norms[kMaxCgBlockWidth];
-      col_norms(Q, t_norms);
-      col_norms(X, x_norms);
-      for (std::size_t c = 0; c < w; ++c) {
-        retire(c,
-               t_norms[c] <= rtol * (ws.a_inf_ * x_norms[c] + b_norms[c]),
-               t_norms[c]);
-      }
-      w = 0;
-    }
-  }
-
-  if (span.active()) {
-    std::uint64_t total = 0;
-    for (const CgResult& res : results) total += res.iterations;
-    span.set_arg("nodes", double(n));
-    span.set_arg("columns", double(rhs.size()));
-    span.set_arg("iterations", double(total));
-  }
   return results;
 }
 

@@ -8,8 +8,7 @@
 // multigrid (multigrid.hpp; near-mesh-size-independent iteration counts),
 // selectable via CgOptions. A CgWorkspace makes repeated solves
 // allocation-free and reuses the factorization when the matrix values have
-// not changed; solve_cg_block solves panels of right-hand sides together
-// through a true block-CG recurrence.
+// not changed.
 #pragma once
 
 #include <cstddef>
@@ -24,12 +23,6 @@ namespace vpd {
 
 class MgSymbolic;        // multigrid.hpp (which includes this header)
 class MgPreconditioner;  // multigrid.hpp
-
-/// Widest panel the multi-RHS block solver processes at once. Batches with
-/// more right-hand sides are chunked; 16 doubles is two cache lines per
-/// node, small enough for stack accumulators in the blocked sweeps and
-/// wide enough to saturate SpMM memory bandwidth.
-inline constexpr std::size_t kMaxCgBlockWidth = 16;
 
 /// Coordinate-format accumulator. Duplicate (row, col) entries are summed
 /// when compiled to CSR — exactly the stamping pattern MNA/mesh assembly
@@ -82,13 +75,6 @@ class CsrMatrix {
   /// y = A x into caller storage (resized to rows()); x and y must be
   /// distinct objects. The allocation-free SpMV the CG iteration uses.
   void multiply_into(const Vector& x, Vector& y) const;
-
-  /// Panel SpMM, Y = A X, where X and Y hold `width` interleaved vectors
-  /// (node-major: x[i * width + j] is column j's entry at node i, the
-  /// layout the block-CG path uses so the inner width-loop vectorizes).
-  /// X must have cols() * width entries; Y must have rows() * width and
-  /// must not alias X. Column j's arithmetic is exactly multiply_into's.
-  void multiply_panel(const double* x, double* y, std::size_t width) const;
 
   /// Element lookup (O(log nnz_row)); returns 0 for structural zeros.
   double at(std::size_t row, std::size_t col) const;
@@ -212,12 +198,6 @@ class IcPreconditioner {
   /// gone.
   void apply(const Vector& r, Vector& z) const;
 
-  /// Panel form of apply(): r and z hold `width` interleaved vectors
-  /// (node-major, r[i * width + j]; width <= kMaxCgBlockWidth). The
-  /// blocked wavefront sweeps run each column through exactly the
-  /// arithmetic of a standalone apply(). z must not alias r.
-  void apply_panel(const double* r, double* z, std::size_t width) const;
-
   bool empty() const { return fwd_off_.empty(); }
   /// True when the last factor() hit a non-positive (or relatively
   /// negligible) pivot and produced the SSOR preconditioner instead.
@@ -281,7 +261,7 @@ struct CgOptions {
   obs::TraceContext trace{};
 };
 
-/// Reusable solver state: the iteration vectors (scalar and panel), the
+/// Reusable solver state: the iteration vectors, the
 /// operator-derived scalars (||A||_inf, the SPD diagonal check, the Jacobi
 /// inverse diagonal), and the most recent IC(0)/SSOR or multigrid setup,
 /// all keyed to the matrix they were computed from. The key is a
@@ -319,9 +299,6 @@ class CgWorkspace {
  private:
   friend CgResult solve_cg(const CsrMatrix&, const Vector&, const CgOptions&,
                            CgWorkspace&);
-  friend std::vector<CgResult> solve_cg_block(const CsrMatrix&,
-                                              const std::vector<Vector>&,
-                                              const CgOptions&, CgWorkspace&);
 
   enum class FactorKind { kNone, kIncompleteCholesky, kMultigrid };
 
@@ -337,9 +314,6 @@ class CgWorkspace {
   Vector inv_diag_;  // Jacobi inverse diagonal (valid while key_valid_)
   double a_inf_{0.0};  // ||A||_inf (valid while key_valid_)
   Vector r_, z_, p_, ap_;  // CG iteration vectors
-  // Block-CG panels (node-major interleaved, lazily sized).
-  std::vector<double> panel_b_, panel_x_, panel_r_, panel_z_, panel_p_,
-      panel_q_;
   IcPreconditioner ic_;
   std::unique_ptr<MgPreconditioner> mg_;  // lazily constructed
   FactorKind factored_{FactorKind::kNone};  // kind the cached setup is for
@@ -361,11 +335,9 @@ struct SolverCounters {
   std::uint64_t cg_iterations{0};
   std::uint64_t precond_factorizations{0};
   std::uint64_t precond_reuses{0};
-  /// Block-CG activity: panels launched by solve_cg_block and columns
-  /// solved through the block recurrence (columns that fall back to
-  /// scalar CG — rank-deficient panels — count under cg_solves only).
-  /// Block solves also count into cg_solves/cg_iterations per column, so
-  /// those two stay "right-hand sides solved" across every path.
+  /// Always 0: the block-CG solver these counted is gone (every
+  /// right-hand side solves through solve_cg). Kept so existing readers
+  /// of the struct still compile.
   std::uint64_t cg_block_panels{0};
   std::uint64_t cg_block_columns{0};
 };
@@ -403,27 +375,6 @@ CgResult solve_cg(const CsrMatrix& a, const Vector& b,
 /// through the workspace. Each result is bit-identical to a standalone
 /// solve_cg call with the same options.
 std::vector<CgResult> solve_cg_batch(const CsrMatrix& a,
-                                     const std::vector<Vector>& rhs,
-                                     const CgOptions& options,
-                                     CgWorkspace& workspace);
-
-/// True multi-RHS block conjugate gradient: solves A X = B for panels of
-/// up to kMaxCgBlockWidth right-hand sides at once, sharing every SpMV and
-/// preconditioner application across the panel (blocked SpMM + blocked
-/// triangular/smoother sweeps over a node-major interleaved layout), with
-/// one search-direction block per iteration (the O'Leary block-CG
-/// recurrence). Convergence is certified per column against the same
-/// normwise-backward-error criterion as solve_cg; converged columns are
-/// deflated out of the panel so the rest keep iterating at reduced width.
-/// Results are NOT bit-identical to a loop of solve_cg calls — the block
-/// Krylov space is genuinely different (that is where the speedup comes
-/// from) — but every returned column satisfies the same certified
-/// accuracy. Rank-deficient panels (duplicate or converged-together
-/// columns) fall back to scalar solve_cg warm-started from the current
-/// block iterate, so the call succeeds wherever the loop would.
-/// options.x0, when set, warm-starts every column. Batches wider than
-/// kMaxCgBlockWidth are chunked into consecutive panels.
-std::vector<CgResult> solve_cg_block(const CsrMatrix& a,
                                      const std::vector<Vector>& rhs,
                                      const CgOptions& options,
                                      CgWorkspace& workspace);

@@ -1,10 +1,7 @@
 #include "vpd/core/batch.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
-
-#include "vpd/common/error.hpp"
 
 namespace vpd {
 namespace {
@@ -15,69 +12,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Internal control flow of the probe phase: thrown by the probe hook
-/// after it records the solve request, unwinding the evaluation before
-/// any solve work happens. Deliberately not derived from std::exception —
-/// nothing between the solve site and EvaluationBatch::probe may catch it.
-struct ProbeCaptured {};
-
-/// Records the distribution-solve request and aborts the evaluation.
-class ProbeHook final : public DistributionSolveHook {
- public:
-  ProbeHook(std::shared_ptr<const AssembledMesh>* assembled,
-            std::vector<VrAttachment>* legs, Vector* sinks,
-            IrDropOptions* solve_options, bool* has_request)
-      : assembled_(assembled), legs_(legs), sinks_(sinks),
-        solve_options_(solve_options), has_request_(has_request) {}
-
-  bool solve(const std::shared_ptr<const AssembledMesh>& assembled,
-             const std::vector<VrAttachment>& legs, const Vector& sinks,
-             const IrDropOptions& options, IrDropResult&) override {
-    *assembled_ = assembled;
-    *legs_ = legs;
-    *sinks_ = sinks;
-    *solve_options_ = options;
-    *has_request_ = true;
-    throw ProbeCaptured{};
-  }
-
- private:
-  std::shared_ptr<const AssembledMesh>* assembled_;
-  std::vector<VrAttachment>* legs_;
-  Vector* sinks_;
-  IrDropOptions* solve_options_;
-  bool* has_request_;
-};
-
-/// Injects a result solved outside the evaluation (group panel or shared
-/// scalar solve), along with the probe-time operator assembly so the
-/// replayed evaluation touches the mesh cache exactly once per point. A
-/// second solve in one evaluation is unexpected; it falls through to the
-/// scalar path, which is always correct.
-class ReplayHook final : public DistributionSolveHook {
- public:
-  ReplayHook(std::shared_ptr<const AssembledMesh> assembled,
-             IrDropResult result)
-      : assembled_(std::move(assembled)), result_(std::move(result)) {}
-
-  std::shared_ptr<const AssembledMesh> assembled_mesh() override {
-    return used_ ? nullptr : assembled_;
-  }
-
-  bool solve(const std::shared_ptr<const AssembledMesh>&,
-             const std::vector<VrAttachment>&, const Vector&,
-             const IrDropOptions&, IrDropResult& out) override {
-    if (used_) return false;
-    used_ = true;
-    out = std::move(result_);
-    return true;
-  }
-
- private:
-  std::shared_ptr<const AssembledMesh> assembled_;
-  IrDropResult result_;
-  bool used_{false};
-};
+/// Groups smaller than this take the scalar path: a one-member group is
+/// just a scalar solve.
+constexpr std::size_t kMinGroupSize = 2;
 
 }  // namespace
 
@@ -92,38 +29,43 @@ BatchStats& BatchStats::operator+=(const BatchStats& other) {
 }
 
 EvaluationBatch::EvaluationBatch(PowerDeliverySpec spec,
-                                 std::vector<EvaluationPoint> points,
-                                 BatchConfig config)
-    : spec_(spec), points_(std::move(points)), config_(config) {
+                                 std::vector<EvaluationPoint> points)
+    : spec_(spec), points_(std::move(points)) {
   spec_.validate();
-  VPD_REQUIRE(config_.min_group_size >= 2,
-              "min_group_size must be >= 2 (a one-column panel is just a "
-              "scalar solve)");
-  records_.resize(points_.size());
+  prepared_.resize(points_.size());
   entries_.resize(points_.size());
   errors_.resize(points_.size());
   wall_seconds_.assign(points_.size(), 0.0);
 }
 
-void EvaluationBatch::probe(std::size_t index) {
+void EvaluationBatch::prepare(std::size_t index) {
   const auto start = std::chrono::steady_clock::now();
   const EvaluationPoint& point = points_[index];
-  ProbeRecord& record = records_[index];
-  ProbeHook hook(&record.assembled, &record.legs, &record.sinks,
-                 &record.solve_options, &record.has_request);
-  EvaluationOptions options = point.options;
-  options.solve_hook = &hook;
   try {
-    entries_[index] = evaluate_with_exclusion(
-        spec_, point.architecture, point.topology, point.tech, options);
-    record.completed = true;  // no distribution solve on this path
-  } catch (const ProbeCaptured&) {
-    // Request recorded; the point finishes in execute().
+    // The point's one "vpd.evaluate" span covers its prepare half (and
+    // parents its mesh assembly); the solve records under the caller's
+    // context once the group runs.
+    const EvaluationSpan span(point.architecture, point.options);
+    prepared_[index] =
+        prepare_with_exclusion(spec_, point.architecture, point.topology,
+                               point.tech, span.options());
+    if (prepared_[index].request() == nullptr) {
+      finish(index, IrDropResult{});  // A0 or excluded: nothing to solve
+    }
   } catch (...) {
     errors_[index] = std::current_exception();
-    record.completed = true;  // failed before any solve; nothing to run
   }
   wall_seconds_[index] += seconds_since(start);
+}
+
+const DistributionRequest& EvaluationBatch::request(std::size_t index) const {
+  return *prepared_[index].request();
+}
+
+IrDropOptions EvaluationBatch::solve_options(std::size_t index) const {
+  IrDropOptions options = request(index).options;
+  options.trace = points_[index].options.trace;
+  return options;
 }
 
 std::size_t EvaluationBatch::plan() {
@@ -138,13 +80,11 @@ std::size_t EvaluationBatch::plan() {
   // grouping does not depend on cache wiring (cached and per-call
   // assemblies are bit-identical by construction).
   const auto same_operator = [this](std::size_t a, std::size_t b) {
-    const ProbeRecord& ra = records_[a];
-    const ProbeRecord& rb = records_[b];
-    if (ra.solve_options.relative_tolerance !=
-            rb.solve_options.relative_tolerance ||
-        ra.solve_options.warm_start_voltage !=
-            rb.solve_options.warm_start_voltage ||
-        ra.solve_options.preconditioner != rb.solve_options.preconditioner) {
+    const DistributionRequest& ra = request(a);
+    const DistributionRequest& rb = request(b);
+    if (ra.options.relative_tolerance != rb.options.relative_tolerance ||
+        ra.options.warm_start_voltage != rb.options.warm_start_voltage ||
+        ra.options.preconditioner != rb.options.preconditioner) {
       return false;
     }
     if (ra.legs.size() != rb.legs.size()) return false;
@@ -169,7 +109,7 @@ std::size_t EvaluationBatch::plan() {
   // lead member shares its operator. Deterministic in the input alone —
   // independent of thread count, execution order and cache state.
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (records_[i].completed || !records_[i].has_request) continue;
+    if (prepared_[i].request() == nullptr) continue;
     bool placed = false;
     for (Group& g : groups_) {
       if (same_operator(g.members.front(), i)) {
@@ -185,7 +125,7 @@ std::size_t EvaluationBatch::plan() {
     }
   }
 
-  // Keep multi-member groups as panel units; everything else (singleton
+  // Keep multi-member groups as group units; everything else (singleton
   // operators) takes the scalar path. Within a kept group, value-identical
   // sink vectors collapse onto one shared solve — the solver is
   // deterministic in its inputs, so sharing is bit-identical to solving
@@ -193,15 +133,15 @@ std::size_t EvaluationBatch::plan() {
   std::vector<Group> kept;
   std::vector<char> scalar(points_.size(), 0);
   for (Group& g : groups_) {
-    if (g.members.size() < config_.min_group_size) {
+    if (g.members.size() < kMinGroupSize) {
       for (std::size_t m : g.members) scalar[m] = 1;
       continue;
     }
     for (std::size_t m : g.members) {
-      const Vector& sinks = records_[m].sinks;
+      const Vector& sinks = request(m).sinks;
       std::size_t d = 0;
       for (; d < g.distinct.size(); ++d) {
-        if (records_[g.distinct[d]].sinks == sinks) break;
+        if (request(g.distinct[d]).sinks == sinks) break;
       }
       if (d == g.distinct.size()) {
         g.distinct.push_back(m);
@@ -238,36 +178,25 @@ void EvaluationBatch::execute(std::size_t unit) {
 }
 
 void EvaluationBatch::run() {
-  for (std::size_t i = 0; i < size(); ++i) probe(i);
+  for (std::size_t i = 0; i < size(); ++i) prepare(i);
   plan();
   for (std::size_t u = 0; u < unit_count(); ++u) execute(u);
 }
 
-void EvaluationBatch::replay(std::size_t index, IrDropResult result) {
-  const EvaluationPoint& point = points_[index];
-  ReplayHook hook(records_[index].assembled, std::move(result));
-  EvaluationOptions options = point.options;
-  options.solve_hook = &hook;
+void EvaluationBatch::finish(std::size_t index, const IrDropResult& result) {
   try {
-    entries_[index] = evaluate_with_exclusion(
-        spec_, point.architecture, point.topology, point.tech, options);
+    entries_[index] = prepared_[index].finish(result);
   } catch (...) {
     errors_[index] = std::current_exception();
   }
 }
 
 void EvaluationBatch::execute_scalar(std::size_t index) {
-  const ProbeRecord& record = records_[index];
-  if (!record.has_request) return;  // finished (or failed) during probe
   const auto start = std::chrono::steady_clock::now();
   try {
-    // The recorded request solves exactly as the un-hooked evaluation
-    // would (same operator object, legs, sinks and options), so injecting
-    // its result into the replay is bit-identical to the legacy scalar
-    // path — and the mesh cache sees one get per point, from the probe.
-    IrDropResult result = solve_irdrop(*record.assembled, record.legs,
-                                       record.sinks, record.solve_options);
-    replay(index, std::move(result));
+    const DistributionRequest& r = request(index);
+    finish(index, solve_irdrop(*r.assembled, r.legs, r.sinks,
+                               solve_options(index)));
   } catch (...) {
     errors_[index] = std::current_exception();
   }
@@ -276,31 +205,28 @@ void EvaluationBatch::execute_scalar(std::size_t index) {
 
 void EvaluationBatch::execute_group(const Group& group) {
   const auto solve_start = std::chrono::steady_clock::now();
-  const ProbeRecord& lead = records_[group.members.front()];
+  const std::size_t lead = group.members.front();
+  const DistributionRequest& lead_request = request(lead);
   std::vector<IrDropResult> solved;
   try {
     if (group.distinct.size() == 1) {
       // Every member drew the same right-hand side: one scalar solve,
-      // shared bit-exactly (a one-column panel would be the same solve
-      // with extra bookkeeping).
-      solved.push_back(solve_irdrop(*lead.assembled, lead.legs,
-                                    records_[group.distinct[0]].sinks,
-                                    lead.solve_options));
+      // shared bit-exactly.
+      solved.push_back(solve_irdrop(*lead_request.assembled,
+                                    lead_request.legs, lead_request.sinks,
+                                    solve_options(lead)));
     } else {
       std::vector<Vector> sink_maps;
       sink_maps.reserve(group.distinct.size());
       for (std::size_t m : group.distinct) {
-        sink_maps.push_back(records_[m].sinks);
+        sink_maps.push_back(request(m).sinks);
       }
-      IrDropOptions options = lead.solve_options;
-      options.batch_block = config_.block;
-      solved = solve_irdrop_batch(*lead.assembled, lead.legs, sink_maps,
-                                  options);
+      solved = solve_irdrop_batch(*lead_request.assembled, lead_request.legs,
+                                  sink_maps, solve_options(lead));
     }
   } catch (...) {
     // Group solve failed: take the scalar path per member, which
-    // reproduces the legacy behaviour — and its per-point errors —
-    // exactly.
+    // reproduces the scalar evaluation's per-point errors exactly.
     for (std::size_t m : group.members) execute_scalar(m);
     return;
   }
@@ -310,7 +236,7 @@ void EvaluationBatch::execute_group(const Group& group) {
   for (std::size_t k = 0; k < group.members.size(); ++k) {
     const std::size_t m = group.members[k];
     const auto start = std::chrono::steady_clock::now();
-    replay(m, solved[group.rhs_of_member[k]]);
+    finish(m, solved[group.rhs_of_member[k]]);
     wall_seconds_[m] += shared_seconds + seconds_since(start);
   }
 }
@@ -335,7 +261,7 @@ void EvaluationBatch::rethrow_first_error() const {
 
 std::vector<ExplorationEntry> evaluate_batch_with_exclusion(
     const PowerDeliverySpec& spec, std::vector<EvaluationPoint> points,
-    const BatchConfig& config, BatchStats* stats) {
+    BatchStats* stats) {
   // A shared assembly cache makes same-operator detection cheap (pointer
   // identity) and mesh assembly once-per-geometry; wiring it here changes
   // no bits (cached assembly is identical to per-call assembly).
@@ -345,7 +271,7 @@ std::vector<ExplorationEntry> evaluate_batch_with_exclusion(
       point.options.mesh_cache = &cache;
     }
   }
-  EvaluationBatch batch(spec, std::move(points), config);
+  EvaluationBatch batch(spec, std::move(points));
   batch.run();
   batch.rethrow_first_error();
   if (stats != nullptr) *stats = batch.stats();

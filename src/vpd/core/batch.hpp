@@ -1,36 +1,33 @@
-// Batch-first evaluation: the group-detecting front end that routes many
-// evaluation points through the multi-RHS block solver (solve_irdrop_batch)
-// instead of one scalar solve per point.
+// Batch-first evaluation: the group-detecting front end that solves many
+// evaluation points' distribution meshes together instead of one scalar
+// evaluation per point.
 //
-// An EvaluationBatch runs in three phases:
+// An EvaluationBatch evaluates each point exactly once, split at its mesh
+// solve (see PreparedEvaluation):
 //
-//   1. probe   — each point's evaluation runs up to its distribution solve;
-//                a DistributionSolveHook records the fully assembled solve
-//                request (operator, VR legs, sink vector, solve options)
-//                and aborts the evaluation. Points that never reach a
-//                distribution solve (A0, pre-solve exclusions) finish
-//                outright here.
-//   2. plan    — probed requests are grouped by stamped operator: identical
+//   1. prepare — each point runs the evaluator up to its distribution
+//                solve (prepare_with_exclusion) and keeps the request:
+//                assembled mesh, VR legs, sink vector, solve options.
+//                Points that need no solve (A0, pre-solve exclusions)
+//                finish outright here.
+//   2. group   — plan() groups the requests by stamped operator: identical
 //                assembled mesh and VR legs with identical solve options,
 //                differing only in the sink vector (sink-map variants,
 //                fault load scalings, two-stage intermediate currents).
 //                Grouping is deterministic in input order and independent
 //                of thread count or mesh-cache wiring. Within a group,
-//                value-identical sink vectors deduplicate onto one shared
-//                scalar solve (bit-identical to solving each separately).
-//   3. execute — each multi-point group solves its distinct right-hand
-//                sides through solve_irdrop_batch (block-CG panels by
-//                default; a sequential loop bit-identical to the scalar
-//                path when BatchConfig::block is false) and replays every
-//                member's evaluation with the injected result. Singleton
-//                groups fall back to the plain scalar evaluation.
+//                value-identical sink vectors deduplicate onto one solve.
+//   3. solve   — execute() solves each group's distinct right-hand sides
+//                against one stamped operator (solve_irdrop_batch, a
+//                sequential loop that reuses the factorization) and
+//                singleton points through solve_irdrop;
+//   4. finish  — then completes every member's entry from its result.
 //
-// Correctness contract: with block=false every entry is bit-identical to a
-// scalar evaluate_with_exclusion of the same point. With block=true (the
-// default) grouped solves run as certified block-CG panels — the same
-// backward-error tolerance, not the same bits; deduplicated and singleton
-// points stay bit-identical in both modes. Errors surface per point, the
-// first one in input order rethrown by rethrow_first_error().
+// Correctness contract: every entry is bit-identical to a scalar
+// evaluate_with_exclusion of the same point — the solver is deterministic
+// in its inputs, so grouping and deduplication change where a solve runs,
+// never its bits. Errors surface per point, the first one in input order
+// rethrown by rethrow_first_error().
 #pragma once
 
 #include <cstddef>
@@ -43,25 +40,14 @@
 namespace vpd {
 
 /// One point of a batch: the same coordinates evaluate_with_exclusion
-/// takes. `options.mesh_cache` is honoured (a shared cache makes probe
-/// grouping cheap via pointer identity, but grouping works without one);
-/// `options.solve_hook` is overwritten by the batch engine.
+/// takes. `options.mesh_cache` is honoured (a shared cache makes grouping
+/// cheap via pointer identity, but grouping works without one);
+/// `options.solve_hook` is ignored — the batch runs its solves itself.
 struct EvaluationPoint {
   ArchitectureKind architecture{};
   std::optional<TopologyKind> topology;  // nullopt only for A0
   DeviceTechnology tech{DeviceTechnology::kGalliumNitride};
   EvaluationOptions options;
-};
-
-struct BatchConfig {
-  /// Solve grouped points as block-CG panels (counts cg_block_panels /
-  /// cg_block_columns; certified backward error, not bit-identical to the
-  /// loop). false runs each group as a sequential loop over its distinct
-  /// right-hand sides, bit-identical to the scalar path.
-  bool block{true};
-  /// Minimum members for a group to solve together; smaller groups fall
-  /// back to the scalar path. >= 2 (a 1-panel is just a scalar solve).
-  std::size_t min_group_size{2};
 };
 
 /// Deterministic accounting of one batch run (plan() fills every field;
@@ -83,39 +69,38 @@ struct BatchStats {
 class EvaluationBatch {
  public:
   /// Validates the spec and takes ownership of the points.
-  EvaluationBatch(PowerDeliverySpec spec, std::vector<EvaluationPoint> points,
-                  BatchConfig config = {});
+  EvaluationBatch(PowerDeliverySpec spec, std::vector<EvaluationPoint> points);
 
   EvaluationBatch(const EvaluationBatch&) = delete;
   EvaluationBatch& operator=(const EvaluationBatch&) = delete;
 
   std::size_t size() const { return points_.size(); }
 
-  /// Phase 1: probe point `index`. Thread-safe for distinct indices; call
-  /// exactly once per point before plan(). Never throws — failures land in
-  /// error(index).
-  void probe(std::size_t index);
+  /// Phase 1: prepare point `index` under its "vpd.evaluate" span.
+  /// Thread-safe for distinct indices; call exactly once per point before
+  /// plan(). Never throws — failures land in error(index).
+  void prepare(std::size_t index);
 
-  /// Phase 2: group the probed requests. Single-threaded; call after every
-  /// probe() has returned. Returns the number of execution units.
+  /// Phase 2: group the prepared requests. Single-threaded; call after
+  /// every prepare() has returned. Returns the number of execution units.
   std::size_t plan();
 
   std::size_t unit_count() const { return units_.size(); }
 
-  /// Phase 3: execute unit `unit` (a whole group or one scalar point).
-  /// Thread-safe for distinct units. Never throws — failures land in the
-  /// error slots of the points the unit covers.
+  /// Phases 3 and 4: solve unit `unit` (a whole group or one scalar point)
+  /// and finish its points. Thread-safe for distinct units. Never throws —
+  /// failures land in the error slots of the points the unit covers.
   void execute(std::size_t unit);
 
-  /// Serial convenience: probe everything, plan, execute every unit.
+  /// Serial convenience: prepare everything, plan, execute every unit.
   void run();
 
   /// The finished entry for point `index`; valid once the point's unit has
   /// executed and error(index) is null. Mutable so callers can move it out.
   ExplorationEntry& entry(std::size_t index);
   std::exception_ptr error(std::size_t index) const;
-  /// Wall time attributed to the point: its probe plus its share of the
-  /// group solve plus its replay. Scheduling-dependent, like SweepStats.
+  /// Wall time attributed to the point: its prepare plus its share of the
+  /// group solve plus its finish. Scheduling-dependent, like SweepStats.
   double wall_seconds(std::size_t index) const;
 
   /// Valid after plan().
@@ -126,17 +111,6 @@ class EvaluationBatch {
   void rethrow_first_error() const;
 
  private:
-  /// What the probe hook captured at the point's distribution-solve site.
-  struct ProbeRecord {
-    /// The evaluation finished (or failed) during probe without reaching a
-    /// distribution solve: A0, pre-solve exclusions, pre-solve errors.
-    bool completed{false};
-    bool has_request{false};
-    std::shared_ptr<const AssembledMesh> assembled;
-    std::vector<VrAttachment> legs;
-    Vector sinks;
-    IrDropOptions solve_options;
-  };
   /// A same-operator group: members in input order, each mapped onto the
   /// deduplicated distinct right-hand sides (owned by their first member).
   struct Group {
@@ -149,14 +123,15 @@ class EvaluationBatch {
     std::size_t index{0};  // group index when is_group, else point index
   };
 
+  const DistributionRequest& request(std::size_t index) const;
+  IrDropOptions solve_options(std::size_t index) const;
   void execute_scalar(std::size_t index);
   void execute_group(const Group& group);
-  void replay(std::size_t index, IrDropResult result);
+  void finish(std::size_t index, const IrDropResult& result);
 
   PowerDeliverySpec spec_;
   std::vector<EvaluationPoint> points_;
-  BatchConfig config_;
-  std::vector<ProbeRecord> records_;
+  std::vector<PreparedEntry> prepared_;
   std::vector<ExplorationEntry> entries_;
   std::vector<std::exception_ptr> errors_;
   std::vector<double> wall_seconds_;
@@ -165,7 +140,7 @@ class EvaluationBatch {
   BatchStats stats_;
 };
 
-/// One-call batch evaluation with the explorer's exclusion rule: probes,
+/// One-call batch evaluation with the explorer's exclusion rule: prepares,
 /// groups and executes serially on the calling thread, wiring a private
 /// MeshSolveCache into points that have none (cached assembly is
 /// numerically identical to per-call assembly). Returns entries in input
@@ -173,6 +148,6 @@ class EvaluationBatch {
 /// non-null, receives the batch accounting.
 std::vector<ExplorationEntry> evaluate_batch_with_exclusion(
     const PowerDeliverySpec& spec, std::vector<EvaluationPoint> points,
-    const BatchConfig& config = {}, BatchStats* stats = nullptr);
+    BatchStats* stats = nullptr);
 
 }  // namespace vpd

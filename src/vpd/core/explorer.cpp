@@ -21,43 +21,61 @@ ArchitectureExplorer::ArchitectureExplorer(PowerDeliverySpec spec,
   spec_.validate();
 }
 
+PreparedEntry prepare_with_exclusion(const PowerDeliverySpec& spec,
+                                     ArchitectureKind architecture,
+                                     std::optional<TopologyKind> topology,
+                                     DeviceTechnology tech,
+                                     const EvaluationOptions& options) {
+  PreparedEntry prepared;
+  prepared.entry_.architecture = architecture;
+  prepared.entry_.topology = topology;
+  VPD_REQUIRE(architecture == ArchitectureKind::kA0_PcbConversion ||
+                  topology.has_value(),
+              "VPD architectures need a topology selection");
+  try {
+    // A0 ignores the topology (the paper's 90% PCB regulator).
+    prepared.evaluation_ = prepare_evaluation(
+        architecture, spec, topology.value_or(TopologyKind::kDpmih), tech,
+        options);
+  } catch (const InfeasibleDesign& err) {
+    prepared.entry_.exclusion_reason = err.what();
+  }
+  return prepared;
+}
+
+ExplorationEntry PreparedEntry::finish(const IrDropResult& result) {
+  if (evaluation_) {
+    try {
+      ArchitectureEvaluation eval = evaluation_->finish(result);
+      if (eval.within_rating) {
+        entry_.evaluation = std::move(eval);
+      } else {
+        // The paper's Fig. 7 rule: no published efficiency at the
+        // required per-VR current -> the combination is not plotted.
+        entry_.extrapolated = std::move(eval);
+        entry_.exclusion_reason = detail::concat(
+            to_string(*entry_.topology),
+            ": required per-VR current exceeds the published rating; "
+            "efficiency at that load is not reported (paper excludes this "
+            "combination from Fig. 7)");
+      }
+    } catch (const InfeasibleDesign& err) {
+      entry_.exclusion_reason = err.what();
+    }
+    evaluation_.reset();
+  }
+  return std::move(entry_);
+}
+
 ExplorationEntry evaluate_with_exclusion(
     const PowerDeliverySpec& spec, ArchitectureKind architecture,
     std::optional<TopologyKind> topology, DeviceTechnology tech,
     const EvaluationOptions& options) {
-  ExplorationEntry entry;
-  entry.architecture = architecture;
-  entry.topology = topology;
-
-  if (architecture == ArchitectureKind::kA0_PcbConversion) {
-    entry.evaluation = evaluate_architecture(
-        architecture, spec, TopologyKind::kDpmih, tech, options);
-    return entry;
-  }
-  VPD_REQUIRE(topology.has_value(),
-              "VPD architectures need a topology selection");
-
-  ArchitectureEvaluation eval;
-  try {
-    eval = evaluate_architecture(architecture, spec, *topology, tech,
-                                 options);
-  } catch (const InfeasibleDesign& err) {
-    entry.exclusion_reason = err.what();
-    return entry;
-  }
-  if (eval.within_rating) {
-    entry.evaluation = std::move(eval);
-  } else {
-    // The paper's Fig. 7 rule: no published efficiency at the required
-    // per-VR current -> the combination is not plotted.
-    entry.extrapolated = std::move(eval);
-    entry.exclusion_reason = detail::concat(
-        to_string(*topology),
-        ": required per-VR current exceeds the published rating; "
-        "efficiency at that load is not reported (paper excludes this "
-        "combination from Fig. 7)");
-  }
-  return entry;
+  const EvaluationSpan span(architecture, options);
+  PreparedEntry prepared = prepare_with_exclusion(
+      spec, architecture, topology, tech, span.options());
+  return prepared.finish(
+      solve_distribution(prepared.request(), options.solve_hook));
 }
 
 ExplorationEntry ArchitectureExplorer::evaluate(
@@ -70,7 +88,7 @@ ExplorationEntry ArchitectureExplorer::evaluate(
 ExplorationResult ArchitectureExplorer::explore(DeviceTechnology tech) const {
   // Serial exploration rides the same batch engine as the parallel sweep
   // (core/batch.hpp), so both share one code path end to end: same
-  // grouping, same panel routing, same results for the same point list.
+  // grouping, same solves, same results for the same point list.
   std::vector<EvaluationPoint> points;
   points.push_back(EvaluationPoint{ArchitectureKind::kA0_PcbConversion,
                                    std::nullopt, tech, options_});
@@ -82,8 +100,7 @@ ExplorationResult ArchitectureExplorer::explore(DeviceTechnology tech) const {
   }
   ExplorationResult result;
   result.spec = spec_;
-  result.entries =
-      evaluate_batch_with_exclusion(spec_, std::move(points), BatchConfig{});
+  result.entries = evaluate_batch_with_exclusion(spec_, std::move(points));
   return result;
 }
 

@@ -37,12 +37,50 @@ struct ExplorationResult {
       std::optional<TopologyKind> topo = std::nullopt) const;
 };
 
+/// evaluate_with_exclusion split at its distribution solve, the unit the
+/// batch engine (core/batch.hpp) groups: prepare_with_exclusion runs the
+/// evaluator up to the mesh solve (see PreparedEvaluation) and finish()
+/// completes the entry from the solve's result. A0 and points excluded
+/// before the solve carry no request.
+class PreparedEntry {
+ public:
+  /// The pending distribution solve; nullptr when the entry needs none.
+  const DistributionRequest* request() const {
+    return evaluation_ ? evaluation_->request() : nullptr;
+  }
+
+  /// Completes the entry with `result`, the solve of request() (ignored
+  /// when request() is nullptr), under the paper's exclusion rule. Call
+  /// once; releases the prepared state.
+  ExplorationEntry finish(const IrDropResult& result);
+
+ private:
+  friend PreparedEntry prepare_with_exclusion(const PowerDeliverySpec&,
+                                              ArchitectureKind,
+                                              std::optional<TopologyKind>,
+                                              DeviceTechnology,
+                                              const EvaluationOptions&);
+
+  ExplorationEntry entry_;
+  std::optional<PreparedEvaluation> evaluation_;  // unset once excluded
+};
+
+/// Prepares one (architecture, topology, tech) combination under the
+/// exclusion rule: an InfeasibleDesign before the solve yields an
+/// excluded entry with no request. Other errors throw.
+PreparedEntry prepare_with_exclusion(const PowerDeliverySpec& spec,
+                                     ArchitectureKind architecture,
+                                     std::optional<TopologyKind> topology,
+                                     DeviceTechnology tech,
+                                     const EvaluationOptions& options);
+
 /// Evaluates one (architecture, topology, tech) combination with the
 /// paper's exclusion rule applied: InfeasibleDesign and over-rating
 /// results become excluded entries (with the flagged extrapolation kept
-/// for inspection) instead of throwing. This is the single evaluation
-/// path shared by ArchitectureExplorer and SweepRunner, so a parallel
-/// sweep is bit-identical to a serial exploration of the same points.
+/// for inspection) instead of throwing. Runs prepare, the distribution
+/// solve (through options.solve_hook when set) and finish under one
+/// "vpd.evaluate" span — the same halves the batch engine runs, so a
+/// batched sweep is bit-identical to a loop of these calls.
 ExplorationEntry evaluate_with_exclusion(
     const PowerDeliverySpec& spec, ArchitectureKind architecture,
     std::optional<TopologyKind> topology, DeviceTechnology tech,

@@ -95,8 +95,6 @@ obs::Snapshot FaultCampaignReport::snapshot() const {
   s.set_counter("solver.precond_factorizations",
                 solver.precond_factorizations);
   s.set_counter("solver.precond_reuses", solver.precond_reuses);
-  s.set_counter("solver.cg_block_panels", solver.cg_block_panels);
-  s.set_counter("solver.cg_block_columns", solver.cg_block_columns);
   s.set_counter("fault.batch_groups", batch.groups);
   s.set_counter("fault.batch_grouped_points", batch.grouped_points);
   s.set_counter("fault.batch_scalar_points", batch.scalar_points);
@@ -271,9 +269,7 @@ FaultCampaignReport FaultCampaignRunner::run(
   // The N-0 scenario (scenarios[0]) IS the nominal evaluation — reuse the
   // probe instead of evaluating it again. This keeps the
   // outcomes.front()-reproduces-nominal invariant bit-exact by
-  // construction even when block panels are in play (a panel shared with
-  // fault scenarios answers to the certified tolerance, not the scalar
-  // bits), and saves one evaluation per campaign.
+  // construction and saves one evaluation per campaign.
   std::vector<SweepPoint> points;
   std::vector<FaultInjection> injections;
   points.reserve(scenarios.size() - 1);

@@ -79,9 +79,7 @@ struct FaultCampaignReport {
   /// The fault-free evaluation the deployment was read from. Evaluated
   /// through the same sweep path as the scenarios; the campaign's N-0
   /// scenario (outcomes.front()) reuses this evaluation outright, so it
-  /// reproduces it bit for bit in every batch mode — a block panel shared
-  /// with fault scenarios answers to the certified backward-error
-  /// tolerance, not the scalar bits, and must not leak into N-0.
+  /// reproduces it bit for bit by construction.
   ArchitectureEvaluation nominal;
   std::vector<FaultScenarioOutcome> outcomes;
   double wall_seconds{0.0};

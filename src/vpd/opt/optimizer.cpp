@@ -297,8 +297,6 @@ obs::Snapshot OptimizeReport::snapshot() const {
   s.set_counter("solver.precond_factorizations",
                 solver.precond_factorizations);
   s.set_counter("solver.precond_reuses", solver.precond_reuses);
-  s.set_counter("solver.cg_block_panels", solver.cg_block_panels);
-  s.set_counter("solver.cg_block_columns", solver.cg_block_columns);
   s.set_counter("opt.batch_groups", batch.groups);
   s.set_counter("opt.batch_grouped_points", batch.grouped_points);
   s.set_counter("opt.batch_scalar_points", batch.scalar_points);

@@ -181,9 +181,7 @@ IrDropResult solve_assembled(const GridMesh& mesh, const CsrMatrix& base,
 
   const CgOptions opts =
       make_cg_options(mesh, symbolic, hierarchy, options, span.context());
-  thread_local CgWorkspace tls_workspace;
-  CgWorkspace& workspace =
-      options.workspace != nullptr ? *options.workspace : tls_workspace;
+  thread_local CgWorkspace workspace;
   CgResult cg = solve_cg(a, rhs, opts, workspace);
   VPD_CHECK_NUMERIC(cg.converged, "IR-drop CG did not converge: residual ",
                     cg.residual_norm, " after ", cg.iterations,
@@ -263,12 +261,8 @@ std::vector<IrDropResult> solve_irdrop_batch(
   const CgOptions opts =
       make_cg_options(mesh, &assembled.ic_symbolic, &assembled.mg_symbolic,
                       options, span.context());
-  thread_local CgWorkspace tls_workspace;
-  CgWorkspace& workspace =
-      options.workspace != nullptr ? *options.workspace : tls_workspace;
-  std::vector<CgResult> solved =
-      options.batch_block ? solve_cg_block(a, rhs_set, opts, workspace)
-                          : solve_cg_batch(a, rhs_set, opts, workspace);
+  thread_local CgWorkspace workspace;
+  std::vector<CgResult> solved = solve_cg_batch(a, rhs_set, opts, workspace);
 
   std::vector<IrDropResult> results;
   results.reserve(solved.size());

@@ -60,17 +60,6 @@ struct IrDropOptions {
   /// The factorization/hierarchy setup is reused automatically when the
   /// same stamped operator is solved again through the same workspace.
   CgPreconditioner preconditioner{CgPreconditioner::kIncompleteCholesky};
-  /// solve_irdrop_batch only: true (the default) solves the batch through
-  /// the block-CG panel solver — shared SpMM and preconditioner sweeps
-  /// across the right-hand sides, certified to the same backward-error
-  /// accuracy but not bit-identical to a loop of single solves; false
-  /// runs the sequential loop, bit-identical to repeated solve_irdrop.
-  bool batch_block{true};
-  /// Solver workspace override. nullptr (the default) uses a per-thread
-  /// workspace, which keeps repeated solves allocation-free with no
-  /// caller coordination; pass an explicit workspace to scope stats or
-  /// factorization reuse. Never shared across threads by the solver.
-  CgWorkspace* workspace{nullptr};
   /// Parent span for the solve's "irdrop.solve" trace span. Observability
   /// plumbing only; never read by the numerics.
   obs::TraceContext trace{};
@@ -94,13 +83,11 @@ IrDropResult solve_irdrop(const AssembledMesh& assembled,
                           const IrDropOptions& options = {});
 
 /// Solves one stamped operator (mesh + VR shunts) against many sink maps
-/// at once — the sweep/fault/optimizer inner loop where only the load
-/// pattern varies. The operator is assembled and factored once; the
-/// right-hand sides then solve as panels through block CG
-/// (options.batch_block, the default) or as a sequential loop that is
-/// bit-identical to repeated solve_irdrop calls. Every result is
-/// certified to the same backward-error tolerance either way. Throws like
-/// solve_irdrop; sink_maps must be non-empty.
+/// — the sweep/fault/optimizer inner loop where only the load pattern
+/// varies. The operator is stamped once and the right-hand sides solve in
+/// sequence through one workspace, so the factorization is reused; each
+/// result is bit-identical to a solve_irdrop call with the same inputs.
+/// Throws like solve_irdrop; sink_maps must be non-empty.
 std::vector<IrDropResult> solve_irdrop_batch(
     const AssembledMesh& assembled, const std::vector<VrAttachment>& vrs,
     const std::vector<Vector>& sink_maps, const IrDropOptions& options = {});

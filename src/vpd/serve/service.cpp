@@ -197,7 +197,7 @@ std::vector<ServiceResponse> EvaluationService::evaluate_batch(
     }
     try {
       EvaluationBatch batch(requests[partition.front()].spec,
-                            std::move(points), BatchConfig{});
+                            std::move(points));
       batch.run();
       stats += batch.stats();
       for (std::size_t k = 0; k < partition.size(); ++k) {
@@ -601,10 +601,6 @@ ServiceMetrics EvaluationService::metrics() const {
                               m.solver.precond_factorizations);
   m.observability.set_counter("solver.precond_reuses",
                               m.solver.precond_reuses);
-  m.observability.set_counter("solver.cg_block_panels",
-                              m.solver.cg_block_panels);
-  m.observability.set_counter("solver.cg_block_columns",
-                              m.solver.cg_block_columns);
   return m;
 }
 

@@ -205,11 +205,10 @@ class EvaluationService {
   /// hits and in-batch duplicates (equal canonical keys) share one entry;
   /// the rest route through the batch evaluation engine (core/batch.hpp)
   /// synchronously on the caller's thread — same-operator requests solve
-  /// as one block panel — grouped per distinct spec, against the
-  /// service's shared mesh cache. Each response is bit-identical to a
-  /// lone evaluate() of its request except where block panels engage
-  /// (certified backward error; see core/batch.hpp). Not queued or
-  /// coalesced with submit() traffic; records serve.batch.* instruments.
+  /// against one stamped operator — grouped per distinct spec, against
+  /// the service's shared mesh cache. Each response is bit-identical to a
+  /// lone evaluate() of its request. Not queued or coalesced with
+  /// submit() traffic; records serve.batch.* instruments.
   std::vector<ServiceResponse> evaluate_batch(
       const std::vector<io::EvaluationRequest>& requests);
 

@@ -37,8 +37,6 @@ obs::Snapshot SweepReport::snapshot() const {
   s.set_counter("solver.precond_factorizations",
                 solver.precond_factorizations);
   s.set_counter("solver.precond_reuses", solver.precond_reuses);
-  s.set_counter("solver.cg_block_panels", solver.cg_block_panels);
-  s.set_counter("solver.cg_block_columns", solver.cg_block_columns);
   s.set_counter("sweep.batch_groups", batch.groups);
   s.set_counter("sweep.batch_grouped_points", batch.grouped_points);
   s.set_counter("sweep.batch_scalar_points", batch.scalar_points);
@@ -97,20 +95,18 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
       p.options.mesh_cache = cache;
       batch_points.push_back(std::move(p));
     }
-    BatchConfig batch_config;
-    batch_config.block = config_.batch_block;
-    EvaluationBatch batch(spec_, std::move(batch_points), batch_config);
+    EvaluationBatch batch(spec_, std::move(batch_points));
     if (threads == 1 || points.size() <= 1) {
       // Serial reference path: same phases, calling thread.
       batch.run();
       report.threads_used = 1;
     } else {
-      // The phases parallelize without changing results: probe and
+      // The phases parallelize without changing results: prepare and
       // execute tasks own disjoint slots, and the single-threaded plan()
-      // groups in input order regardless of probe completion order.
+      // groups in input order regardless of prepare completion order.
       ThreadPool pool(threads);
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        pool.submit([&batch, i] { batch.probe(i); });
+        pool.submit([&batch, i] { batch.prepare(i); });
       }
       pool.wait_idle();
       batch.plan();
@@ -134,7 +130,7 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
   } else {
     std::vector<std::exception_ptr> errors(points.size());
 
-    // Pre-batch scalar loop, kept as the bit-identity reference. Each
+    // Point-at-a-time scalar loop, kept as the bit-identity reference. Each
     // task owns exactly one pre-assigned slot, so no result
     // synchronization is needed beyond the pool's quiescence barrier;
     // slot order (== input order) is independent of completion order.

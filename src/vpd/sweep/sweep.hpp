@@ -2,21 +2,22 @@
 // technology x evaluation-option grids and evaluates every point on a
 // worker pool, sharing one MeshSolveCache so each distinct mesh geometry
 // is assembled exactly once per sweep. Points ride the batch evaluation
-// engine (core/batch.hpp) by default: same-operator points — sink-map
-// variants, fault load scalings — solve their distinct right-hand sides
-// together as block-CG panels instead of one scalar solve each.
+// engine (core/batch.hpp) by default: each point is prepared once up to
+// its mesh solve, same-operator points — sink-map variants, fault load
+// scalings — are grouped and solve against one stamped operator
+// (value-identical sinks once), and every point then finishes from its
+// result.
 //
 // Determinism contract: results come back in input order, and a parallel
-// run is bit-identical to a serial run of the same points. This holds
-// because probing and replay run the same pure routine
-// (evaluate_with_exclusion) with no cross-point mutable state — the CG
-// warm start is a flat rail-voltage vector derived from the point itself,
-// cached mesh operators are immutable and numerically identical to a
-// per-call assembly, and batch grouping happens single-threaded in input
-// order, independent of probe completion order. Only SweepStats timing
-// fields vary run to run. With batch_block=false (or batch=false) results
-// are additionally bit-identical to the pre-batch scalar loop; block
-// panels answer to the same certified backward-error tolerance instead.
+// run is bit-identical to a serial run of the same points and to the
+// scalar loop (batch=false). This holds because prepare and finish are
+// the halves of evaluate_with_exclusion with no cross-point mutable state
+// — the CG warm start is a flat rail-voltage vector derived from the
+// point itself, cached mesh operators are immutable and numerically
+// identical to a per-call assembly, the solver is deterministic in its
+// inputs, and batch grouping happens single-threaded in input order,
+// independent of prepare completion order. Only SweepStats timing fields
+// vary run to run.
 #pragma once
 
 #include <cstddef>
@@ -69,14 +70,10 @@ struct SweepConfig {
   /// use_mesh_cache is false. Must outlive the runner's run() calls.
   MeshSolveCache* cache{nullptr};
   /// Route the points through the batch evaluation engine (core/batch.hpp):
-  /// same-operator points solve their distinct sink vectors together
-  /// instead of one scalar solve each. false reproduces the pre-batch
-  /// point-at-a-time loop exactly.
+  /// same-operator points solve their distinct sink vectors against one
+  /// stamped operator instead of one scalar evaluation each. false runs
+  /// the point-at-a-time scalar loop, the bit-identity reference.
   bool batch{true};
-  /// Solve batched groups as block-CG panels (certified backward error,
-  /// counted in solver.cg_block_panels). false runs each group as a
-  /// sequential loop over its columns — bit-identical to batch=false.
-  bool batch_block{true};
 };
 
 struct SweepReport {

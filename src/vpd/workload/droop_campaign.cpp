@@ -351,8 +351,6 @@ obs::Snapshot DroopCampaignReport::snapshot() const {
   s.set_counter("solver.precond_factorizations",
                 solver.precond_factorizations);
   s.set_counter("solver.precond_reuses", solver.precond_reuses);
-  s.set_counter("solver.cg_block_panels", solver.cg_block_panels);
-  s.set_counter("solver.cg_block_columns", solver.cg_block_columns);
   s.set_gauge("transient.pass_fraction", pass_fraction(), pass_fraction());
   s.set_gauge("transient.worst_undershoot_fraction",
               worst_undershoot_fraction(), worst_undershoot_fraction());

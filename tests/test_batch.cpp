@@ -1,15 +1,15 @@
 // Batch-first evaluation engine (core/batch.hpp): same-operator grouping
-// and sink-vector deduplication, the loop-mode bit-identity contract
-// (block=false reproduces the scalar path bit for bit), the block
-// panels' certified backward error against the scalar reference,
-// per-point error transport, and the batch accounting surfaced by the
-// sweep / fault-campaign / optimizer reports and the serving layer's
-// evaluate_batch. Runs in its own ctest executable labelled `batch` so
-// the panel paths join the sanitizer matrix (ctest -L batch).
+// and sink-vector deduplication, the one contract (every batched entry is
+// bit-identical to the scalar evaluation of its point), one evaluation
+// pass per point, per-point error transport, and the batch accounting
+// surfaced by the sweep / fault-campaign / optimizer reports and the
+// serving layer's evaluate_batch. Runs in its own ctest executable
+// labelled `batch` so the grouped paths join the sanitizer matrix
+// (ctest -L batch).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -19,8 +19,10 @@
 #include "vpd/core/explorer.hpp"
 #include "vpd/core/spec.hpp"
 #include "vpd/fault/campaign.hpp"
+#include "vpd/io/json.hpp"
 #include "vpd/io/schema.hpp"
 #include "vpd/obs/registry.hpp"
+#include "vpd/obs/trace.hpp"
 #include "vpd/opt/optimizer.hpp"
 #include "vpd/serve/service.hpp"
 #include "vpd/sweep/sweep.hpp"
@@ -30,7 +32,7 @@ namespace {
 
 /// The paper-mode options every sweep/explorer test pins (A2's published
 /// 48 below-die VRs need the relaxed area budget), at a mesh coarse
-/// enough to keep panels cheap.
+/// enough to keep the solves cheap.
 EvaluationOptions paper_options(std::size_t mesh_nodes = 31) {
   EvaluationOptions o;
   o.below_die_area_fraction = 1.6;
@@ -41,7 +43,7 @@ EvaluationOptions paper_options(std::size_t mesh_nodes = 31) {
 /// A3@12V/DSCH evaluation point; a stage-2 dropout scales the
 /// intermediate-rail current — the stage-1 deployment is sized at design
 /// time — so faulted variants share the nominal point's stamped operator
-/// and differ only in the sink vector. The canonical panel case.
+/// and differ only in the sink vector. The canonical group case.
 EvaluationPoint a3_point(std::vector<std::size_t> dropped_stage2 = {}) {
   EvaluationPoint p;
   p.architecture = ArchitectureKind::kA3_TwoStage12V;
@@ -82,27 +84,8 @@ void expect_identical(const ExplorationEntry& a, const ExplorationEntry& b,
   if (a.extrapolated) check(*a.extrapolated, *b.extrapolated);
 }
 
-/// Certified-backward-error comparison for block panels: both solves
-/// answer to irdrop_relative_tolerance (1e-12 by default), so derived
-/// quantities agree far tighter than this.
-void expect_certified(const ExplorationEntry& a, const ExplorationEntry& b,
-                      const std::string& label) {
-  ASSERT_EQ(a.excluded(), b.excluded()) << label;
-  ASSERT_EQ(a.evaluation.has_value(), b.evaluation.has_value()) << label;
-  const auto near = [&](double x, double y) {
-    EXPECT_NEAR(x, y, 1e-8 * std::abs(y) + 1e-12) << label;
-  };
-  if (a.evaluation) {
-    near(a.evaluation->total_loss().value, b.evaluation->total_loss().value);
-    ASSERT_TRUE(a.evaluation->min_distribution_voltage.has_value()) << label;
-    ASSERT_TRUE(b.evaluation->min_distribution_voltage.has_value()) << label;
-    near(a.evaluation->min_distribution_voltage->value,
-         b.evaluation->min_distribution_voltage->value);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// EvaluationBatch: grouping, dedup, loop-mode bit-identity, certification
+// EvaluationBatch: grouping, dedup, bit-identity, one pass per point
 // ---------------------------------------------------------------------------
 
 TEST(EvaluationBatch, GroupsSameOperatorPointsAndDedupsIdenticalSinks) {
@@ -125,8 +108,8 @@ TEST(EvaluationBatch, GroupsSameOperatorPointsAndDedupsIdenticalSinks) {
   }
 
   BatchStats stats;
-  const std::vector<ExplorationEntry> entries = evaluate_batch_with_exclusion(
-      paper_system(), points, BatchConfig{}, &stats);
+  const std::vector<ExplorationEntry> entries =
+      evaluate_batch_with_exclusion(paper_system(), points, &stats);
 
   ASSERT_EQ(entries.size(), 5u);
   EXPECT_EQ(stats.points, 5u);
@@ -141,52 +124,22 @@ TEST(EvaluationBatch, GroupsSameOperatorPointsAndDedupsIdenticalSinks) {
   EXPECT_FALSE(entries[4].excluded());  // A0 evaluates fine without a mesh
 }
 
-TEST(EvaluationBatch, LoopModeIsBitIdenticalToScalarEvaluation) {
+TEST(EvaluationBatch, GroupedPointsAreBitIdenticalToScalarEvaluation) {
   // Dropping one vs two stage-2 VRs changes the survivor count, hence the
   // intermediate-rail current: three genuinely distinct right-hand sides.
   // (Dropping site 0 vs site 1 would NOT — survivors split uniformly, so
   // those sinks are value-identical and deduplicate.)
   const std::vector<EvaluationPoint> points = {a3_point(), a3_point({0}),
                                                a3_point({0, 1})};
-  BatchConfig config;
-  config.block = false;
   BatchStats stats;
   const std::vector<ExplorationEntry> entries =
-      evaluate_batch_with_exclusion(paper_system(), points, config, &stats);
+      evaluate_batch_with_exclusion(paper_system(), points, &stats);
   EXPECT_EQ(stats.groups, 1u);
   EXPECT_EQ(stats.panel_columns, 3u);
   ASSERT_EQ(entries.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     expect_identical(entries[i], scalar_reference(points[i]),
-                     "loop-mode point " + std::to_string(i));
-  }
-}
-
-TEST(EvaluationBatch, BlockPanelsCertifyEachColumn) {
-  const std::vector<EvaluationPoint> points = {a3_point(), a3_point({0}),
-                                               a3_point({0, 1})};
-  const SolverCounters before = solver_counters();
-  BatchStats stats;
-  const std::vector<ExplorationEntry> entries = evaluate_batch_with_exclusion(
-      paper_system(), points, BatchConfig{}, &stats);
-  const SolverCounters delta = solver_counters() - before;
-
-  // The group's three distinct right-hand sides launched as one panel.
-  // Near-parallel columns (uniform sink maps under scaling) may detect
-  // rank deficiency and finish through scalar CG — those count in
-  // cg_solves, not cg_block_columns — so the column split is bounded by
-  // the panel width, not pinned to it.
-  EXPECT_EQ(stats.panel_columns, 3u);
-  EXPECT_GE(delta.cg_block_panels, 1u);
-  EXPECT_LE(delta.cg_block_columns, stats.panel_columns);
-  EXPECT_GE(delta.cg_solves, stats.panel_columns);
-
-  // Every column answers to the same backward-error tolerance as the
-  // scalar reference solve.
-  ASSERT_EQ(entries.size(), points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    expect_certified(entries[i], scalar_reference(points[i]),
-                     "block-mode point " + std::to_string(i));
+                     "grouped point " + std::to_string(i));
   }
 }
 
@@ -197,7 +150,7 @@ TEST(EvaluationBatch, ErrorsSurfacePerPointFirstInInputOrder) {
   // Per-point API: the bad point's slot carries the error, the good
   // points still group and evaluate.
   std::vector<EvaluationPoint> points = {a3_point(), bad, a3_point({0})};
-  EvaluationBatch batch(paper_system(), points, BatchConfig{});
+  EvaluationBatch batch(paper_system(), points);
   batch.run();
   EXPECT_EQ(batch.error(0), nullptr);
   EXPECT_NE(batch.error(1), nullptr);
@@ -207,21 +160,12 @@ TEST(EvaluationBatch, ErrorsSurfacePerPointFirstInInputOrder) {
   EXPECT_THROW(batch.rethrow_first_error(), InvalidArgument);
 
   // One-call API: the first error in input order is rethrown.
-  EXPECT_THROW(
-      evaluate_batch_with_exclusion(paper_system(), points, BatchConfig{}),
-      InvalidArgument);
-}
-
-TEST(EvaluationBatch, RejectsDegenerateGroupSize) {
-  BatchConfig config;
-  config.min_group_size = 1;
-  EXPECT_THROW(
-      evaluate_batch_with_exclusion(paper_system(), {a3_point()}, config),
-      InvalidArgument);
+  EXPECT_THROW(evaluate_batch_with_exclusion(paper_system(), points),
+               InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
-// SweepRunner: batch accounting, loop-vs-block, counter deltas
+// SweepRunner: batch accounting, bit-identity, one pass per point
 // ---------------------------------------------------------------------------
 
 /// The default grid plus stage-2-dropout variants of the two-stage
@@ -242,15 +186,14 @@ std::vector<SweepPoint> grid_with_fault_variants() {
   return points;
 }
 
-TEST(SweepBatch, LoopModeIsBitIdenticalToTheScalarLoop) {
+TEST(SweepBatch, BatchedSweepIsBitIdenticalToTheScalarLoop) {
   const std::vector<SweepPoint> points = grid_with_fault_variants();
-  SweepConfig loop;
-  loop.threads = 2;
-  loop.batch_block = false;
+  SweepConfig batched;
+  batched.threads = 2;
   SweepConfig scalar;
   scalar.threads = 2;
   scalar.batch = false;
-  const SweepReport with = SweepRunner(paper_system(), loop).run(points);
+  const SweepReport with = SweepRunner(paper_system(), batched).run(points);
   const SweepReport without = SweepRunner(paper_system(), scalar).run(points);
   ASSERT_EQ(with.outcomes.size(), points.size());
   ASSERT_EQ(without.outcomes.size(), points.size());
@@ -258,10 +201,9 @@ TEST(SweepBatch, LoopModeIsBitIdenticalToTheScalarLoop) {
     expect_identical(with.outcomes[i].entry, without.outcomes[i].entry,
                      points[i].label);
   }
-  // Loop mode still groups (the accounting is identical to block mode);
-  // the scalar loop never touches the batch engine.
+  // The batched sweep groups; the scalar loop never touches the batch
+  // engine.
   EXPECT_GT(with.batch.grouped_points, 0u);
-  EXPECT_EQ(with.solver.cg_block_panels, 0u);
   EXPECT_EQ(without.batch.points, 0u);
 }
 
@@ -275,22 +217,16 @@ TEST(SweepBatch, BlockSweepReportsPanelsInReportAndSnapshot) {
   EXPECT_GT(report.batch.groups, 0u);
   EXPECT_GT(report.batch.grouped_points, 0u);
   EXPECT_GT(report.batch.panel_columns, 0u);
-  // The panels actually reached the block solver; columns that deflate to
-  // scalar CG on rank deficiency still count as right-hand sides solved.
-  EXPECT_GT(report.solver.cg_block_panels, 0u);
-  EXPECT_LE(report.solver.cg_block_columns, report.batch.panel_columns);
+  // Every distinct right-hand side of a group is one CG solve.
   EXPECT_GE(report.solver.cg_solves, report.batch.panel_columns);
 
   const obs::Snapshot snap = report.snapshot();
   const std::uint64_t* grouped = snap.counter("sweep.batch_grouped_points");
   const std::uint64_t* columns = snap.counter("sweep.batch_panel_columns");
-  const std::uint64_t* panels = snap.counter("solver.cg_block_panels");
   ASSERT_NE(grouped, nullptr);
   ASSERT_NE(columns, nullptr);
-  ASSERT_NE(panels, nullptr);
   EXPECT_EQ(*grouped, report.batch.grouped_points);
   EXPECT_EQ(*columns, report.batch.panel_columns);
-  EXPECT_GT(*panels, 0u);
 }
 
 TEST(SweepBatch, BatchedParallelIsBitIdenticalToBatchedSerial) {
@@ -313,29 +249,50 @@ TEST(SweepBatch, BatchedParallelIsBitIdenticalToBatchedSerial) {
   EXPECT_EQ(a.batch.deduped_solves, b.batch.deduped_solves);
 }
 
-// A 129^2 paper-mode grid sweep whose A3@6V panel goes numerically rank
-// deficient: its Gram pivots sink to ~1e-31 relative yet stay positive.
-// Accepting them kept block CG iterating for ~70k iterations per column
-// (216k in all, ~50 s) where loop mode needs ~660; treating a pivot under
-// sqrt(eps) of its diagonal as rank-deficient falls back to scalar CG
-// from the block iterate instead.
-TEST(SweepBatch, NearSingularBlockPanelFallsBackInsteadOfStagnating) {
-  PowerDeliverySpec spec = paper_system();
-  spec.total_power = Power{992.574749821718};
-  spec.die_area = Area{5.3257547382838276e-4};
-  EvaluationOptions options = paper_options(129);
-  options.distribution_sheet_ohms = 1.8685333733777199e-3;
-  const std::vector<SweepPoint> points = SweepGridBuilder(options).build();
-  const auto cg_iterations = [&](bool block) {
+/// The "vpd.evaluate" spans recorded while `run` executes, counted per
+/// architecture (the span's "architecture" argument).
+template <typename Run>
+std::map<int, std::size_t> evaluate_spans_by_architecture(Run run) {
+  const bool was_enabled = obs::tracing_enabled();
+  obs::set_tracing_enabled(true);
+  obs::clear_trace();
+  run();
+  obs::set_tracing_enabled(was_enabled);
+  const io::Value doc = obs::chrome_trace_json();
+  obs::clear_trace();
+  std::map<int, std::size_t> counts;
+  for (const io::Value& event : doc.at("traceEvents").as_array()) {
+    if (event.at("name").as_string() != "vpd.evaluate") continue;
+    ++counts[static_cast<int>(
+        event.at("args").at("architecture").as_number())];
+  }
+  return counts;
+}
+
+TEST(EvaluationBatch, EvaluatesEachPointOnce) {
+  // One evaluation pass per point: prepare and finish are the two halves
+  // of a single evaluation, so every point records exactly one
+  // "vpd.evaluate" span on the batched path — grouped, deduplicated,
+  // singleton, A0 — just as on the scalar loop.
+  const std::vector<SweepPoint> points = grid_with_fault_variants();
+  std::map<int, std::size_t> expected;
+  for (const SweepPoint& p : points) {
+    ++expected[static_cast<int>(p.architecture)];
+  }
+  for (bool batch : {true, false}) {
     SweepConfig config;
-    config.threads = 1;
-    config.batch_block = block;
-    return SweepRunner(spec, config).run(points).solver.cg_iterations;
-  };
-  const std::uint64_t loop = cg_iterations(false);
-  const std::uint64_t block = cg_iterations(true);
-  EXPECT_GT(loop, 0u);
-  EXPECT_LE(block, 2 * loop) << "loop mode: " << loop;
+    config.threads = 2;
+    config.batch = batch;
+    SweepReport report;
+    const std::map<int, std::size_t> spans =
+        evaluate_spans_by_architecture([&] {
+          report = SweepRunner(paper_system(), config).run(points);
+        });
+    EXPECT_EQ(spans, expected) << (batch ? "batched" : "scalar");
+    if (batch) {
+      EXPECT_GT(report.batch.grouped_points, 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -345,10 +302,10 @@ TEST(SweepBatch, NearSingularBlockPanelFallsBackInsteadOfStagnating) {
 TEST(FaultCampaignBatch, StageTwoCampaignPanelsAndBitExactNominal) {
   FaultCampaignConfig config;
   // Stage-2 dropouts only: every scenario shares the nominal operator, so
-  // the whole campaign rides one panel family. All N-1 dropouts leave the
-  // same survivor count — value-identical sinks that deduplicate onto one
+  // the whole campaign rides one group. All N-1 dropouts leave the same
+  // survivor count — value-identical sinks that deduplicate onto one
   // shared solve — so the order-2 samples are what add a second distinct
-  // column and force an actual panel.
+  // right-hand side.
   config.include_dropouts = false;
   config.include_derates = false;
   config.include_attach_faults = false;
@@ -365,10 +322,9 @@ TEST(FaultCampaignBatch, StageTwoCampaignPanelsAndBitExactNominal) {
   EXPECT_GT(report.batch.grouped_points, 0u);
   EXPECT_GT(report.batch.deduped_solves, 0u);
   EXPECT_GT(report.batch.panel_columns, 0u);
-  EXPECT_GT(report.solver.cg_block_panels, 0u);
 
-  // The N-0 outcome reuses the nominal evaluation outright: bit-exact in
-  // every batch mode, never routed through a shared panel.
+  // The N-0 outcome reuses the nominal evaluation outright: bit-exact by
+  // construction.
   const FaultScenarioOutcome& baseline = report.outcomes.front();
   ASSERT_TRUE(baseline.evaluation.has_value());
   EXPECT_EQ(baseline.evaluation->total_loss().value,
@@ -447,7 +403,7 @@ TEST(ServeBatch, DedupsCachesPartitionsAndSurfacesErrors) {
   const std::vector<io::EvaluationRequest> requests = {
       warm,        // 0: LRU hit
       a3,          // 1: leader, groups with 2
-      a3_faulted,  // 2: same operator -> block panel with 1
+      a3_faulted,  // 2: same operator -> grouped with 1
       a3,          // 3: in-batch duplicate of 1
       bad,         // 4: per-member error
       other_spec,  // 5: second spec partition, evaluated alone
@@ -487,12 +443,16 @@ TEST(ServeBatch, DedupsCachesPartitionsAndSurfacesErrors) {
   EXPECT_EQ(counter("serve.batch.panel_columns"), 2u);
 }
 
-TEST(ServeBatch, ResponsesMatchLoneEvaluatesWhereNoPanelEngages) {
+TEST(ServeBatch, ResponsesMatchLoneEvaluates) {
   serve::ServiceConfig config;
   config.threads = 2;
   serve::EvaluationService service(config);
-  // Distinct operators only: every point solves scalar, so each response
-  // is bit-identical to a lone evaluate() of the same request.
+  io::EvaluationRequest a3_faulted =
+      make_request(ArchitectureKind::kA3_TwoStage12V, TopologyKind::kDsch);
+  a3_faulted.options.faults.dropped_stage2 = {0};
+  // Singleton operators and a same-operator pair (A3@12V nominal plus a
+  // stage-2 dropout, solved as one group): every response is
+  // bit-identical to a lone evaluate() of the same request.
   const std::vector<io::EvaluationRequest> requests = {
       make_request(ArchitectureKind::kA1_InterposerPeriphery,
                    TopologyKind::kDsch),
@@ -502,6 +462,8 @@ TEST(ServeBatch, ResponsesMatchLoneEvaluatesWhereNoPanelEngages) {
       // Excluded by the paper's rule, not an error.
       make_request(ArchitectureKind::kA1_InterposerPeriphery,
                    TopologyKind::kDickson),
+      make_request(ArchitectureKind::kA3_TwoStage12V, TopologyKind::kDsch),
+      a3_faulted,
   };
   const std::vector<serve::ServiceResponse> responses =
       service.evaluate_batch(requests);
@@ -516,6 +478,11 @@ TEST(ServeBatch, ResponsesMatchLoneEvaluatesWhereNoPanelEngages) {
               io::dump(io::to_json(reference)))
         << "request " << i;
   }
+  // The A3@12V pair did solve as one group.
+  const obs::Snapshot snap = service.registry().snapshot();
+  const std::uint64_t* groups = snap.counter("serve.batch.groups");
+  ASSERT_NE(groups, nullptr);
+  EXPECT_EQ(*groups, 1u);
 }
 
 }  // namespace

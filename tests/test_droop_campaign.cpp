@@ -142,27 +142,11 @@ TEST(DroopCampaign, RejectsBadConfigAndOptions) {
 // Acceptance: parallel bit-identity over the default scenario grid
 // ---------------------------------------------------------------------------
 
-TEST(DroopCampaign, ParallelCampaignIsBitIdenticalToSerial) {
-  const PowerDeliverySpec spec = paper_system();
-  const EvaluationOptions options = paper_options(21);
-  DroopCampaignConfig serial;  // default grid: 12 load + 8 dropout
-  serial.sweep.threads = 1;
-  DroopCampaignConfig parallel = serial;
-  parallel.sweep.threads = 4;
-
-  const DroopCampaignReport a =
-      DroopCampaignRunner(spec, serial)
-          .run(ArchitectureKind::kA1_InterposerPeriphery,
-               TopologyKind::kDsch, DeviceTechnology::kGalliumNitride,
-               options);
-  const DroopCampaignReport b =
-      DroopCampaignRunner(spec, parallel)
-          .run(ArchitectureKind::kA1_InterposerPeriphery,
-               TopologyKind::kDsch, DeviceTechnology::kGalliumNitride,
-               options);
-
+/// Every outcome, counter and worst case of two droop campaigns over the
+/// same scenarios must match bit for bit.
+void expect_bit_identical(const DroopCampaignReport& a,
+                          const DroopCampaignReport& b) {
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  EXPECT_EQ(a.outcomes.size(), 20u);
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
     const std::string& label = a.outcomes[i].scenario.label;
     EXPECT_EQ(label, b.outcomes[i].scenario.label);
@@ -202,6 +186,36 @@ TEST(DroopCampaign, ParallelCampaignIsBitIdenticalToSerial) {
   // first.
   EXPECT_EQ(a.factors.hits, b.factors.hits);
   EXPECT_EQ(a.factors.misses, b.factors.misses);
+}
+
+TEST(DroopCampaign, ParallelCampaignIsBitIdenticalToSerial) {
+  const PowerDeliverySpec spec = paper_system();
+  const EvaluationOptions options = paper_options(21);
+  DroopCampaignConfig serial;  // default grid: 12 load + 8 dropout
+  serial.sweep.threads = 1;
+  DroopCampaignConfig parallel = serial;
+  parallel.sweep.threads = 4;
+  // The scalar reference: the DC operating points evaluated one by one
+  // instead of through the batch engine's same-operator groups (the
+  // hotspot sink maps of one deployment share its stamped operator).
+  DroopCampaignConfig scalar = parallel;
+  scalar.sweep.batch = false;
+
+  const auto run = [&](const DroopCampaignConfig& config) {
+    return DroopCampaignRunner(spec, config)
+        .run(ArchitectureKind::kA1_InterposerPeriphery, TopologyKind::kDsch,
+             DeviceTechnology::kGalliumNitride, options);
+  };
+  const DroopCampaignReport a = run(serial);
+  EXPECT_EQ(a.outcomes.size(), 20u);
+  {
+    SCOPED_TRACE("parallel vs serial");
+    expect_bit_identical(a, run(parallel));
+  }
+  {
+    SCOPED_TRACE("scalar (sweep.batch = false) vs serial");
+    expect_bit_identical(a, run(scalar));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -575,140 +575,6 @@ TEST(Multigrid, SolvesSeveredMeshLikeIc) {
 }
 
 // ---------------------------------------------------------------------------
-// Block multi-RHS solves
-// ---------------------------------------------------------------------------
-
-TEST(BlockCg, EveryColumnMeetsTheCertifiedCriterion) {
-  Rng rng(41);
-  const CsrMatrix a = random_spd_laplacian(rng, 10, 9, 5);
-  std::vector<Vector> rhs;
-  for (int k = 0; k < 5; ++k) rhs.push_back(random_vector(rng, a.rows()));
-  CgOptions options;
-  options.relative_tolerance = 1e-12;
-  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
-
-  const SolverCounters before = solver_counters();
-  CgWorkspace ws;
-  const std::vector<CgResult> block = solve_cg_block(a, rhs, options, ws);
-  const SolverCounters delta = solver_counters() - before;
-  ASSERT_EQ(block.size(), rhs.size());
-  const double a_inf = a.infinity_norm();
-  for (std::size_t k = 0; k < rhs.size(); ++k) {
-    ASSERT_TRUE(block[k].converged) << "rhs " << k;
-    Vector residual = a.multiply(block[k].x);
-    for (std::size_t i = 0; i < residual.size(); ++i)
-      residual[i] = rhs[k][i] - residual[i];
-    EXPECT_LE(norm2(residual),
-              options.relative_tolerance *
-                      (a_inf * norm2(block[k].x) + norm2(rhs[k])) *
-                  (1.0 + 1e-12))
-        << "rhs " << k;
-    // And the solution agrees with a standalone solve to solver accuracy.
-    const CgResult standalone = solve_cg(a, rhs[k], options);
-    for (std::size_t i = 0; i < standalone.x.size(); ++i)
-      EXPECT_NEAR(block[k].x[i], standalone.x[i],
-                  1e-7 * (1.0 + std::fabs(standalone.x[i])))
-          << "rhs " << k;
-  }
-  EXPECT_EQ(delta.cg_solves, rhs.size());
-  EXPECT_EQ(delta.cg_block_panels, 1u);
-  EXPECT_EQ(delta.cg_block_columns + 0u, rhs.size());
-  EXPECT_EQ(ws.stats().solves, rhs.size());
-}
-
-TEST(BlockCg, WideBatchesAreChunkedIntoPanels) {
-  Rng rng(43);
-  const CsrMatrix a = random_spd_laplacian(rng, 8, 8, 4);
-  std::vector<Vector> rhs;
-  for (std::size_t k = 0; k < kMaxCgBlockWidth + 3; ++k)
-    rhs.push_back(random_vector(rng, a.rows()));
-  CgOptions options;
-  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
-
-  const SolverCounters before = solver_counters();
-  CgWorkspace ws;
-  const std::vector<CgResult> block = solve_cg_block(a, rhs, options, ws);
-  const SolverCounters delta = solver_counters() - before;
-  ASSERT_EQ(block.size(), rhs.size());
-  for (std::size_t k = 0; k < rhs.size(); ++k)
-    EXPECT_TRUE(block[k].converged) << "rhs " << k;
-  EXPECT_EQ(delta.cg_block_panels, 2u);  // 16 + 3
-  EXPECT_EQ(delta.cg_solves, rhs.size());
-}
-
-TEST(BlockCg, ZeroColumnsShortCircuitAndMixedPanelsSolve) {
-  Rng rng(47);
-  const CsrMatrix a = random_spd_laplacian(rng, 9, 8, 4);
-  std::vector<Vector> rhs;
-  rhs.push_back(Vector(a.rows(), 0.0));
-  rhs.push_back(random_vector(rng, a.rows()));
-  rhs.push_back(Vector(a.rows(), 0.0));
-  CgOptions options;
-  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
-
-  CgWorkspace ws;
-  const std::vector<CgResult> block = solve_cg_block(a, rhs, options, ws);
-  ASSERT_EQ(block.size(), 3u);
-  for (std::size_t k : {0ul, 2ul}) {
-    EXPECT_TRUE(block[k].converged);
-    EXPECT_EQ(block[k].iterations, 0u);
-    EXPECT_EQ(block[k].x, Vector(a.rows(), 0.0));
-  }
-  EXPECT_TRUE(block[1].converged);
-  EXPECT_GT(block[1].iterations, 0u);
-}
-
-TEST(BlockCg, DuplicateColumnsFallBackAndStillCertify) {
-  // Identical right-hand sides make the block Gram matrix rank-deficient
-  // on the first iteration; the solve must finish through the scalar
-  // fallback instead of failing.
-  Rng rng(53);
-  const CsrMatrix a = random_spd_laplacian(rng, 8, 9, 4);
-  const Vector b = random_vector(rng, a.rows());
-  const std::vector<Vector> rhs{b, b, b};
-  CgOptions options;
-  options.relative_tolerance = 1e-12;
-  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
-
-  CgWorkspace ws;
-  const std::vector<CgResult> block = solve_cg_block(a, rhs, options, ws);
-  const Vector reference = dense_cholesky_solve(a, b);
-  for (std::size_t k = 0; k < rhs.size(); ++k) {
-    ASSERT_TRUE(block[k].converged) << "rhs " << k;
-    for (std::size_t i = 0; i < reference.size(); ++i)
-      EXPECT_NEAR(block[k].x[i], reference[i],
-                  1e-7 * (1.0 + std::fabs(reference[i])))
-          << "rhs " << k;
-  }
-}
-
-TEST(BlockCg, WarmStartRetiresSolvedColumnsUpFront) {
-  Rng rng(59);
-  const CsrMatrix a = random_spd_laplacian(rng, 9, 9, 4);
-  const Vector b0 = random_vector(rng, a.rows());
-  const Vector b1 = random_vector(rng, a.rows());
-  CgOptions options;
-  options.relative_tolerance = 1e-12;
-  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
-  const CgResult seed_solve = solve_cg(a, b0, options);
-  ASSERT_TRUE(seed_solve.converged);
-
-  // x0 warm-starts every column: it is b0's solution, so column 0 retires
-  // in the pre-iteration certification pass with zero iterations while
-  // column 1 still has to iterate.
-  options.x0 = seed_solve.x;
-  CgWorkspace ws;
-  const std::vector<CgResult> block =
-      solve_cg_block(a, {b0, b1}, options, ws);
-  ASSERT_EQ(block.size(), 2u);
-  EXPECT_TRUE(block[0].converged);
-  EXPECT_EQ(block[0].iterations, 0u);
-  EXPECT_EQ(block[0].x, seed_solve.x);
-  EXPECT_TRUE(block[1].converged);
-  EXPECT_GT(block[1].iterations, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Batch-loop semantics and counter deltas
 // ---------------------------------------------------------------------------
 
@@ -741,7 +607,7 @@ TEST(SolverCore, BatchIsBitIdenticalToStandaloneLoopWithMatchingCounters) {
   EXPECT_EQ(delta.cg_iterations, total_iterations);
   EXPECT_EQ(delta.precond_factorizations, 1u);
   EXPECT_EQ(delta.precond_reuses, rhs.size() - 1);
-  EXPECT_EQ(delta.cg_block_panels, 0u);  // the loop never launches panels
+  EXPECT_EQ(delta.cg_block_panels, 0u);  // retired counters: always 0
   EXPECT_EQ(delta.cg_block_columns, 0u);
 }
 
@@ -803,7 +669,7 @@ TEST(SolverCore, WorkspaceKeyDistinguishesOperatorsAcrossAlternation) {
 // IR-drop batch entry point
 // ---------------------------------------------------------------------------
 
-TEST(IrDropBatch, LoopModeIsBitIdenticalToRepeatedSolves) {
+TEST(IrDropBatch, IsBitIdenticalToRepeatedSolves) {
   const Length side{10e-3};
   const auto assembled = assemble_mesh(side, side, 21, 21, 2e-3);
   const auto vrs =
@@ -817,7 +683,6 @@ TEST(IrDropBatch, LoopModeIsBitIdenticalToRepeatedSolves) {
   }
   IrDropOptions options;
   options.warm_start_voltage = 1.0;
-  options.batch_block = false;
 
   const std::vector<IrDropResult> batch =
       solve_irdrop_batch(*assembled, vrs, sink_maps, options);
@@ -828,42 +693,6 @@ TEST(IrDropBatch, LoopModeIsBitIdenticalToRepeatedSolves) {
     EXPECT_EQ(batch[j].node_voltages, single.node_voltages) << "map " << j;
     EXPECT_EQ(batch[j].cg_iterations, single.cg_iterations) << "map " << j;
     EXPECT_EQ(batch[j].vr_currents, single.vr_currents) << "map " << j;
-  }
-}
-
-TEST(IrDropBatch, BlockModeCertifiesToTheSameAccuracy) {
-  const Length side{10e-3};
-  const auto assembled = assemble_mesh(side, side, 21, 21, 2e-3);
-  const auto vrs =
-      patch_attachment(assembled->mesh, Length{5e-3}, Length{0.0},
-                       Length{1.5e-3}, Voltage{1.0}, Resistance{100e-6});
-  std::vector<Vector> sink_maps;
-  for (std::size_t j = 0; j < 4; ++j) {
-    Vector sinks = uniform_sinks(assembled->mesh, Current{50.0});
-    sinks[50 + 41 * j] += 5.0;
-    sink_maps.push_back(std::move(sinks));
-  }
-  for (CgPreconditioner p : {CgPreconditioner::kIncompleteCholesky,
-                             CgPreconditioner::kMultigrid}) {
-    IrDropOptions options;
-    options.warm_start_voltage = 1.0;
-    options.preconditioner = p;
-    options.batch_block = true;
-    const SolverCounters before = solver_counters();
-    const std::vector<IrDropResult> batch =
-        solve_irdrop_batch(*assembled, vrs, sink_maps, options);
-    const SolverCounters delta = solver_counters() - before;
-    ASSERT_EQ(batch.size(), sink_maps.size());
-    EXPECT_EQ(delta.cg_block_panels, 1u);
-    options.batch_block = false;
-    for (std::size_t j = 0; j < sink_maps.size(); ++j) {
-      const IrDropResult single =
-          solve_irdrop(*assembled, vrs, sink_maps[j], options);
-      ASSERT_EQ(batch[j].node_voltages.size(), single.node_voltages.size());
-      for (std::size_t i = 0; i < single.node_voltages.size(); ++i)
-        EXPECT_NEAR(batch[j].node_voltages[i], single.node_voltages[i], 1e-9)
-            << "map " << j << " node " << i;
-    }
   }
 }
 

@@ -3,7 +3,7 @@
 # evaluation requests, one of them malformed, two droop-campaign
 # requests and two optimize requests — one valid, one rejected each —
 # an evaluate_batch request whose two same-operator members must solve
-# as one block panel,
+# as one group,
 # plus metrics / trace / unknown control verbs, a malformed line whose
 # "id" must still be echoed, and
 # a final graceful-shutdown verb) through the daemon with tracing
@@ -142,7 +142,7 @@ grep '^{"id":17,' "$responses" | grep -q '"status":"error"' \
 # The "evaluate_batch" verb resolves its members together: the response
 # carries one result per request in request order, and the two
 # same-operator A3 members (nominal vs stage2-dropout — same mesh, sink
-# scaling only) must have been solved as one two-column block panel.
+# scaling only) must have been solved as one two-column group.
 grep '^{"id":18,' "$responses" | grep -q '"results":\[' \
   || fail "evaluate_batch responses must carry the results array"
 grep '^{"id":18,' "$responses" | grep -q '"timings":' \
@@ -161,7 +161,7 @@ grep '^{"id":11,' "$responses" | grep -q '"serve.optimize.requests":1' \
 grep '^{"id":11,' "$responses" | grep -q '"serve.batch.requests":2' \
   || fail "metrics must count both evaluate_batch members"
 grep '^{"id":11,' "$responses" | grep -q '"serve.batch.panel_columns":2' \
-  || fail "the two same-operator batch members must form a block panel"
+  || fail "the two same-operator batch members must form one group"
 
 # The "trace" verb flushed the buffer to the --trace file, which must be
 # a Chrome trace-event document with at least one recorded span.

@@ -8,7 +8,7 @@
 //   {"cmd":"evaluate", ...request fields...}   evaluate (same as bare)
 //   {"cmd":"evaluate_batch",                   batch-first evaluation:
 //    "requests":[...]}                         same-operator requests
-//                                              solve as one block panel
+//                                              solve as one group
 //                                              (docs/serve.md)
 //   {"cmd":"transient", ...request fields...}  droop campaign (see
 //                                              docs/transient.md)

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   options.below_die_area_fraction = 1.6;
   options.mesh_cache = &cache;
 
-  const SolverCounters solver_before = solver_counters();
+  obs::WorkAccount account;
+  const obs::WorkAccount::Scope account_scope(&account);
   TextTable t({"Architecture", "R_eff", "L_loop", "Decap", "Worst VPOL",
                "Droop", "Recovery"});
   for (ArchitectureKind arch : all_architectures()) {
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
     benchio::JsonReport report("bench_droop");
     report.add_table("droop", t);
     report.set_mesh_cache(cache.stats());
-    report.set_solver(solver_counters() - solver_before);
+    report.set_solver(solver_counters(account));
     report.print();
     return 0;
   }

@@ -43,14 +43,17 @@ int main(int argc, char** argv) {
       ArchitectureKind::kA3_TwoStage6V,
   };
 
-  const SolverCounters solver_before = solver_counters();
+  obs::WorkAccount account;
   const DroopCampaignRunner runner(spec, config);
   std::vector<DroopCampaignReport> reports;
-  for (ArchitectureKind arch : architectures) {
-    reports.push_back(runner.run(arch, TopologyKind::kDsch,
-                                 DeviceTechnology::kGalliumNitride, options));
+  {
+    const obs::WorkAccount::Scope account_scope(&account);
+    for (ArchitectureKind arch : architectures) {
+      reports.push_back(runner.run(arch, TopologyKind::kDsch,
+                                   DeviceTechnology::kGalliumNitride,
+                                   options));
+    }
   }
-  const SolverCounters solver_delta = solver_counters() - solver_before;
 
   if (json) {
     benchio::JsonReport out("bench_droop_campaign");
@@ -85,7 +88,7 @@ int main(int argc, char** argv) {
     }
     out.add("campaigns", std::move(campaigns));
     out.set_mesh_cache(cache.stats());
-    out.set_solver(solver_delta);
+    out.set_solver(solver_counters(account));
     out.print();
     return 0;
   }

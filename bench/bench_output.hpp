@@ -70,8 +70,8 @@ class JsonReport {
     snapshot_.set_counter("mesh_cache.misses", stats.misses);
   }
 
-  /// Serializes a solver counter delta (typically solver_counters()
-  /// around the timed section) as `solver: {...}`.
+  /// Serializes the solver work of the timed section (read from an
+  /// obs::WorkAccount opened around it) as `solver: {...}`.
   void set_solver(const SolverCounters& counters) {
     io::Value v = io::Value::object();
     v.set("cg_solves", counters.cg_solves);
@@ -79,11 +79,7 @@ class JsonReport {
     v.set("precond_factorizations", counters.precond_factorizations);
     v.set("precond_reuses", counters.precond_reuses);
     doc_.set("solver", std::move(v));
-    snapshot_.set_counter("solver.cg_solves", counters.cg_solves);
-    snapshot_.set_counter("solver.cg_iterations", counters.cg_iterations);
-    snapshot_.set_counter("solver.precond_factorizations",
-                          counters.precond_factorizations);
-    snapshot_.set_counter("solver.precond_reuses", counters.precond_reuses);
+    set_solver_counters(snapshot_, counters);
   }
 
   /// Merges a unified-telemetry snapshot (e.g. SweepReport::snapshot(),

@@ -253,7 +253,8 @@ int main(int argc, char** argv) {
   const bool mg_ladder_flat = mg_growth <= 2.0;
 
   // --- Default evaluation grid ----------------------------------------------
-  const SolverCounters before = solver_counters();
+  obs::WorkAccount grid_account;
+  const obs::WorkAccount::Scope grid_scope(&grid_account);
   TextTable grid_table({"Point", "Jacobi its", "IC(0) its", "Ratio",
                         "Recorded baseline", "Guard"});
   io::Value grid_rows = io::Value::array();
@@ -282,7 +283,7 @@ int main(int argc, char** argv) {
     row.set("within_baseline", ok);
     grid_rows.push_back(std::move(row));
   }
-  const SolverCounters delta = solver_counters() - before;
+  const SolverCounters delta = solver_counters(grid_account);
   const bool grid_guard_ok = guard_ok;
   guard_ok = guard_ok && mg_ladder_flat;
 

@@ -298,7 +298,7 @@ void prepare_rail(PendingRail& pending, const std::vector<VrSite>& sites,
   // nominal cache entry (the key carries the perturbation digest).
   DistributionRequest& request = pending.request;
   {
-    const obs::StageTimer mesh_timer(obs::Stage::kMesh);
+    const obs::StageTimer mesh_timer(obs::Work::kMeshNanoseconds);
     request.assembled =
         options.mesh_cache
             ? options.mesh_cache->get(spec.die_side(), spec.die_side(),

@@ -1,12 +1,12 @@
 #include "vpd/common/sparse.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 
 #include "vpd/common/error.hpp"
 #include "vpd/common/multigrid.hpp"
+#include "vpd/obs/registry.hpp"
 
 namespace vpd {
 
@@ -515,40 +515,12 @@ void CgWorkspace::capture_key(const CsrMatrix& a) {
   key_valid_ = true;
 }
 
-namespace {
-
-struct AtomicSolverCounters {
-  std::atomic<std::uint64_t> cg_solves{0};
-  std::atomic<std::uint64_t> cg_iterations{0};
-  std::atomic<std::uint64_t> precond_factorizations{0};
-  std::atomic<std::uint64_t> precond_reuses{0};
-};
-
-AtomicSolverCounters& global_counters() {
-  static AtomicSolverCounters counters;
-  return counters;
-}
-
-}  // namespace
-
-SolverCounters solver_counters() {
-  const AtomicSolverCounters& g = global_counters();
+SolverCounters solver_counters(const obs::WorkAccount& account) {
   SolverCounters c;
-  c.cg_solves = g.cg_solves.load(std::memory_order_relaxed);
-  c.cg_iterations = g.cg_iterations.load(std::memory_order_relaxed);
-  c.precond_factorizations =
-      g.precond_factorizations.load(std::memory_order_relaxed);
-  c.precond_reuses = g.precond_reuses.load(std::memory_order_relaxed);
-  return c;
-}
-
-SolverCounters operator-(const SolverCounters& a, const SolverCounters& b) {
-  SolverCounters c;
-  c.cg_solves = a.cg_solves - b.cg_solves;
-  c.cg_iterations = a.cg_iterations - b.cg_iterations;
-  c.precond_factorizations =
-      a.precond_factorizations - b.precond_factorizations;
-  c.precond_reuses = a.precond_reuses - b.precond_reuses;
+  c.cg_solves = account.count(obs::Work::kCgSolves);
+  c.cg_iterations = account.count(obs::Work::kCgIterations);
+  c.precond_factorizations = account.count(obs::Work::kPrecondFactorizations);
+  c.precond_reuses = account.count(obs::Work::kPrecondReuses);
   return c;
 }
 
@@ -560,6 +532,15 @@ SolverCounters operator+(const SolverCounters& a, const SolverCounters& b) {
       a.precond_factorizations + b.precond_factorizations;
   c.precond_reuses = a.precond_reuses + b.precond_reuses;
   return c;
+}
+
+void set_solver_counters(obs::Snapshot& snapshot,
+                         const SolverCounters& counters) {
+  snapshot.set_counter("solver.cg_solves", counters.cg_solves);
+  snapshot.set_counter("solver.cg_iterations", counters.cg_iterations);
+  snapshot.set_counter("solver.precond_factorizations",
+                       counters.precond_factorizations);
+  snapshot.set_counter("solver.precond_reuses", counters.precond_reuses);
 }
 
 void CgWorkspace::prepare(const CsrMatrix& a, const CgOptions& options) {
@@ -600,8 +581,7 @@ void CgWorkspace::prepare(const CsrMatrix& a, const CgOptions& options) {
   if (factored_ == want) {
     // Value-identical operator and matching kind: reuse. Exact comparison
     // above, so reuse can never change a result bit.
-    ++stats_.factorization_reuses;
-    global_counters().precond_reuses.fetch_add(1, std::memory_order_relaxed);
+    obs::count(obs::Work::kPrecondReuses);
     return;
   }
   if (want == FactorKind::kIncompleteCholesky) {
@@ -611,9 +591,7 @@ void CgWorkspace::prepare(const CsrMatrix& a, const CgOptions& options) {
     mg_->factor(a, *options.mg_symbolic);
   }
   factored_ = want;
-  ++stats_.factorizations;
-  global_counters().precond_factorizations.fetch_add(1,
-                                                     std::memory_order_relaxed);
+  obs::count(obs::Work::kPrecondFactorizations);
 }
 
 CgResult solve_cg(const CsrMatrix& a, const Vector& b,
@@ -644,11 +622,8 @@ CgResult solve_cg(const CsrMatrix& a, const Vector& b,
     }
   };
   const auto finish = [&](CgResult result) {
-    ++ws.stats_.solves;
-    ws.stats_.iterations += result.iterations;
-    AtomicSolverCounters& g = global_counters();
-    g.cg_solves.fetch_add(1, std::memory_order_relaxed);
-    g.cg_iterations.fetch_add(result.iterations, std::memory_order_relaxed);
+    obs::count(obs::Work::kCgSolves);
+    obs::count(obs::Work::kCgIterations, result.iterations);
     if (span.active()) {
       span.set_arg("nodes", double(n));
       span.set_arg("iterations", double(result.iterations));

@@ -20,6 +20,9 @@
 #include "vpd/obs/trace.hpp"
 
 namespace vpd {
+namespace obs {
+class Snapshot;
+}  // namespace obs
 
 class MgSymbolic;        // multigrid.hpp (which includes this header)
 class MgPreconditioner;  // multigrid.hpp
@@ -276,19 +279,11 @@ struct CgOptions {
 /// thread-safe: use one workspace per thread.
 class CgWorkspace {
  public:
-  struct Stats {
-    std::size_t solves{0};
-    std::size_t iterations{0};
-    std::size_t factorizations{0};
-    std::size_t factorization_reuses{0};
-  };
-
   CgWorkspace();
   ~CgWorkspace();
   CgWorkspace(const CgWorkspace&) = delete;
   CgWorkspace& operator=(const CgWorkspace&) = delete;
 
-  const Stats& stats() const { return stats_; }
   /// Forgets everything keyed to the cached operator (factorization,
   /// norm, diagonal); the next solve recomputes and refactors.
   void invalidate() {
@@ -307,7 +302,8 @@ class CgWorkspace {
   /// Shared solve prologue: validates the options, runs the SPD diagonal
   /// pre-check, caches ||A||_inf and the Jacobi inverse diagonal (all
   /// skipped on an operator-key hit), and (re)factors or reuses the
-  /// IC/multigrid setup as the requested preconditioner demands.
+  /// IC/multigrid setup as the requested preconditioner demands, counting
+  /// the factorization or reuse into the current obs::WorkAccount.
   void prepare(const CsrMatrix& a, const CgOptions& options);
 
   Vector diag_;      // SPD pre-check scratch
@@ -321,12 +317,9 @@ class CgWorkspace {
   std::uint64_t key_digest_{0};
   std::vector<double> key_values_;
   bool key_valid_{false};
-  Stats stats_;
 };
 
-/// Process-wide solver activity counters (monotonic since process start).
-/// Snapshot with solver_counters() and subtract two snapshots to meter a
-/// region; sweep/fault/serve reports expose such deltas. cg_solves and
+/// Solver activity counted into one obs::WorkAccount. cg_solves and
 /// cg_iterations are deterministic for a deterministic workload; the
 /// factorizations/reuses split depends on how work lands on per-thread
 /// workspaces.
@@ -342,9 +335,13 @@ struct SolverCounters {
   std::uint64_t cg_block_columns{0};
 };
 
-SolverCounters solver_counters();
-SolverCounters operator-(const SolverCounters& a, const SolverCounters& b);
+/// The solves, iterations, factorizations and reuses counted into
+/// `account`: solve_cg and CgWorkspace count into the current account.
+SolverCounters solver_counters(const obs::WorkAccount& account);
 SolverCounters operator+(const SolverCounters& a, const SolverCounters& b);
+/// Writes the solver.* counters every report's telemetry snapshot carries.
+void set_solver_counters(obs::Snapshot& snapshot,
+                         const SolverCounters& counters);
 
 /// Preconditioned conjugate gradient for SPD systems.
 /// Convergence is declared against the *true* residual b - A x: when the

@@ -90,11 +90,7 @@ obs::Snapshot FaultCampaignReport::snapshot() const {
   obs::Snapshot s;
   s.set_counter("fault.scenarios", scenario_count());
   s.set_counter("fault.survivors", survivor_count());
-  s.set_counter("solver.cg_solves", solver.cg_solves);
-  s.set_counter("solver.cg_iterations", solver.cg_iterations);
-  s.set_counter("solver.precond_factorizations",
-                solver.precond_factorizations);
-  s.set_counter("solver.precond_reuses", solver.precond_reuses);
+  set_solver_counters(s, solver);
   s.set_counter("fault.batch_groups", batch.groups);
   s.set_counter("fault.batch_grouped_points", batch.grouped_points);
   s.set_counter("fault.batch_scalar_points", batch.scalar_points);

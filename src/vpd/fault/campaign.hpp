@@ -83,9 +83,10 @@ struct FaultCampaignReport {
   ArchitectureEvaluation nominal;
   std::vector<FaultScenarioOutcome> outcomes;
   double wall_seconds{0.0};
-  /// Solver counter delta across the campaign's two sweeps (nominal +
-  /// scenarios). Solves/iterations are deterministic; the
-  /// factorization/reuse split is scheduling-dependent (see SweepReport).
+  /// The solver work of the campaign's two sweeps (nominal + scenarios),
+  /// the sum of their own work accounts. Solves/iterations are
+  /// deterministic; the factorization/reuse split is scheduling-dependent
+  /// (see SweepReport).
   SolverCounters solver;
   /// Batch-engine accounting summed over the campaign's sweeps (all zero
   /// when the sweep runs with batch=false).

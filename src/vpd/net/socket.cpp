@@ -256,33 +256,33 @@ Listener::Listener(const Endpoint& endpoint, int backlog)
     const std::string text =
         errno_text(("listen " + endpoint_.to_string()).c_str());
     close();
+    ::close(fd_);  // no destructor runs for a throwing constructor
     throw IoError(text);
   }
 }
 
-Listener::~Listener() { close(); }
+Listener::~Listener() {
+  close();
+  ::close(fd_);
+}
 
 Connection Listener::accept() {
-  for (;;) {
+  while (!closed_.load()) {
     const int fd = ::accept(fd_, nullptr, nullptr);
     if (fd >= 0) return Connection(fd);
-    if (errno == EINTR) continue;
-    // close() shut the listener down (EBADF/EINVAL), or it is gone.
-    return Connection();
+    // Anything but EINTR: close() shut the listener down (EINVAL).
+    if (errno != EINTR) break;
   }
+  return Connection();
 }
 
 void Listener::close() {
-  if (fd_ >= 0) {
-    // shutdown() wakes a blocked accept() before the fd goes away.
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
-  if (!unlink_path_.empty()) {
-    ::unlink(unlink_path_.c_str());
-    unlink_path_.clear();
-  }
+  if (closed_.exchange(true)) return;
+  // shutdown() wakes a blocked accept(). The descriptor itself stays open
+  // until the destructor, so accept() on another thread can never reach a
+  // number the kernel has already handed out again.
+  ::shutdown(fd_, SHUT_RDWR);
+  if (!unlink_path_.empty()) ::unlink(unlink_path_.c_str());
 }
 
 }  // namespace net

@@ -13,6 +13,7 @@
 // write() for non-sockets.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -108,10 +109,12 @@ class Listener {
   /// Blocks for the next client. Returns an invalid Connection after
   /// close().
   Connection accept();
+  /// Wakes a blocked accept() from any thread; the destructor frees the fd.
   void close();
 
  private:
   int fd_{-1};
+  std::atomic<bool> closed_{false};
   Endpoint endpoint_;
   std::string unlink_path_;  // bound unix socket file, removed on close
 };

@@ -379,10 +379,5 @@ Snapshot Registry::snapshot() const {
   return s;
 }
 
-Registry& Registry::global() {
-  static Registry registry;
-  return registry;
-}
-
 }  // namespace obs
 }  // namespace vpd

@@ -184,9 +184,6 @@ class Registry {
 
   Snapshot snapshot() const;
 
-  /// The process-wide registry, for instruments with no natural owner.
-  static Registry& global();
-
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;

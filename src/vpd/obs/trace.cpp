@@ -215,38 +215,40 @@ bool write_trace(const std::string& path) {
   return write_chrome_trace(path);
 }
 
-// --- Stage timings ----------------------------------------------------------
+// --- Work accounts ----------------------------------------------------------
 
 namespace {
-thread_local StageTimings* t_stage_target = nullptr;
+thread_local WorkAccount* t_account = nullptr;
 }  // namespace
 
-ScopedStageCapture::ScopedStageCapture(StageTimings* target)
-    : previous_(t_stage_target) {
-  t_stage_target = target;
+void WorkAccount::add(Work what, std::uint64_t n) {
+  const auto index = static_cast<std::size_t>(what);
+  for (WorkAccount* a = this; a != nullptr; a = a->parent_) {
+    a->counts_[index].fetch_add(n, std::memory_order_relaxed);
+  }
 }
 
-ScopedStageCapture::~ScopedStageCapture() { t_stage_target = previous_; }
+WorkAccount* WorkAccount::current() { return t_account; }
 
-StageTimings* ScopedStageCapture::current() { return t_stage_target; }
+WorkAccount::Scope::Scope(WorkAccount* account) : previous_(t_account) {
+  t_account = account;
+}
 
-StageTimer::StageTimer(Stage stage) : target_(t_stage_target), stage_(stage) {
-  if (target_ != nullptr) start_ = std::chrono::steady_clock::now();
+WorkAccount::Scope::~Scope() { t_account = previous_; }
+
+void count(Work what, std::uint64_t n) {
+  if (t_account != nullptr) t_account->add(what, n);
+}
+
+StageTimer::StageTimer(Work stage) : account_(t_account), stage_(stage) {
+  if (account_ != nullptr) start_ = std::chrono::steady_clock::now();
 }
 
 StageTimer::~StageTimer() {
-  if (target_ == nullptr) return;
-  const double elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start_)
-                             .count();
-  switch (stage_) {
-    case Stage::kMesh:
-      target_->mesh_seconds += elapsed;
-      break;
-    case Stage::kSolve:
-      target_->solve_seconds += elapsed;
-      break;
-  }
+  if (account_ == nullptr) return;
+  const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::steady_clock::now() - start_);
+  account_->add(stage_, static_cast<std::uint64_t>(elapsed.count()));
 }
 
 }  // namespace obs

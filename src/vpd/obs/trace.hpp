@@ -1,6 +1,7 @@
-// Lightweight RAII trace spans with explicit parent context, plus per-request
-// stage timing capture. Tracing is off by default: a disabled Span costs one
-// relaxed atomic load in its constructor and nothing else. When enabled, spans
+// Lightweight RAII trace spans with explicit parent context, plus scoped
+// work accounts that attribute solver and mesh work to the scope that
+// caused it. Tracing is off by default: a disabled Span costs one relaxed
+// atomic load in its constructor and nothing else. When enabled, spans
 // record (name, ids, thread, start, duration, numeric args) into a bounded
 // process-wide buffer that serializes to Chrome trace-event JSON (loadable in
 // about:tracing / Perfetto) or NDJSON.
@@ -8,9 +9,13 @@
 // Parent linkage is explicit, not ambient: callers thread an obs::TraceContext
 // through options structs (EvaluationOptions -> IrDropOptions -> CgOptions),
 // the same process-local pattern as EvaluationOptions::mesh_cache. Context
-// never goes on the wire and never influences numerical results.
+// never goes on the wire and never influences numerical results. Work
+// accounts are the one ambient piece (a thread's current account, carried
+// into ThreadPool tasks), because every solve and mesh lookup counts into
+// them; they too never influence results.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -94,7 +99,7 @@ bool write_chrome_trace(const std::string& path);
 bool write_trace_ndjson(const std::string& path);
 bool write_trace(const std::string& path);
 
-// --- Per-request stage timings ---------------------------------------------
+// --- Work accounts ---------------------------------------------------------
 
 /// Wall-clock decomposition of one service request. All seconds; stages that
 /// did not run stay 0 (e.g. mesh_seconds on a mesh-cache hit is ~0).
@@ -106,40 +111,77 @@ struct StageTimings {
   double serialize_seconds{0.0};
 };
 
-enum class Stage { kMesh, kSolve };
+/// What a WorkAccount counts: solver and mesh-cache events, and the wall
+/// time of the mesh and solve stages in nanoseconds.
+enum class Work : std::size_t {
+  kCgSolves, kCgIterations, kPrecondFactorizations, kPrecondReuses,
+  kMeshHits, kMeshMisses, kMeshNanoseconds, kSolveNanoseconds,
+};
+inline constexpr std::size_t kWorkKinds =
+    std::size_t(Work::kSolveNanoseconds) + 1;
 
-/// Installs `target` as the current thread's stage-capture sink for the
-/// scope's lifetime; StageTimer adds elapsed time into it. Nested captures
-/// restore the previous target on destruction.
-class ScopedStageCapture {
+/// Exact attribution of solver and mesh work to the scope that caused it.
+/// A Scope makes an account the calling thread's current account,
+/// ThreadPool tasks run under the account current at submit, and every
+/// count adds to the current account and to each account it is nested in.
+/// Sibling accounts never see each other's work; work done with no account
+/// current is counted nowhere. Lifetime rule: an account must outlive
+/// every scope that makes it current, every pool task submitted under it
+/// and every account nested in it.
+class WorkAccount {
  public:
-  explicit ScopedStageCapture(StageTimings* target);
-  ~ScopedStageCapture();
+  /// Nests the account in `parent` (by default the calling thread's
+  /// current account); nullptr makes a root account.
+  explicit WorkAccount(WorkAccount* parent = current()) : parent_(parent) {}
+  WorkAccount(const WorkAccount&) = delete;
+  WorkAccount& operator=(const WorkAccount&) = delete;
 
-  ScopedStageCapture(const ScopedStageCapture&) = delete;
-  ScopedStageCapture& operator=(const ScopedStageCapture&) = delete;
+  /// Adds `n` to this account and every account it is nested in.
+  void add(Work what, std::uint64_t n = 1);
+  std::uint64_t count(Work what) const {
+    return counts_[std::size_t(what)].load(std::memory_order_relaxed);
+  }
+  /// A stage entry (kMeshNanoseconds, kSolveNanoseconds) in seconds.
+  double seconds(Work stage) const { return 1e-9 * double(count(stage)); }
 
-  /// The current thread's capture target (nullptr when none installed).
-  static StageTimings* current();
+  /// The calling thread's current account (nullptr when none).
+  static WorkAccount* current();
+
+  /// Makes `account` (nullptr: none) the calling thread's current account
+  /// for the scope's lifetime, then restores the previous one.
+  class Scope {
+   public:
+    explicit Scope(WorkAccount* account);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    WorkAccount* previous_;
+  };
 
  private:
-  StageTimings* previous_;
+  WorkAccount* parent_;
+  std::atomic<std::uint64_t> counts_[kWorkKinds] = {};
 };
 
-/// Adds its scope's elapsed wall time to the named stage of the current
-/// thread's capture target. When no target is installed the constructor is
-/// one thread-local load and the destructor a branch.
+/// Adds `n` to the current account chain; a no-op when none is current.
+void count(Work what, std::uint64_t n = 1);
+
+/// Adds its scope's elapsed wall time to a stage entry of the account that
+/// was current at construction. With no account current the constructor
+/// is one thread-local load and the destructor a branch.
 class StageTimer {
  public:
-  explicit StageTimer(Stage stage);
+  explicit StageTimer(Work stage);
   ~StageTimer();
 
   StageTimer(const StageTimer&) = delete;
   StageTimer& operator=(const StageTimer&) = delete;
 
  private:
-  StageTimings* target_;
-  Stage stage_;
+  WorkAccount* account_;
+  Work stage_;
   std::chrono::steady_clock::time_point start_{};
 };
 

@@ -292,11 +292,7 @@ obs::Snapshot OptimizeReport::snapshot() const {
   s.set_counter("opt.front_size", front.size());
   s.set_counter("mesh_cache.hits", cache_stats.hits);
   s.set_counter("mesh_cache.misses", cache_stats.misses);
-  s.set_counter("solver.cg_solves", solver.cg_solves);
-  s.set_counter("solver.cg_iterations", solver.cg_iterations);
-  s.set_counter("solver.precond_factorizations",
-                solver.precond_factorizations);
-  s.set_counter("solver.precond_reuses", solver.precond_reuses);
+  set_solver_counters(s, solver);
   s.set_counter("opt.batch_groups", batch.groups);
   s.set_counter("opt.batch_grouped_points", batch.grouped_points);
   s.set_counter("opt.batch_scalar_points", batch.scalar_points);
@@ -338,6 +334,9 @@ OptimizeReport DesignOptimizer::run() const {
                                : cfg.population * (cfg.generations + 1);
 
   obs::Span run_span("opt.run", cfg.trace);
+  // The run's own work; its sweeps and campaigns nest their accounts in it.
+  obs::WorkAccount account;
+  const obs::WorkAccount::Scope account_scope(&account);
 
   // One cache spans the whole run (every generation and every
   // survivability campaign), so each distinct mesh geometry is assembled
@@ -347,10 +346,6 @@ OptimizeReport DesignOptimizer::run() const {
   if (sweep_config.use_mesh_cache && sweep_config.cache == nullptr) {
     sweep_config.cache = &private_cache;
   }
-  const MeshSolveCache::Stats cache_before =
-      sweep_config.use_mesh_cache ? sweep_config.cache->stats()
-                                  : MeshSolveCache::Stats{};
-  const SolverCounters solver_before = solver_counters();
   SweepRunner runner(spec_, sweep_config);
 
   std::vector<Candidate> all;
@@ -668,12 +663,8 @@ OptimizeReport DesignOptimizer::run() const {
   report.epsilon = std::move(eps);
   report.reference = std::move(reference);
   report.hypervolume = hypervolume(front_objectives, report.reference);
-  if (sweep_config.use_mesh_cache) {
-    const MeshSolveCache::Stats after = sweep_config.cache->stats();
-    report.cache_stats.hits = after.hits - cache_before.hits;
-    report.cache_stats.misses = after.misses - cache_before.misses;
-  }
-  report.solver = solver_counters() - solver_before;
+  report.cache_stats = mesh_cache_stats(account);
+  report.solver = solver_counters(account);
   report.wall_seconds = seconds_since(run_start);
   run_span.set_arg("evaluations", static_cast<double>(report.evaluations));
   run_span.set_arg("front_size", static_cast<double>(report.front.size()));

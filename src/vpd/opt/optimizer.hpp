@@ -167,9 +167,10 @@ struct OptimizeReport {
   /// Hypervolume of `front` against `reference` (minimization).
   double hypervolume{0.0};
   double wall_seconds{0.0};
-  /// Aggregates over the run's cache and the process-wide solver
-  /// counters (the factorization/reuse split is scheduling-dependent;
-  /// everything else is deterministic).
+  /// This run's own mesh lookups and solver work (its work account, which
+  /// every sweep and campaign of the run nests in), exact beside other
+  /// work in the process. The factorization/reuse split is
+  /// scheduling-dependent; everything else is deterministic.
   MeshSolveCache::Stats cache_stats;
   SolverCounters solver;
   /// Batch-engine accounting summed over every generation's sweep and

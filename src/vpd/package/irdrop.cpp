@@ -163,7 +163,7 @@ IrDropResult solve_assembled(const GridMesh& mesh, const CsrMatrix& base,
               "relative tolerance must be positive, got ",
               options.relative_tolerance);
 
-  const obs::StageTimer stage_timer(obs::Stage::kSolve);
+  const obs::StageTimer stage_timer(obs::Work::kSolveNanoseconds);
   obs::Span span("irdrop.solve", options.trace);
 
   thread_local CsrMatrix a;
@@ -232,7 +232,7 @@ std::vector<IrDropResult> solve_irdrop_batch(
               options.relative_tolerance);
   const GridMesh& mesh = assembled.mesh;
 
-  const obs::StageTimer stage_timer(obs::Stage::kSolve);
+  const obs::StageTimer stage_timer(obs::Work::kSolveNanoseconds);
   obs::Span span("irdrop.solve_batch", options.trace);
 
   // One stamped operator for the whole batch; per-map right-hand sides.

@@ -79,11 +79,13 @@ std::shared_ptr<const AssembledMesh> MeshSolveCache::get(
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     ++stats_.hits;
+    obs::count(obs::Work::kMeshHits);
     return it->second;
   }
   // Assemble under the lock: concurrent requests for the same key wait and
   // then hit, so each mesh is built exactly once per cache lifetime.
   ++stats_.misses;
+  obs::count(obs::Work::kMeshMisses);
   obs::Span span("mesh.assemble", trace);
   span.set_arg("nx", double(nx));
   span.set_arg("ny", double(ny));
@@ -91,6 +93,11 @@ std::shared_ptr<const AssembledMesh> MeshSolveCache::get(
       assemble_mesh(width, height, nx, ny, sheet_ohms, perturbation);
   entries_.emplace(key, assembled);
   return assembled;
+}
+
+MeshSolveCache::Stats mesh_cache_stats(const obs::WorkAccount& account) {
+  return {static_cast<std::size_t>(account.count(obs::Work::kMeshHits)),
+          static_cast<std::size_t>(account.count(obs::Work::kMeshMisses))};
 }
 
 MeshSolveCache::Stats MeshSolveCache::stats() const {

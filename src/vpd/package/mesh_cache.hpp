@@ -65,7 +65,8 @@ class MeshSolveCache {
     std::size_t misses{0};
   };
 
-  /// Returns the cached operator for the key, assembling it on first use.
+  /// Returns the cached operator for the key, assembling it on first use,
+  /// and counts the hit or miss into the current obs::WorkAccount.
   /// `trace` parents the "mesh.assemble" span a miss records; it never
   /// affects what is returned.
   std::shared_ptr<const AssembledMesh> get(Length width, Length height,
@@ -99,5 +100,8 @@ class MeshSolveCache {
   std::map<Key, std::shared_ptr<const AssembledMesh>> entries_;
   Stats stats_;
 };
+
+/// The mesh lookups counted into `account`, whichever caches served them.
+MeshSolveCache::Stats mesh_cache_stats(const obs::WorkAccount& account);
 
 }  // namespace vpd

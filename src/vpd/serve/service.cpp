@@ -102,7 +102,7 @@ io::Value to_json(const ServiceResponse& response) {
 }
 
 EvaluationService::EvaluationService(ServiceConfig config)
-    : config_(std::move(config)), solver_baseline_(solver_counters()),
+    : config_(std::move(config)),
       latency_hist_(registry_.latency_histogram("serve.latency_seconds")),
       queue_wait_hist_(
           registry_.latency_histogram("serve.stage.queue_seconds")),
@@ -130,6 +130,7 @@ ServiceResponse EvaluationService::evaluate(
 std::vector<ServiceResponse> EvaluationService::evaluate_batch(
     const std::vector<io::EvaluationRequest>& requests) {
   const auto start = std::chrono::steady_clock::now();
+  const obs::WorkAccount::Scope account_scope(&account_);
   registry_.counter("serve.batch.requests").add(requests.size());
   std::vector<ServiceResponse> responses(requests.size());
 
@@ -267,6 +268,7 @@ io::Value to_json(const TransientServiceResponse& response) {
 TransientServiceResponse EvaluationService::run_transient(
     const io::TransientRequest& request) {
   const auto start = std::chrono::steady_clock::now();
+  const obs::WorkAccount::Scope account_scope(&account_);
   registry_.counter("serve.transient.requests").add(1);
   TransientServiceResponse response;
   try {
@@ -315,6 +317,7 @@ io::Value to_json(const OptimizeServiceResponse& response) {
 OptimizeServiceResponse EvaluationService::run_optimize(
     const io::OptimizeRequest& request) {
   const auto start = std::chrono::steady_clock::now();
+  const obs::WorkAccount::Scope account_scope(&account_);
   registry_.counter("serve.optimize.requests").add(1);
   OptimizeServiceResponse response;
   try {
@@ -411,6 +414,7 @@ std::shared_future<ServiceResponse> EvaluationService::submit(
   queue_depth_gauge_.set(static_cast<double>(pending_));
   queue_depth_hist_.record(static_cast<double>(pending_));
 
+  const obs::WorkAccount::Scope account_scope(&account_);
   pool_.submit([this, key, request] { run_evaluation(key, request); });
   return entry->future;
 }
@@ -435,13 +439,14 @@ void EvaluationService::run_evaluation(std::string key,
   ServiceResponse response;
   response.timings.queue_seconds =
       std::chrono::duration<double>(start - submitted).count();
+  // The request's own account, nested in the service's: its mesh and
+  // solve stage times become the response timings.
+  obs::WorkAccount request_account(&account_);
   std::shared_ptr<const ExplorationEntry> result;
   try {
     request.options.mesh_cache = &mesh_cache_;
     request.options.trace = span.context();
-    // Stage capture: the evaluator's mesh and solve sections add their
-    // elapsed time into this thread's response timings.
-    const obs::ScopedStageCapture capture(&response.timings);
+    const obs::WorkAccount::Scope account_scope(&request_account);
     result = std::make_shared<const ExplorationEntry>(evaluate_with_exclusion(
         request.spec, request.architecture, request.topology, request.tech,
         request.options));
@@ -452,6 +457,10 @@ void EvaluationService::run_evaluation(std::string key,
     response.status = ResponseStatus::kError;
     response.error = "unknown evaluation failure";
   }
+  response.timings.mesh_seconds =
+      request_account.seconds(obs::Work::kMeshNanoseconds);
+  response.timings.solve_seconds =
+      request_account.seconds(obs::Work::kSolveNanoseconds);
   response.timings.evaluate_seconds = seconds_since(start);
   // Encoded here, once, so hits and coalesced waiters serve these bytes.
   if (result != nullptr) publish(response, std::move(result));
@@ -477,15 +486,6 @@ void EvaluationService::run_evaluation(std::string key,
     queue_depth_gauge_.set(static_cast<double>(pending_));
     ++counters_.evaluated;
     if (slow) ++counters_.slow_requests;
-    if (response.entry != nullptr) {
-      const ArchitectureEvaluation* eval =
-          response.entry->evaluation
-              ? &*response.entry->evaluation
-              : (response.entry->extrapolated
-                     ? &*response.entry->extrapolated
-                     : nullptr);
-      if (eval != nullptr) counters_.cg_iterations += eval->cg_iterations;
-    }
     counters_.completed += flight->submitted.size();
     if (response.status == ResponseStatus::kError) {
       counters_.errors += flight->submitted.size();
@@ -573,11 +573,11 @@ ServiceMetrics EvaluationService::metrics() const {
     m.latency_p99_seconds = latency_hist_.data().quantile(0.99);
   }
   m.mesh_cache = mesh_cache_.stats();
-  m.solver = solver_counters() - solver_baseline_;
+  m.solver = solver_counters(account_);
 
   // Unified shape: registry instruments (histograms + queue gauge) plus
-  // the mutex-guarded counters, mesh-cache stats and solver deltas, all
-  // under one namespace-per-subsystem naming scheme.
+  // the mutex-guarded counters, mesh-cache stats and the service's solver
+  // work, all under one namespace-per-subsystem naming scheme.
   m.observability = registry_.snapshot();
   m.observability.set_counter("serve.requests", m.requests);
   m.observability.set_counter("serve.completed", m.completed);
@@ -591,16 +591,9 @@ ServiceMetrics EvaluationService::metrics() const {
   m.observability.set_counter("serve.result_cache_size", m.result_cache_size);
   m.observability.set_counter("serve.slow_requests", m.slow_requests);
   m.observability.set_counter("serve.threads", m.threads);
-  m.observability.set_counter("serve.cg_iterations", m.cg_iterations);
   m.observability.set_counter("mesh_cache.hits", m.mesh_cache.hits);
   m.observability.set_counter("mesh_cache.misses", m.mesh_cache.misses);
-  m.observability.set_counter("solver.cg_solves", m.solver.cg_solves);
-  m.observability.set_counter("solver.cg_iterations",
-                              m.solver.cg_iterations);
-  m.observability.set_counter("solver.precond_factorizations",
-                              m.solver.precond_factorizations);
-  m.observability.set_counter("solver.precond_reuses",
-                              m.solver.precond_reuses);
+  set_solver_counters(m.observability, m.solver);
   return m;
 }
 

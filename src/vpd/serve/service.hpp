@@ -115,12 +115,9 @@ struct ServiceMetrics {
   double latency_max_seconds{0.0};
   double latency_p99_seconds{0.0};
   MeshSolveCache::Stats mesh_cache;
-  /// CG iterations accumulated over completed evaluator runs (from each
-  /// evaluation's own deterministic count; cache hits add nothing).
-  std::size_t cg_iterations{0};
-  /// Process-wide solver counter delta since the service was constructed
-  /// (includes preconditioner factorization/reuse traffic of this
-  /// service's workers; see solver_counters()).
+  /// This service's solver work since construction, across every verb
+  /// (the service's work account): other work in the process never
+  /// counts here, and cache hits add nothing.
   SolverCounters solver;
   /// Evaluated requests over config.slow_request_seconds (0 when the slow
   /// log is disabled).
@@ -267,9 +264,9 @@ class EvaluationService {
                         const obs::StageTimings& timings);
 
   ServiceConfig config_;
-  /// Process-wide solver counters at construction; metrics() reports the
-  /// delta since then.
-  SolverCounters solver_baseline_;
+  /// Root account of all this service's work: every verb and pool task
+  /// runs under it (never a caller's account), and it outlives pool_.
+  obs::WorkAccount account_{nullptr};
   MeshSolveCache mesh_cache_;
   /// Service-scoped instruments. References resolved once in the
   /// constructor; instruments are lock-free to update afterwards.

@@ -32,11 +32,7 @@ obs::Snapshot SweepReport::snapshot() const {
   s.set_counter("sweep.cg_iterations", total_cg_iterations());
   s.set_counter("mesh_cache.hits", cache_stats.hits);
   s.set_counter("mesh_cache.misses", cache_stats.misses);
-  s.set_counter("solver.cg_solves", solver.cg_solves);
-  s.set_counter("solver.cg_iterations", solver.cg_iterations);
-  s.set_counter("solver.precond_factorizations",
-                solver.precond_factorizations);
-  s.set_counter("solver.precond_reuses", solver.precond_reuses);
+  set_solver_counters(s, solver);
   s.set_counter("sweep.batch_groups", batch.groups);
   s.set_counter("sweep.batch_grouped_points", batch.grouped_points);
   s.set_counter("sweep.batch_scalar_points", batch.scalar_points);
@@ -58,6 +54,10 @@ SweepRunner::SweepRunner(PowerDeliverySpec spec, SweepConfig config)
 
 SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
   const auto run_start = std::chrono::steady_clock::now();
+  // The run's own work, exact beside any concurrent run; the worker pools
+  // below join before it ends.
+  obs::WorkAccount account;
+  const obs::WorkAccount::Scope account_scope(&account);
 
   // Whichever cache the run uses lives at least as long as the workers.
   MeshSolveCache private_cache;
@@ -65,9 +65,6 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
   if (config_.use_mesh_cache) {
     cache = config_.cache != nullptr ? config_.cache : &private_cache;
   }
-  const MeshSolveCache::Stats stats_before =
-      cache != nullptr ? cache->stats() : MeshSolveCache::Stats{};
-  const SolverCounters solver_before = solver_counters();
 
   SweepReport report;
   report.outcomes.resize(points.size());
@@ -172,12 +169,8 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
     }
   }
 
-  if (cache != nullptr) {
-    const MeshSolveCache::Stats after = cache->stats();
-    report.cache_stats.hits = after.hits - stats_before.hits;
-    report.cache_stats.misses = after.misses - stats_before.misses;
-  }
-  report.solver = solver_counters() - solver_before;
+  report.cache_stats = mesh_cache_stats(account);
+  report.solver = solver_counters(account);
   report.wall_seconds = seconds_since(run_start);
   return report;
 }

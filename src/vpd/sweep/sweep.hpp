@@ -81,14 +81,14 @@ struct SweepReport {
   std::vector<SweepOutcome> outcomes;
   double wall_seconds{0.0};
   std::size_t threads_used{0};
-  /// Aggregate over whichever cache the run used (external or private).
-  /// Hits + misses counts mesh lookups across all points; misses equals
-  /// the number of distinct mesh geometries regardless of scheduling.
+  /// This run's own mesh lookups (its work account), exact even beside
+  /// other runs on the same cache: hits + misses counts its points'
+  /// lookups, misses the distinct geometries it found unassembled.
   MeshSolveCache::Stats cache_stats;
-  /// Process-wide solver counter delta across the run (see
-  /// solver_counters()). cg_solves and cg_iterations are deterministic;
-  /// the factorization/reuse split depends on how points land on the
-  /// thread-local solver workspaces, i.e. on scheduling.
+  /// This run's own solver work (its work account; other runs in the
+  /// process never count here). cg_solves and cg_iterations are
+  /// deterministic; the factorization/reuse split depends on how points
+  /// land on the thread-local solver workspaces, i.e. on scheduling.
   SolverCounters solver;
   /// Batch-engine accounting (all zero when SweepConfig::batch is false).
   /// Deterministic in the point list alone.

@@ -31,7 +31,7 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     VPD_REQUIRE(!shutdown_, "submit after shutdown");
-    queue_.push_back(std::move(task));
+    queue_.push_back({std::move(task), obs::WorkAccount::current()});
   }
   task_ready_.notify_one();
 }
@@ -48,7 +48,7 @@ void ThreadPool::wait_idle() {
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       task_ready_.wait(lock,
@@ -60,7 +60,8 @@ void ThreadPool::worker_loop() {
     }
     std::exception_ptr error;
     try {
-      task();
+      const obs::WorkAccount::Scope scope(task.account);
+      task.run();
     } catch (...) {
       error = std::current_exception();
     }

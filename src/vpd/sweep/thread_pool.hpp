@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "vpd/obs/trace.hpp"
+
 namespace vpd {
 
 class ThreadPool {
@@ -34,8 +36,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Thread-safe; may be called from worker threads
-  /// (tasks may submit follow-up tasks).
+  /// Enqueues a task to run under the calling thread's current work
+  /// account. Thread-safe; may be called from worker threads (tasks may
+  /// submit follow-up tasks).
   void submit(std::function<void()> task);
 
   /// Blocks until the queue is empty and every worker is idle. Tasks
@@ -48,12 +51,17 @@ class ThreadPool {
   std::size_t thread_count() const { return workers_.size(); }
 
  private:
+  struct Task {
+    std::function<void()> run;
+    obs::WorkAccount* account{nullptr};  // current at submit
+  };
+
   void worker_loop();
 
   std::mutex mutex_;
   std::condition_variable task_ready_;   // workers wait for work/shutdown
   std::condition_variable idle_;         // wait_idle waits for quiescence
-  std::deque<std::function<void()>> queue_;
+  std::deque<Task> queue_;
   std::size_t active_{0};  // tasks currently executing
   std::exception_ptr first_error_;  // first escaped task exception
   bool shutdown_{false};

@@ -346,11 +346,7 @@ obs::Snapshot DroopCampaignReport::snapshot() const {
   s.set_counter("transient.steps", transient_steps);
   s.set_counter("transient.factor_hits", factors.hits);
   s.set_counter("transient.factor_misses", factors.misses);
-  s.set_counter("solver.cg_solves", solver.cg_solves);
-  s.set_counter("solver.cg_iterations", solver.cg_iterations);
-  s.set_counter("solver.precond_factorizations",
-                solver.precond_factorizations);
-  s.set_counter("solver.precond_reuses", solver.precond_reuses);
+  set_solver_counters(s, solver);
   s.set_gauge("transient.pass_fraction", pass_fraction(), pass_fraction());
   s.set_gauge("transient.worst_undershoot_fraction",
               worst_undershoot_fraction(), worst_undershoot_fraction());

@@ -139,8 +139,8 @@ struct DroopCampaignReport {
   /// One outcome per generated scenario, in generation order.
   std::vector<TransientScenarioOutcome> outcomes;
   double wall_seconds{0.0};
-  /// Solver counter delta across the campaign's DC sweeps (nominal probe
-  /// + per-scenario operating points).
+  /// The solver work of the campaign's DC sweeps (nominal probe +
+  /// per-scenario operating points), the sum of their own work accounts.
   SolverCounters solver;
   /// Shared transient LU cache reuse across every integration. Both
   /// fields are deterministic: misses count distinct (netlist, method,

@@ -1,9 +1,10 @@
 // Observability layer: the instrument registry under concurrency, the
 // canonical telemetry JSON shape, trace spans (off-by-default, explicit
-// parent context, Chrome trace-event / NDJSON serialization), per-request
-// stage timing capture, and — the contract everything else rests on —
-// that tracing never perturbs numerical results: the default evaluation
-// grid is bit-identical with tracing on and off.
+// parent context, Chrome trace-event / NDJSON serialization), work
+// accounts (stage timings, pool inheritance, nesting), and — the contract
+// everything else rests on — that tracing never perturbs numerical
+// results: the default evaluation grid is bit-identical with tracing on
+// and off.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include "vpd/obs/registry.hpp"
 #include "vpd/obs/trace.hpp"
 #include "vpd/serve/service.hpp"
+#include "vpd/sweep/thread_pool.hpp"
 
 namespace vpd {
 namespace {
@@ -350,45 +352,139 @@ TEST(ObsTrace, RecordSpanAndNdjson) {
   EXPECT_EQ(obs::trace_event_count(), 0u);
 }
 
-// --- Stage timings ----------------------------------------------------------
+// --- Work accounts ---------------------------------------------------------
 
 TEST(ObsStageTimings, TimersAddIntoTheInstalledTarget) {
-  obs::StageTimings timings;
-  EXPECT_EQ(obs::ScopedStageCapture::current(), nullptr);
+  obs::WorkAccount account;
+  EXPECT_EQ(obs::WorkAccount::current(), nullptr);
   {
-    obs::ScopedStageCapture capture(&timings);
-    EXPECT_EQ(obs::ScopedStageCapture::current(), &timings);
-    { obs::StageTimer timer(obs::Stage::kMesh); }
-    { obs::StageTimer timer(obs::Stage::kSolve); }
+    const obs::WorkAccount::Scope scope(&account);
+    EXPECT_EQ(obs::WorkAccount::current(), &account);
+    { obs::StageTimer timer(obs::Work::kMeshNanoseconds); }
+    { obs::StageTimer timer(obs::Work::kSolveNanoseconds); }
     {
-      // Nested capture redirects, then restores.
-      obs::StageTimings inner;
-      obs::ScopedStageCapture nested(&inner);
-      { obs::StageTimer timer(obs::Stage::kSolve); }
-      EXPECT_GE(inner.solve_seconds, 0.0);
-      EXPECT_EQ(obs::ScopedStageCapture::current(), &inner);
+      // A nested account becomes current, then the outer one returns.
+      obs::WorkAccount inner;
+      const obs::WorkAccount::Scope nested(&inner);
+      { obs::StageTimer timer(obs::Work::kSolveNanoseconds); }
+      EXPECT_GE(inner.seconds(obs::Work::kSolveNanoseconds), 0.0);
+      EXPECT_EQ(obs::WorkAccount::current(), &inner);
     }
-    EXPECT_EQ(obs::ScopedStageCapture::current(), &timings);
+    EXPECT_EQ(obs::WorkAccount::current(), &account);
   }
-  EXPECT_EQ(obs::ScopedStageCapture::current(), nullptr);
-  EXPECT_GE(timings.mesh_seconds, 0.0);
-  EXPECT_GE(timings.solve_seconds, 0.0);
-  // With no capture installed a StageTimer is inert.
-  { obs::StageTimer timer(obs::Stage::kMesh); }
+  EXPECT_EQ(obs::WorkAccount::current(), nullptr);
+  EXPECT_GE(account.seconds(obs::Work::kMeshNanoseconds), 0.0);
+  EXPECT_GE(account.seconds(obs::Work::kSolveNanoseconds), 0.0);
+  // With no account current a StageTimer is inert.
+  { obs::StageTimer timer(obs::Work::kMeshNanoseconds); }
 }
 
 TEST(ObsStageTimings, EvaluationFillsMeshAndSolveStages) {
-  obs::StageTimings timings;
+  obs::WorkAccount account;
   {
-    obs::ScopedStageCapture capture(&timings);
+    const obs::WorkAccount::Scope scope(&account);
     const PowerDeliverySpec spec = paper_system();
     (void)evaluate_architecture(ArchitectureKind::kA2_InterposerBelowDie,
                                 spec, TopologyKind::kDsch,
                                 DeviceTechnology::kGalliumNitride);
   }
   // A fresh evaluation assembles a mesh and runs CG: both stages saw time.
-  EXPECT_GT(timings.mesh_seconds, 0.0);
-  EXPECT_GT(timings.solve_seconds, 0.0);
+  EXPECT_GT(account.seconds(obs::Work::kMeshNanoseconds), 0.0);
+  EXPECT_GT(account.seconds(obs::Work::kSolveNanoseconds), 0.0);
+}
+
+TEST(WorkAccount, PoolTasksInheritAndNestedAccountsAddUp) {
+  const auto solves = [](const obs::WorkAccount& a) {
+    return a.count(obs::Work::kCgSolves);
+  };
+  obs::WorkAccount x;
+  obs::WorkAccount y;
+  {
+    ThreadPool pool(3);
+    {
+      // Tasks run under the account current at submit, and so do the
+      // follow-up tasks they submit from a worker.
+      const obs::WorkAccount::Scope scope(&x);
+      for (int i = 0; i < 20; ++i) {
+        pool.submit([&pool] {
+          obs::count(obs::Work::kCgSolves);
+          pool.submit([] { obs::count(obs::Work::kCgSolves); });
+        });
+      }
+    }
+    {
+      const obs::WorkAccount::Scope scope(&y);
+      pool.submit([] { obs::count(obs::Work::kCgSolves, 5); });
+    }
+    // Submitted with no account current: counted nowhere.
+    std::atomic<bool> saw_none{false};
+    pool.submit([&saw_none] {
+      saw_none = obs::WorkAccount::current() == nullptr;
+      obs::count(obs::Work::kCgSolves, 1000);
+    });
+    pool.wait_idle();
+    EXPECT_TRUE(saw_none.load());
+  }
+  EXPECT_EQ(solves(x), 40u);
+  EXPECT_EQ(solves(y), 5u);
+
+  // Real solver work in a pool task lands in the submitter's account.
+  const PowerDeliverySpec spec = paper_system();
+  obs::WorkAccount evaluated;
+  {
+    ThreadPool pool(2);
+    const obs::WorkAccount::Scope scope(&evaluated);
+    pool.submit([&spec] {
+      (void)evaluate_architecture(ArchitectureKind::kA2_InterposerBelowDie,
+                                  spec, TopologyKind::kDsch,
+                                  DeviceTechnology::kGalliumNitride);
+    });
+    pool.wait_idle();
+  }
+  EXPECT_EQ(solves(evaluated), 1u);
+  EXPECT_GT(evaluated.count(obs::Work::kCgIterations), 0u);
+  EXPECT_GT(evaluated.seconds(obs::Work::kSolveNanoseconds), 0.0);
+
+  // A nested account adds to its parent and every ancestor, never the
+  // reverse, and siblings stay apart.
+  {
+    const obs::WorkAccount::Scope scope(&x);
+    obs::WorkAccount inner;  // nested in x, the current account
+    obs::WorkAccount innermost(&inner);
+    obs::WorkAccount sibling(&inner);
+    {
+      const obs::WorkAccount::Scope nested(&innermost);
+      obs::count(obs::Work::kMeshMisses, 3);
+    }
+    {
+      const obs::WorkAccount::Scope nested(&inner);
+      obs::count(obs::Work::kMeshHits);
+    }
+    EXPECT_EQ(innermost.count(obs::Work::kMeshMisses), 3u);
+    EXPECT_EQ(innermost.count(obs::Work::kMeshHits), 0u);
+    EXPECT_EQ(sibling.count(obs::Work::kMeshMisses), 0u);
+    EXPECT_EQ(inner.count(obs::Work::kMeshMisses), 3u);
+    EXPECT_EQ(inner.count(obs::Work::kMeshHits), 1u);
+    EXPECT_EQ(x.count(obs::Work::kMeshMisses), 3u);
+    EXPECT_EQ(x.count(obs::Work::kMeshHits), 1u);
+    EXPECT_EQ(y.count(obs::Work::kMeshMisses), 0u);
+  }
+  // A root account ignores the current one.
+  {
+    const obs::WorkAccount::Scope scope(&x);
+    obs::WorkAccount root(nullptr);
+    const obs::WorkAccount::Scope nested(&root);
+    obs::count(obs::Work::kCgSolves);
+    EXPECT_EQ(solves(root), 1u);
+  }
+  EXPECT_EQ(solves(x), 40u);
+
+  // No account current: nothing is counted anywhere.
+  ASSERT_EQ(obs::WorkAccount::current(), nullptr);
+  obs::count(obs::Work::kCgSolves, 7);
+  EXPECT_EQ(solves(x), 40u);
+  EXPECT_EQ(solves(y), 5u);
+  EXPECT_EQ(solves(evaluated), 1u);
 }
 
 // --- The determinism contract ----------------------------------------------

@@ -1,11 +1,12 @@
 // Evaluation service: the acceptance bit-identity property (concurrent
 // service responses match serial evaluate_with_exclusion exactly),
 // coalescing, result-LRU behaviour, bounded-queue backpressure, error
-// paths, service metrics, and the ThreadPool exception-rethrow contract
-// the service relies on.
+// paths, service metrics (counting exactly the service's own work), and
+// the ThreadPool exception-rethrow contract the service relies on.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include "vpd/io/schema.hpp"
 #include "vpd/net/session.hpp"
 #include "vpd/serve/service.hpp"
+#include "vpd/sweep/sweep.hpp"
 #include "vpd/sweep/thread_pool.hpp"
 
 namespace vpd {
@@ -526,6 +528,60 @@ TEST(ServiceWire, SessionLinesKeepMemberOrderAndResultBytes) {
               std::vector<std::string>(evaluate_order.begin() + 1,
                                        evaluate_order.end()));
   }
+}
+
+// --- Accounting: the service counts exactly its own work -------------------
+
+TEST(ServeAccounting, MetricsCountOnlyTheServicesWork) {
+  serve::ServiceConfig config;
+  config.threads = 2;
+  serve::EvaluationService service(config);
+  ASSERT_EQ(service
+                .evaluate(make_request(ArchitectureKind::kA1_InterposerPeriphery,
+                                       TopologyKind::kDsch))
+                .status,
+            serve::ResponseStatus::kOk);
+  const SolverCounters served = service.metrics().solver;
+  EXPECT_EQ(served.cg_solves, 1u);
+  EXPECT_GT(served.cg_iterations, 0u);
+
+  // An unrelated default-grid sweep in the same process counts into its
+  // own report, never into the service's metrics.
+  const SweepReport sweep =
+      SweepRunner(paper_system()).run(SweepGridBuilder().build());
+  EXPECT_GT(sweep.solver.cg_solves, 0u);
+  const serve::ServiceMetrics after = service.metrics();
+  EXPECT_EQ(after.solver.cg_solves, 1u);
+  EXPECT_EQ(after.solver.cg_iterations, served.cg_iterations);
+  const std::uint64_t* wire_solves =
+      after.observability.counter("solver.cg_solves");
+  ASSERT_NE(wire_solves, nullptr);
+  EXPECT_EQ(*wire_solves, 1u);
+}
+
+TEST(ServeAccounting, MetricsEqualTheOneOptimizeRunServed) {
+  io::OptimizeRequest request;
+  request.space.architectures = {ArchitectureKind::kA3_TwoStage12V,
+                                 ArchitectureKind::kA3_TwoStage6V};
+  request.space.topologies = {TopologyKind::kDsch};
+  request.space.vr_count = {36, 48};
+  request.config.population = 4;
+  request.config.generations = 1;
+  request.config.survivability.max_elites = 1;  // nests fault campaigns
+  request.config.base_options.mesh_nodes = 11;
+  request.config.sweep.threads = 2;
+
+  serve::EvaluationService service;
+  const serve::OptimizeServiceResponse response =
+      service.run_optimize(request);
+  ASSERT_EQ(response.status, serve::ResponseStatus::kOk) << response.error;
+  const SolverCounters& run = response.report->solver;
+  const SolverCounters metered = service.metrics().solver;
+  EXPECT_GT(run.cg_solves, 0u);
+  EXPECT_EQ(metered.cg_solves, run.cg_solves);
+  EXPECT_EQ(metered.cg_iterations, run.cg_iterations);
+  EXPECT_EQ(metered.precond_factorizations, run.precond_factorizations);
+  EXPECT_EQ(metered.precond_reuses, run.precond_reuses);
 }
 
 // --- ThreadPool exception contract (the service depends on it) -------------

@@ -16,6 +16,7 @@
 #include "vpd/common/matrix.hpp"
 #include "vpd/common/rng.hpp"
 #include "vpd/common/sparse.hpp"
+#include "vpd/obs/trace.hpp"
 #include "vpd/package/irdrop.hpp"
 #include "vpd/package/mesh.hpp"
 
@@ -170,11 +171,13 @@ TEST(SolverCore, WorkspaceReusesFactorizationOnIdenticalMatrix) {
   options.preconditioner = CgPreconditioner::kIncompleteCholesky;
 
   CgWorkspace ws;
+  obs::WorkAccount account;
+  const obs::WorkAccount::Scope scope(&account);
   const CgResult first = solve_cg(a, b, options, ws);
   const CgResult second = solve_cg(a, b, options, ws);
-  EXPECT_EQ(ws.stats().solves, 2u);
-  EXPECT_EQ(ws.stats().factorizations, 1u);
-  EXPECT_EQ(ws.stats().factorization_reuses, 1u);
+  EXPECT_EQ(solver_counters(account).cg_solves, 2u);
+  EXPECT_EQ(solver_counters(account).precond_factorizations, 1u);
+  EXPECT_EQ(solver_counters(account).precond_reuses, 1u);
   // Reuse is keyed on an exact value match, so it can never change a bit.
   EXPECT_EQ(first.x, second.x);
   EXPECT_EQ(first.iterations, second.iterations);
@@ -183,13 +186,13 @@ TEST(SolverCore, WorkspaceReusesFactorizationOnIdenticalMatrix) {
   // Any value change (same pattern) forces a refactorization.
   a.add_to_entry(0, 0, 0.25);
   (void)solve_cg(a, b, options, ws);
-  EXPECT_EQ(ws.stats().factorizations, 2u);
+  EXPECT_EQ(solver_counters(account).precond_factorizations, 2u);
 
   // invalidate() drops the cached key even though the values still match.
   ws.invalidate();
   (void)solve_cg(a, b, options, ws);
-  EXPECT_EQ(ws.stats().factorizations, 3u);
-  EXPECT_EQ(ws.stats().factorization_reuses, 1u);
+  EXPECT_EQ(solver_counters(account).precond_factorizations, 3u);
+  EXPECT_EQ(solver_counters(account).precond_reuses, 1u);
 }
 
 TEST(SolverCore, BatchSolveSharesOneFactorizationBitIdentically) {
@@ -201,11 +204,14 @@ TEST(SolverCore, BatchSolveSharesOneFactorizationBitIdentically) {
   options.preconditioner = CgPreconditioner::kIncompleteCholesky;
 
   CgWorkspace ws;
+  obs::WorkAccount account;
+  const obs::WorkAccount::Scope scope(&account);
   const std::vector<CgResult> batch = solve_cg_batch(a, rhs, options, ws);
   ASSERT_EQ(batch.size(), rhs.size());
-  EXPECT_EQ(ws.stats().solves, rhs.size());
-  EXPECT_EQ(ws.stats().factorizations, 1u);
-  EXPECT_EQ(ws.stats().factorization_reuses, rhs.size() - 1);
+  const SolverCounters counted = solver_counters(account);
+  EXPECT_EQ(counted.cg_solves, rhs.size());
+  EXPECT_EQ(counted.precond_factorizations, 1u);
+  EXPECT_EQ(counted.precond_reuses, rhs.size() - 1);
   for (std::size_t k = 0; k < rhs.size(); ++k) {
     const CgResult standalone = solve_cg(a, rhs[k], options);
     EXPECT_EQ(batch[k].x, standalone.x) << "rhs " << k;
@@ -489,10 +495,12 @@ TEST(Multigrid, WorkspaceReusesHierarchyBitIdentically) {
   options.mg_symbolic = &hierarchy;
 
   CgWorkspace ws;
+  obs::WorkAccount account;
+  const obs::WorkAccount::Scope scope(&account);
   const CgResult first = solve_cg(a, b, options, ws);
   const CgResult second = solve_cg(a, b, options, ws);
-  EXPECT_EQ(ws.stats().factorizations, 1u);
-  EXPECT_EQ(ws.stats().factorization_reuses, 1u);
+  EXPECT_EQ(solver_counters(account).precond_factorizations, 1u);
+  EXPECT_EQ(solver_counters(account).precond_reuses, 1u);
   EXPECT_EQ(first.x, second.x);
   EXPECT_EQ(first.iterations, second.iterations);
   EXPECT_EQ(first.residual_norm, second.residual_norm);
@@ -500,7 +508,7 @@ TEST(Multigrid, WorkspaceReusesHierarchyBitIdentically) {
   // A value change (same pattern) recomputes the Galerkin hierarchy.
   a.add_to_entry(0, 0, 0.25);
   (void)solve_cg(a, b, options, ws);
-  EXPECT_EQ(ws.stats().factorizations, 2u);
+  EXPECT_EQ(solver_counters(account).precond_factorizations, 2u);
 }
 
 TEST(Multigrid, SwitchingPreconditionerKindsRefactors) {
@@ -519,11 +527,13 @@ TEST(Multigrid, SwitchingPreconditionerKindsRefactors) {
   mg.preconditioner = CgPreconditioner::kMultigrid;
   mg.mg_symbolic = &hierarchy;
 
+  obs::WorkAccount account;
+  const obs::WorkAccount::Scope scope(&account);
   const CgResult r1 = solve_cg(a, b, ic, ws);
   const CgResult r2 = solve_cg(a, b, mg, ws);
   const CgResult r3 = solve_cg(a, b, ic, ws);
-  EXPECT_EQ(ws.stats().factorizations, 3u);
-  EXPECT_EQ(ws.stats().factorization_reuses, 0u);
+  EXPECT_EQ(solver_counters(account).precond_factorizations, 3u);
+  EXPECT_EQ(solver_counters(account).precond_reuses, 0u);
   for (const CgResult* r : {&r1, &r2, &r3}) ASSERT_TRUE(r->converged);
   // Same certified solution through both kinds.
   for (std::size_t i = 0; i < a.rows(); ++i)
@@ -580,8 +590,8 @@ TEST(Multigrid, SolvesSeveredMeshLikeIc) {
 
 TEST(SolverCore, BatchIsBitIdenticalToStandaloneLoopWithMatchingCounters) {
   // The header promises solve_cg_batch results are bit-identical to a
-  // loop of standalone solve_cg calls, and the global counter delta must
-  // agree with the per-result iteration counts.
+  // loop of standalone solve_cg calls, and the work account opened around
+  // the batch must agree with the per-result iteration counts.
   Rng rng(61);
   const CsrMatrix a = random_spd_laplacian(rng, 9, 10, 5);
   std::vector<Vector> rhs;
@@ -589,10 +599,11 @@ TEST(SolverCore, BatchIsBitIdenticalToStandaloneLoopWithMatchingCounters) {
   CgOptions options;
   options.preconditioner = CgPreconditioner::kIncompleteCholesky;
 
-  const SolverCounters before = solver_counters();
+  obs::WorkAccount account;
+  const obs::WorkAccount::Scope scope(&account);
   CgWorkspace ws;
   const std::vector<CgResult> batch = solve_cg_batch(a, rhs, options, ws);
-  const SolverCounters delta = solver_counters() - before;
+  const SolverCounters delta = solver_counters(account);
 
   std::size_t total_iterations = 0;
   for (std::size_t k = 0; k < rhs.size(); ++k) {
@@ -654,11 +665,13 @@ TEST(SolverCore, WorkspaceKeyDistinguishesOperatorsAcrossAlternation) {
   options.preconditioner = CgPreconditioner::kIncompleteCholesky;
 
   CgWorkspace ws;
+  obs::WorkAccount account;
+  const obs::WorkAccount::Scope scope(&account);
   const CgResult r1 = solve_cg(a1, b, options, ws);
   const CgResult r2 = solve_cg(a2, b, options, ws);
   const CgResult r3 = solve_cg(a1, b, options, ws);
-  EXPECT_EQ(ws.stats().factorizations, 3u);
-  EXPECT_EQ(ws.stats().factorization_reuses, 0u);
+  EXPECT_EQ(solver_counters(account).precond_factorizations, 3u);
+  EXPECT_EQ(solver_counters(account).precond_reuses, 0u);
   EXPECT_EQ(r1.x, r3.x);
   EXPECT_EQ(r1.iterations, r3.iterations);
   EXPECT_EQ(r1.x, solve_cg(a1, b, options).x);

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "vpd/common/error.hpp"
+#include "vpd/package/irdrop.hpp"
 #include "vpd/sweep/sweep.hpp"
 #include "vpd/sweep/thread_pool.hpp"
 
@@ -240,8 +243,8 @@ TEST(SweepRunner, ExternalCachePersistsAcrossRuns) {
   const SweepReport first = runner.run(points);
   EXPECT_EQ(first.cache_stats.misses, 1u);
   const SweepReport second = runner.run(points);
-  // The second run finds everything already assembled; per-run stats are
-  // deltas, not lifetime totals.
+  // The second run finds everything already assembled; per-run stats
+  // count the run's own lookups, not lifetime totals.
   EXPECT_EQ(second.cache_stats.misses, 0u);
   EXPECT_EQ(second.cache_stats.hits, 12u);
 }
@@ -288,6 +291,74 @@ TEST(SweepRunner, HarnessErrorsAreRethrownOnTheCallingThread) {
   config.threads = 2;
   EXPECT_THROW(SweepRunner(paper_system(), config).run({good, bad, good}),
                InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Work accounting
+// ---------------------------------------------------------------------------
+
+/// The scheduling-independent part of a run's accounting: solves,
+/// iterations, preconditioner setups (factored or reused, whichever the
+/// per-thread workspace allowed) and mesh lookups.
+std::vector<std::uint64_t> own_work(const SweepReport& report) {
+  return {report.solver.cg_solves, report.solver.cg_iterations,
+          report.solver.precond_factorizations +
+              report.solver.precond_reuses,
+          report.cache_stats.hits + report.cache_stats.misses};
+}
+
+TEST(SweepAccounting, OverlappingRunCountsOnlyItsOwnWork) {
+  const PowerDeliverySpec spec = paper_system();
+  const std::vector<SweepPoint> inner_points =
+      SweepGridBuilder(paper_options())
+          .architectures({ArchitectureKind::kA2_InterposerBelowDie})
+          .build();
+  std::vector<SweepPoint> outer_points = inner_points;
+  outer_points[0].options.sink_map = uniform_sinks;
+
+  SweepConfig serial;
+  serial.threads = 1;
+  const SweepReport outer_solo = SweepRunner(spec, serial).run(outer_points);
+  const SweepReport inner_solo = SweepRunner(spec, serial).run(inner_points);
+  ASSERT_GT(outer_solo.solver.cg_solves, 0u);
+  ASSERT_GT(outer_solo.cache_stats.hits + outer_solo.cache_stats.misses, 0u);
+
+  // Private caches, then one cache shared by both runs.
+  for (const bool shared : {false, true}) {
+    MeshSolveCache cache;
+    SweepConfig config = serial;
+    if (shared) config.cache = &cache;
+    // The outer run's first point runs the inner sweep to completion on
+    // another thread while it builds its sink map.
+    SweepReport inner;
+    bool spawned = false;
+    std::vector<SweepPoint> points = outer_points;
+    points[0].options.sink_map = [&](const GridMesh& mesh, Current total) {
+      if (!spawned) {
+        spawned = true;
+        std::thread other(
+            [&] { inner = SweepRunner(spec, config).run(inner_points); });
+        other.join();
+      }
+      return uniform_sinks(mesh, total);
+    };
+    const SweepReport outer = SweepRunner(spec, config).run(points);
+    ASSERT_TRUE(spawned);
+
+    EXPECT_EQ(own_work(outer), own_work(outer_solo)) << "shared " << shared;
+    EXPECT_EQ(own_work(inner), own_work(inner_solo)) << "shared " << shared;
+    if (!shared) {
+      EXPECT_EQ(outer.cache_stats.misses, outer_solo.cache_stats.misses);
+      EXPECT_EQ(inner.cache_stats.misses, inner_solo.cache_stats.misses);
+    } else {
+      // One shared cache assembles the mesh once, for whichever run asked
+      // first: the outer one, before it built the sink map.
+      EXPECT_EQ(outer.cache_stats.misses, 1u);
+      EXPECT_EQ(inner.cache_stats.misses, 0u);
+      EXPECT_EQ(cache.stats().hits + cache.stats().misses,
+                own_work(outer)[3] + own_work(inner)[3]);
+    }
+  }
 }
 
 }  // namespace

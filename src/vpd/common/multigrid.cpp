@@ -74,6 +74,7 @@ void five_point_pattern(std::size_t nx, std::size_t ny,
 MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) {
   VPD_REQUIRE(nx >= 2 && ny >= 2, "multigrid hierarchy needs an nx, ny >= 2 "
               "grid, got ", nx, "x", ny);
+  auto levels = std::make_shared<std::vector<Level>>();
   // Pattern of the operator at the level under construction; seeded with
   // the fine 5-point stencil, replaced by each Galerkin coarse pattern.
   std::vector<std::uint32_t> a_offsets;
@@ -81,8 +82,8 @@ MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) {
   five_point_pattern(nx, ny, a_offsets, a_cols);
 
   for (;;) {
-    levels_.push_back({});
-    Level& level = levels_.back();
+    levels->push_back({});
+    Level& level = levels->back();
     level.nx = nx;
     level.ny = ny;
     const std::size_t n = nx * ny;
@@ -172,6 +173,7 @@ MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) {
     nx = cnx;
     ny = cny;
   }
+  levels_ = std::move(levels);
 }
 
 void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
@@ -181,7 +183,9 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
               shared.rows(), "-row grid, got ", a.rows());
   VPD_REQUIRE(a.rows() == a.cols(), "multigrid requires a square matrix");
 
-  const std::size_t depth = shared.levels_.size();
+  hierarchy_ = shared;
+  const std::vector<MgSymbolic::Level>& hierarchy = *hierarchy_.levels_;
+  const std::size_t depth = hierarchy.size();
   levels_.assign(depth, {});
 
   // Finest operator: the matrix itself (u32 copy). Its pattern must stay
@@ -195,21 +199,15 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
     fine.a_vals = a.values();
   }
 
-  // Copy the transfer operators, then run the numeric Galerkin chain:
+  // Numeric Galerkin chain:
   // A_{l+1}(I, J) = sum_i R(I, i) sum_j A_l(i, j) P(j, J), accumulated
   // into a dense per-row scratch and gathered in pattern order, so the
   // rounding order is a fixed function of the hierarchy — deterministic.
   std::vector<double> acc;
   std::vector<std::uint32_t> touched;
   for (std::size_t l = 0; l + 1 < depth; ++l) {
-    const MgSymbolic::Level& sym = shared.levels_[l];
+    const MgSymbolic::Level& sym = hierarchy[l];
     Level& level = levels_[l];
-    level.p_offsets = sym.p_offsets;
-    level.p_cols = sym.p_cols;
-    level.p_vals = sym.p_vals;
-    level.r_offsets = sym.r_offsets;
-    level.r_rows = sym.r_rows;
-    level.r_vals = sym.r_vals;
 
     Level& coarse = levels_[l + 1];
     const std::size_t nc = sym.r_offsets.size() - 1;
@@ -310,6 +308,7 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
 void MgPreconditioner::cycle(std::size_t l) {
   Level& level = levels_[l];
   const std::size_t n = level.n;
+  const MgSymbolic::Level& transfer = (*hierarchy_.levels_)[l];
 
   if (l + 1 == levels_.size()) {
     // Coarsest: direct dense Cholesky solve, x = (L L^T)^{-1} rhs.
@@ -349,9 +348,9 @@ void MgPreconditioner::cycle(std::size_t l) {
   coarse.rhs.resize(coarse.n);
   for (std::size_t I = 0; I < coarse.n; ++I) {
     double s = 0.0;
-    for (std::uint32_t t = level.r_offsets[I]; t < level.r_offsets[I + 1];
-         ++t)
-      s += level.r_vals[t] * level.r[level.r_rows[t]];
+    for (std::uint32_t t = transfer.r_offsets[I];
+         t < transfer.r_offsets[I + 1]; ++t)
+      s += transfer.r_vals[t] * level.r[transfer.r_rows[t]];
     coarse.rhs[I] = s;
   }
   cycle(l + 1);
@@ -359,9 +358,9 @@ void MgPreconditioner::cycle(std::size_t l) {
   // Prolongate the coarse correction.
   for (std::size_t i = 0; i < n; ++i) {
     double s = 0.0;
-    for (std::uint32_t k = level.p_offsets[i]; k < level.p_offsets[i + 1];
-         ++k)
-      s += level.p_vals[k] * coarse.x[level.p_cols[k]];
+    for (std::uint32_t k = transfer.p_offsets[i];
+         k < transfer.p_offsets[i + 1]; ++k)
+      s += transfer.p_vals[k] * coarse.x[transfer.p_cols[k]];
     level.x[i] += s;
   }
 

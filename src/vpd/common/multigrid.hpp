@@ -13,14 +13,16 @@
 //
 // Mirrors the IC(0) split in sparse.hpp: MgSymbolic is the geometry-only
 // analysis (level dimensions, transfer operators, coarse sparsity
-// patterns) cached alongside a mesh like IcSymbolic; MgPreconditioner is
-// the numeric setup (Galerkin values, smoother diagonals, coarsest
-// factor) that lives in a CgWorkspace and is reused across value-identical
-// solves.
+// patterns), one immutable block that copies share, cached alongside a
+// mesh like IcSymbolic and shared by every mesh on the same grid;
+// MgPreconditioner is the numeric setup (Galerkin values, smoother
+// diagonals, coarsest factor) that lives in a CgWorkspace, holds its own
+// share of the hierarchy, and is reused across value-identical solves.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "vpd/common/sparse.hpp"
@@ -31,8 +33,9 @@ namespace vpd {
 /// per-level grid dimensions, bilinear prolongation stencils, restriction
 /// adjacency (the transpose view), and the symbolic Galerkin coarse
 /// patterns. Depends only on (nx, ny) — never on matrix values — so one
-/// MgSymbolic serves every operator stamped on that mesh and is cached
-/// alongside the Laplacian exactly like IcSymbolic.
+/// MgSymbolic serves every operator stamped on that grid and is cached
+/// alongside the Laplacian exactly like IcSymbolic. The hierarchy is one
+/// immutable block held by shared pointer: copies share it.
 class MgSymbolic {
  public:
   /// Coarsening stops once a level has at most this many nodes (the
@@ -44,13 +47,14 @@ class MgSymbolic {
   /// node numbering ix + iy * nx — the GridMesh convention).
   MgSymbolic(std::size_t nx, std::size_t ny);
 
-  bool empty() const { return levels_.empty(); }
+  bool empty() const { return levels_ == nullptr; }
   /// Fine-grid unknowns (nx * ny); 0 when empty.
   std::size_t rows() const {
-    return levels_.empty() ? 0 : levels_.front().nx * levels_.front().ny;
+    return levels_ ? levels_->front().nx * levels_->front().ny : 0;
   }
-  /// Number of grid levels, the fine grid included. At least 1.
-  std::size_t level_count() const { return levels_.size(); }
+  /// Number of grid levels, the fine grid included. At least 1 unless
+  /// empty.
+  std::size_t level_count() const { return levels_ ? levels_->size() : 0; }
 
  private:
   friend class MgPreconditioner;
@@ -79,15 +83,15 @@ class MgSymbolic {
     std::vector<std::uint32_t> c_cols;
   };
 
-  std::vector<Level> levels_;
+  std::shared_ptr<const std::vector<Level>> levels_;
 };
 
 /// Numeric multigrid setup over an MgSymbolic hierarchy. factor()
 /// computes the Galerkin coarse values, the damped-Jacobi smoother
 /// diagonals and the dense Cholesky factor of the coarsest operator;
 /// apply() runs one V(1,1)-cycle, z = M^{-1} r, allocation-free after the
-/// first call. Self-contained after factor() like IcPreconditioner: apply
-/// reads only state owned by this object, so a setup cached in a
+/// first call. Self-contained after factor() like IcPreconditioner: it
+/// holds its own share of the hierarchy, so a setup cached in a
 /// CgWorkspace survives the shared MgSymbolic's owner.
 class MgPreconditioner {
  public:
@@ -97,8 +101,8 @@ class MgPreconditioner {
   static constexpr double kJacobiDamping = 0.8;
 
   /// Factors `a` over the hierarchy `shared` (must describe a's grid:
-  /// shared->rows() == a.rows()). The pattern is copied in, so `shared`
-  /// may be destroyed afterwards.
+  /// shared->rows() == a.rows()). Keeps a share of the hierarchy, so
+  /// `shared` may be destroyed afterwards.
   void factor(const CsrMatrix& a, const MgSymbolic& shared);
 
   /// z = M^{-1} r: one V(1,1)-cycle. Requires a prior factor(); z is
@@ -117,20 +121,13 @@ class MgPreconditioner {
     std::vector<std::uint32_t> a_cols;
     std::vector<double> a_vals;
     std::vector<double> inv_diag;  // 1 / diag(A_l), smoother scaling
-    // Transfer operators copied from the symbolic hierarchy (empty on the
-    // coarsest level).
-    std::vector<std::uint32_t> p_offsets;
-    std::vector<std::uint32_t> p_cols;
-    std::vector<double> p_vals;
-    std::vector<std::uint32_t> r_offsets;
-    std::vector<std::uint32_t> r_rows;
-    std::vector<double> r_vals;
     // V-cycle scratch (lazily sized): iterate, residual, restricted rhs.
     Vector x, r, rhs;
   };
 
   void cycle(std::size_t level);
 
+  MgSymbolic hierarchy_;  // transfer operators, read by cycle()
   std::vector<Level> levels_;
   // Dense lower-triangular Cholesky factor of the coarsest operator,
   // row-major n x n (strict upper ignored).

@@ -10,6 +10,40 @@
 
 namespace vpd {
 
+namespace {
+
+std::uint64_t mix_word(std::uint64_t h, std::uint64_t word) {
+  h = (h ^ word) * 0xff51afd7ed558ccdull;
+  return h ^ (h >> 32);
+}
+
+/// Folds `words` and their count into `h`, one mix per word. Word i goes
+/// to lane i % 4; the four independent lanes let the multiplies overlap
+/// (a single chain would wait on each one).
+std::uint64_t mix_words(std::uint64_t h,
+                        const std::vector<std::size_t>& words) {
+  std::uint64_t lane[4] = {h, h + 1, h + 2, h + 3};
+  std::size_t i = 0;
+  for (; i + 4 <= words.size(); i += 4)
+    for (std::size_t k = 0; k < 4; ++k)
+      lane[k] = mix_word(lane[k], words[i + k]);
+  for (; i < words.size(); ++i) lane[0] = mix_word(lane[0], words[i]);
+  h = mix_word(h, words.size());
+  for (std::uint64_t l : lane) h = mix_word(h, l);
+  return h;
+}
+
+/// The structure digest CsrMatrix keeps: shape, row offsets, column
+/// indices.
+std::uint64_t hash_structure(std::size_t rows, std::size_t cols,
+                             const std::vector<std::size_t>& row_offsets,
+                             const std::vector<std::size_t>& col_indices) {
+  std::uint64_t h = mix_word(mix_word(0x9e3779b97f4a7c15ull, rows), cols);
+  return mix_words(mix_words(h, row_offsets), col_indices);
+}
+
+}  // namespace
+
 void TripletList::add(std::size_t row, std::size_t col, double value) {
   VPD_REQUIRE(row < rows_ && col < cols_, "entry (", row, ",", col,
               ") outside ", rows_, "x", cols_);
@@ -79,6 +113,7 @@ CsrMatrix::CsrMatrix(const TripletList& triplets)
   }
   std::partial_sum(row_offsets_.begin(), row_offsets_.end(),
                    row_offsets_.begin());
+  structure_digest_ = hash_structure(rows_, cols_, row_offsets_, col_indices_);
 }
 
 Vector CsrMatrix::multiply(const Vector& x) const {
@@ -178,7 +213,7 @@ const char* to_string(CgPreconditioner preconditioner) {
 }
 
 namespace {
-// source_ marker for fill entries, which have no counterpart in A.
+// Analysis::source marker for fill entries, which have no counterpart in A.
 constexpr std::size_t kNoSource = static_cast<std::size_t>(-1);
 }  // namespace
 
@@ -189,6 +224,9 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a, unsigned fill_level) {
   const std::size_t n = a.rows();
   const auto& aoff = a.row_offsets();
   const auto& acols = a.col_indices();
+  auto analysis = std::make_shared<Analysis>();
+  Analysis& sym = *analysis;
+  sym.source_digest = a.structure_digest();
 
   // Level-based symbolic factorization (the symmetric IKJ form): row i
   // starts from A's lower pattern at level 0, then each eliminated column
@@ -203,7 +241,7 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a, unsigned fill_level) {
   std::vector<std::vector<std::pair<std::size_t, unsigned>>> colup(n);
   std::vector<std::size_t> row;  // working column list, kept sorted
 
-  offsets_.assign(n + 1, 0);
+  sym.offsets.assign(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     row.clear();
     bool diag_present = false;
@@ -232,63 +270,65 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a, unsigned fill_level) {
       }
     }
     for (std::size_t c : row) {
-      cols_.push_back(c);
+      sym.cols.push_back(c);
       // Map the slot back to A's value array; fill entries start at 0.
       const auto begin = acols.begin() + static_cast<long>(aoff[i]);
       const auto end = acols.begin() + static_cast<long>(aoff[i + 1]);
       const auto it = std::lower_bound(begin, end, c);
-      source_.push_back(it != end && *it == c
-                            ? static_cast<std::size_t>(it - acols.begin())
-                            : kNoSource);
+      sym.source.push_back(it != end && *it == c
+                               ? static_cast<std::size_t>(it - acols.begin())
+                               : kNoSource);
       if (c < i) colup[c].push_back({i, level[c]});
       level[c] = kInf;
     }
-    offsets_[i + 1] = cols_.size();
+    sym.offsets[i + 1] = sym.cols.size();
   }
 
   // Column view of the strict-lower entries for the right-looking factor.
-  col_offsets_.assign(n + 1, 0);
+  sym.col_offsets.assign(n + 1, 0);
   for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = offsets_[r]; k + 1 < offsets_[r + 1]; ++k)
-      ++col_offsets_[cols_[k] + 1];
+    for (std::size_t k = sym.offsets[r]; k + 1 < sym.offsets[r + 1]; ++k)
+      ++sym.col_offsets[sym.cols[k] + 1];
   }
-  std::partial_sum(col_offsets_.begin(), col_offsets_.end(),
-                   col_offsets_.begin());
-  col_slots_.resize(col_offsets_[n]);
-  col_rows_.resize(col_offsets_[n]);
-  std::vector<std::size_t> cursor(col_offsets_.begin(),
-                                  col_offsets_.end() - 1);
+  std::partial_sum(sym.col_offsets.begin(), sym.col_offsets.end(),
+                   sym.col_offsets.begin());
+  sym.col_slots.resize(sym.col_offsets[n]);
+  sym.col_rows.resize(sym.col_offsets[n]);
+  std::vector<std::size_t> cursor(sym.col_offsets.begin(),
+                                  sym.col_offsets.end() - 1);
   // Row-major traversal with ascending rows fills each column in
   // ascending-row order.
   for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = offsets_[r]; k + 1 < offsets_[r + 1]; ++k) {
-      const std::size_t c = cols_[k];
-      col_slots_[cursor[c]] = k;
-      col_rows_[cursor[c]] = r;
+    for (std::size_t k = sym.offsets[r]; k + 1 < sym.offsets[r + 1]; ++k) {
+      const std::size_t c = sym.cols[k];
+      sym.col_slots[cursor[c]] = k;
+      sym.col_rows[cursor[c]] = r;
       ++cursor[c];
     }
   }
+  analysis_ = std::move(analysis);
 }
 
 void IcPreconditioner::factor(const CsrMatrix& a, const IcSymbolic* shared) {
   if (shared != nullptr) {
-    VPD_REQUIRE(shared->rows() == a.rows(),
-                "shared IC pattern is for a ", shared->rows(),
-                "-row matrix, got ", a.rows());
-    symbolic_ = shared;
+    VPD_REQUIRE(!shared->empty() &&
+                    shared->analysis_->source_digest == a.structure_digest(),
+                "shared IC pattern was built from another matrix structure "
+                "(a ", shared->rows(), "-row pattern, factoring a ", a.rows(),
+                "-row matrix)");
+    symbolic_ = *shared;
   } else {
-    owned_ = IcSymbolic(a);
-    symbolic_ = &owned_;
+    symbolic_ = IcSymbolic(a);
   }
-  const IcSymbolic& sym = *symbolic_;
-  const std::size_t n = sym.rows();
-  const auto& off = sym.offsets_;
-  const auto& cols = sym.cols_;
+  const IcSymbolic::Analysis& sym = *symbolic_.analysis_;
+  const std::size_t n = sym.offsets.size() - 1;
+  const auto& off = sym.offsets;
+  const auto& cols = sym.cols;
 
-  values_.resize(sym.entry_count());
+  values_.resize(cols.size());
   for (std::size_t k = 0; k < values_.size(); ++k)
     values_[k] =
-        sym.source_[k] == kNoSource ? 0.0 : a.values()[sym.source_[k]];
+        sym.source[k] == kNoSource ? 0.0 : a.values()[sym.source[k]];
   diag_.assign(n, 0.0);
   inv_diag_.assign(n, 0.0);
   ssor_ = false;
@@ -313,7 +353,7 @@ void IcPreconditioner::factor(const CsrMatrix& a, const IcSymbolic* shared) {
   };
   for (std::size_t k = 0; k < n; ++k) {
     const double d = values_[diag_slot(k)];
-    const double a_kk = a.values()[sym.source_[diag_slot(k)]];
+    const double a_kk = a.values()[sym.source[diag_slot(k)]];
     if (!(d > kPivotFloor * std::fabs(a_kk))) {
       setup_ssor(a);
       return;
@@ -322,17 +362,17 @@ void IcPreconditioner::factor(const CsrMatrix& a, const IcSymbolic* shared) {
     values_[diag_slot(k)] = l_kk;
     diag_[k] = l_kk;
     inv_diag_[k] = 1.0 / l_kk;
-    const std::size_t col_begin = sym.col_offsets_[k];
-    const std::size_t col_end = sym.col_offsets_[k + 1];
+    const std::size_t col_begin = sym.col_offsets[k];
+    const std::size_t col_end = sym.col_offsets[k + 1];
     for (std::size_t p = col_begin; p < col_end; ++p)
-      values_[sym.col_slots_[p]] *= inv_diag_[k];
+      values_[sym.col_slots[p]] *= inv_diag_[k];
     for (std::size_t p = col_begin; p < col_end; ++p) {
-      const std::size_t i = sym.col_rows_[p];
-      const double l_ik = values_[sym.col_slots_[p]];
+      const std::size_t i = sym.col_rows[p];
+      const double l_ik = values_[sym.col_slots[p]];
       values_[diag_slot(i)] -= l_ik * l_ik;
       for (std::size_t q = col_begin; q < p; ++q) {
-        const std::size_t j = sym.col_rows_[q];  // j < i: rows ascend
-        const double update = l_ik * values_[sym.col_slots_[q]];
+        const std::size_t j = sym.col_rows[q];  // j < i: rows ascend
+        const double update = l_ik * values_[sym.col_slots[q]];
         const std::size_t slot = find_slot(i, j);
         if (slot != std::size_t(-1)) {
           values_[slot] -= update;
@@ -347,11 +387,11 @@ void IcPreconditioner::factor(const CsrMatrix& a, const IcSymbolic* shared) {
 }
 
 void IcPreconditioner::finalize_apply_arrays() {
-  const IcSymbolic& sym = *symbolic_;
-  const std::size_t n = sym.rows();
+  const IcSymbolic::Analysis& sym = *symbolic_.analysis_;
+  const std::size_t n = sym.offsets.size() - 1;
   n_ = n;
-  const std::size_t lower = sym.col_offsets_[n];
-  VPD_REQUIRE(sym.entry_count() < std::size_t{1} << 32,
+  const std::size_t lower = sym.col_offsets[n];
+  VPD_REQUIRE(sym.cols.size() < std::size_t{1} << 32,
               "IC pattern too large for 32-bit apply indexing");
 
   // Rows are emitted in wavefront (topological level) order: a row's level
@@ -377,8 +417,8 @@ void IcPreconditioner::finalize_apply_arrays() {
   // Forward sweep (L, by rows): row r reads columns < r.
   for (std::size_t r = 0; r < n; ++r) {
     std::uint32_t lv = 0;
-    for (std::size_t k = sym.offsets_[r]; k + 1 < sym.offsets_[r + 1]; ++k)
-      lv = std::max(lv, level[sym.cols_[k]] + 1);
+    for (std::size_t k = sym.offsets[r]; k + 1 < sym.offsets[r + 1]; ++k)
+      lv = std::max(lv, level[sym.cols[k]] + 1);
     level[r] = lv;
   }
   order_by_level();
@@ -391,8 +431,8 @@ void IcPreconditioner::finalize_apply_arrays() {
   for (std::size_t idx = 0; idx < n; ++idx) {
     const std::size_t r = order[idx];
     fwd_row_[idx] = static_cast<std::uint32_t>(r);
-    for (std::size_t k = sym.offsets_[r]; k + 1 < sym.offsets_[r + 1]; ++k) {
-      fwd_cols_[at] = static_cast<std::uint32_t>(sym.cols_[k]);
+    for (std::size_t k = sym.offsets[r]; k + 1 < sym.offsets[r + 1]; ++k) {
+      fwd_cols_[at] = static_cast<std::uint32_t>(sym.cols[k]);
       fwd_vals_[at] = values_[k];
       ++at;
     }
@@ -403,9 +443,9 @@ void IcPreconditioner::finalize_apply_arrays() {
   level.assign(n, 0);
   for (std::size_t r = n; r-- > 0;) {
     std::uint32_t lv = 0;
-    for (std::size_t p = sym.col_offsets_[r]; p < sym.col_offsets_[r + 1];
+    for (std::size_t p = sym.col_offsets[r]; p < sym.col_offsets[r + 1];
          ++p)
-      lv = std::max(lv, level[sym.col_rows_[p]] + 1);
+      lv = std::max(lv, level[sym.col_rows[p]] + 1);
     level[r] = lv;
   }
   order_by_level();
@@ -418,10 +458,10 @@ void IcPreconditioner::finalize_apply_arrays() {
   for (std::size_t idx = 0; idx < n; ++idx) {
     const std::size_t r = order[idx];
     bwd_row_[idx] = static_cast<std::uint32_t>(r);
-    for (std::size_t p = sym.col_offsets_[r]; p < sym.col_offsets_[r + 1];
+    for (std::size_t p = sym.col_offsets[r]; p < sym.col_offsets[r + 1];
          ++p) {
-      bwd_cols_[at] = static_cast<std::uint32_t>(sym.col_rows_[p]);
-      bwd_vals_[at] = values_[sym.col_slots_[p]];
+      bwd_cols_[at] = static_cast<std::uint32_t>(sym.col_rows[p]);
+      bwd_vals_[at] = values_[sym.col_slots[p]];
       ++at;
     }
     bwd_off_[idx + 1] = static_cast<std::uint32_t>(at);
@@ -429,13 +469,13 @@ void IcPreconditioner::finalize_apply_arrays() {
 }
 
 void IcPreconditioner::setup_ssor(const CsrMatrix& a) {
-  const IcSymbolic& sym = *symbolic_;
-  const std::size_t n = sym.rows();
+  const IcSymbolic::Analysis& sym = *symbolic_.analysis_;
+  const std::size_t n = sym.offsets.size() - 1;
   for (std::size_t k = 0; k < values_.size(); ++k)
     values_[k] =
-        sym.source_[k] == kNoSource ? 0.0 : a.values()[sym.source_[k]];
+        sym.source[k] == kNoSource ? 0.0 : a.values()[sym.source[k]];
   for (std::size_t r = 0; r < n; ++r) {
-    const double a_rr = values_[sym.offsets_[r + 1] - 1];
+    const double a_rr = values_[sym.offsets[r + 1] - 1];
     VPD_CHECK_NUMERIC(a_rr > 0.0, "SSOR fallback: diagonal not positive at row ",
                       r, " (value ", a_rr, "); system is not SPD");
     diag_[r] = a_rr;
@@ -481,36 +521,13 @@ void IcPreconditioner::apply(const Vector& r, Vector& z) const {
 CgWorkspace::CgWorkspace() = default;
 CgWorkspace::~CgWorkspace() = default;
 
-namespace {
-
-/// FNV-1a over the matrix shape and index arrays: the structural half of
-/// the workspace's operator key. One 64-bit word instead of a second copy
-/// of the pattern (~half the old key's footprint on large meshes); the
-/// values half stays an exact copy so reuse never changes a result bit.
-std::uint64_t structural_digest(const CsrMatrix& a) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(a.rows());
-  mix(a.cols());
-  for (std::size_t v : a.row_offsets()) mix(v);
-  for (std::size_t v : a.col_indices()) mix(v);
-  return h;
-}
-
-}  // namespace
-
 bool CgWorkspace::key_matches(const CsrMatrix& a) const {
-  return key_valid_ && key_digest_ == structural_digest(a) &&
+  return key_valid_ && key_digest_ == a.structure_digest() &&
          key_values_ == a.values();
 }
 
 void CgWorkspace::capture_key(const CsrMatrix& a) {
-  key_digest_ = structural_digest(a);
+  key_digest_ = a.structure_digest();
   key_values_ = a.values();
   key_valid_ = true;
 }

@@ -8,7 +8,9 @@
 // multigrid (multigrid.hpp; near-mesh-size-independent iteration counts),
 // selectable via CgOptions. A CgWorkspace makes repeated solves
 // allocation-free and reuses the factorization when the matrix values have
-// not changed.
+// not changed. A compiled matrix carries a digest of its sparsity pattern,
+// computed once, so keying solver state to a pattern costs one word
+// compare per solve.
 #pragma once
 
 #include <cstddef>
@@ -72,6 +74,15 @@ class CsrMatrix {
   /// Number of stored entries (stored zeros included).
   std::size_t nonzero_count() const { return values_.size(); }
 
+  /// 64-bit hash of the structure — shape, row offsets and column indices
+  /// — computed once while compiling. The index arrays never change after
+  /// that (add_to_entry and values_mut() edit values only), so copies
+  /// carry the digest, and two matrices compiled from the same pattern
+  /// get equal digests whatever their values. Keys solver state
+  /// (CgWorkspace, IcSymbolic) to a pattern in O(1). 0 for a
+  /// default-constructed matrix.
+  std::uint64_t structure_digest() const { return structure_digest_; }
+
   /// y = A x
   Vector multiply(const Vector& x) const;
 
@@ -116,6 +127,7 @@ class CsrMatrix {
   std::vector<std::size_t> row_offsets_;  // size rows_+1
   std::vector<std::size_t> col_indices_;
   std::vector<double> values_;
+  std::uint64_t structure_digest_{0};
 };
 
 /// Preconditioner for solve_cg.
@@ -150,7 +162,10 @@ const char* to_string(CgPreconditioner preconditioner);
 /// The pattern depends only on the matrix structure, so one IcSymbolic can
 /// be shared by every matrix with that pattern — e.g. cached alongside a
 /// mesh Laplacian whose VR shunt stamps only touch existing diagonal
-/// entries.
+/// entries, and shared by every mesh on the same grid. The analysis is
+/// one immutable block held by shared pointer: copies share it, and it
+/// records the structure digest of the matrix it was built from, which
+/// IcPreconditioner::factor checks against the matrix it factors.
 class IcSymbolic {
  public:
   /// Default fill level: level-1 fill (entries reachable through one
@@ -166,23 +181,32 @@ class IcSymbolic {
   explicit IcSymbolic(const CsrMatrix& a,
                       unsigned fill_level = kDefaultFillLevel);
 
-  bool empty() const { return offsets_.empty(); }
+  bool empty() const { return analysis_ == nullptr; }
   std::size_t rows() const {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
+    return analysis_ ? analysis_->offsets.size() - 1 : 0;
   }
-  std::size_t entry_count() const { return cols_.size(); }
+  std::size_t entry_count() const {
+    return analysis_ ? analysis_->cols.size() : 0;
+  }
 
  private:
   friend class IcPreconditioner;
-  std::vector<std::size_t> offsets_;  // rows+1; row r = [offsets_[r], offsets_[r+1])
-  std::vector<std::size_t> cols_;     // ascending per row; last entry is the diagonal
-  std::vector<std::size_t> source_;   // index into CsrMatrix::values() per slot
-  // Strict-lower entries regrouped by column for the right-looking
-  // factorization: column k = [col_offsets_[k], col_offsets_[k+1]), each
-  // entry naming its storage slot and row (rows ascending per column).
-  std::vector<std::size_t> col_offsets_;  // rows+1
-  std::vector<std::size_t> col_slots_;
-  std::vector<std::size_t> col_rows_;
+  struct Analysis {
+    std::uint64_t source_digest{0};  // CsrMatrix::structure_digest() of A
+    // Row r = [offsets[r], offsets[r+1]) (rows+1 offsets): its columns
+    // ascend and the last is the diagonal; source names each slot's index
+    // into CsrMatrix::values().
+    std::vector<std::size_t> offsets;
+    std::vector<std::size_t> cols;
+    std::vector<std::size_t> source;
+    // Strict-lower entries regrouped by column for the right-looking
+    // factorization: column k = [col_offsets[k], col_offsets[k+1]), each
+    // entry naming its storage slot and row (rows ascending per column).
+    std::vector<std::size_t> col_offsets;  // rows+1
+    std::vector<std::size_t> col_slots;
+    std::vector<std::size_t> col_rows;
+  };
+  std::shared_ptr<const Analysis> analysis_;
 };
 
 /// Numeric IC(0) factorization (with SSOR fallback) over an IcSymbolic
@@ -190,15 +214,16 @@ class IcSymbolic {
 /// apply() evaluates z = M^{-1} r allocation-free.
 class IcPreconditioner {
  public:
-  /// Factors `a`. `shared` supplies a precomputed pattern of `a` (must
-  /// describe exactly a's structure); nullptr builds one on demand.
+  /// Factors `a`. `shared` supplies a precomputed pattern of `a`; nullptr
+  /// builds one on demand. Throws InvalidArgument unless `shared` was
+  /// built from a matrix with a's structure digest (another pattern would
+  /// map its slots onto the wrong entries of a's value array).
   void factor(const CsrMatrix& a, const IcSymbolic* shared = nullptr);
 
   /// z = M^{-1} r. Requires a prior factor(); z is resized to fit.
-  /// Self-contained: reads only state owned by this object, never the
-  /// shared IcSymbolic, so a factorization cached in a CgWorkspace stays
-  /// valid after the shared pattern's owner (e.g. a mesh cache entry) is
-  /// gone.
+  /// Self-contained: the factor holds its own share of the pattern, so a
+  /// factorization cached in a CgWorkspace stays valid after the shared
+  /// pattern's owner (e.g. a mesh cache entry) is gone.
   void apply(const Vector& r, Vector& z) const;
 
   bool empty() const { return fwd_off_.empty(); }
@@ -210,10 +235,7 @@ class IcPreconditioner {
   void setup_ssor(const CsrMatrix& a);
   void finalize_apply_arrays();
 
-  IcSymbolic owned_;  // used when no shared pattern given
-  // &owned_ or the caller's shared pattern. Dereferenced only inside
-  // factor(); may dangle afterwards (see apply()).
-  const IcSymbolic* symbolic_{nullptr};
+  IcSymbolic symbolic_;  // the caller's shared pattern or one built for a
   std::size_t n_{0};  // rows of the factored matrix
   std::vector<double> values_;  // L values (IC) or lower-triangle A (SSOR)
   Vector diag_;                 // L_rr (IC) or A_rr (SSOR)
@@ -252,7 +274,8 @@ struct CgOptions {
   CgPreconditioner preconditioner{CgPreconditioner::kJacobi};
   /// Optional precomputed lower-triangle pattern of the matrix for
   /// kIncompleteCholesky (e.g. cached next to a mesh Laplacian whose
-  /// stamps never change the pattern). nullptr builds it at factor time.
+  /// stamps never change the pattern). nullptr builds it at factor time;
+  /// a pattern built from another structure throws InvalidArgument.
   const IcSymbolic* ic_symbolic{nullptr};
   /// Grid-derived multigrid hierarchy for kMultigrid (cached next to a
   /// mesh Laplacian like ic_symbolic; see AssembledMesh::mg_symbolic).
@@ -267,11 +290,13 @@ struct CgOptions {
 /// Reusable solver state: the iteration vectors, the
 /// operator-derived scalars (||A||_inf, the SPD diagonal check, the Jacobi
 /// inverse diagonal), and the most recent IC(0)/SSOR or multigrid setup,
-/// all keyed to the matrix they were computed from. The key is a
-/// structural digest of the pattern (FNV-1a over shape + row offsets +
-/// column indices) plus an exact copy of the values — pattern storage is
-/// one hash instead of a second copy of the index arrays, while the exact
-/// value comparison still guarantees reuse can never change a result bit.
+/// all keyed to the matrix they were computed from. The key is the
+/// matrix's structure digest (CsrMatrix::structure_digest(), computed once
+/// when the pattern was compiled) plus an exact copy of the values — the
+/// pattern check is one word compare instead of a pass over the index
+/// arrays, while the exact value comparison still guarantees reuse can
+/// never change a result bit. The key names a pattern, not an object: a
+/// copy, or a matrix compiled separately from the same triplets, hits it.
 /// A repeat solve on a value-identical matrix — the common case in fault
 /// campaigns re-solving the same stamped operator and in warm-started
 /// sweeps — skips the diagonal scan and norm recompute and reuses the
@@ -313,7 +338,7 @@ class CgWorkspace {
   IcPreconditioner ic_;
   std::unique_ptr<MgPreconditioner> mg_;  // lazily constructed
   FactorKind factored_{FactorKind::kNone};  // kind the cached setup is for
-  // Operator key: structural digest + exact value copy (see class doc).
+  // Operator key: structure digest + exact value copy (see class doc).
   std::uint64_t key_digest_{0};
   std::vector<double> key_values_;
   bool key_valid_{false};

@@ -10,13 +10,7 @@ std::shared_ptr<const AssembledMesh> assemble_mesh(Length width,
                                                    std::size_t nx,
                                                    std::size_t ny,
                                                    double sheet_ohms) {
-  GridMesh mesh(width, height, nx, ny, sheet_ohms);
-  CsrMatrix laplacian(mesh.laplacian());
-  IcSymbolic symbolic(laplacian);
-  MgSymbolic hierarchy(nx, ny);
-  return std::make_shared<const AssembledMesh>(
-      AssembledMesh{mesh, std::move(laplacian), std::move(symbolic),
-                    std::move(hierarchy)});
+  return assemble_mesh(width, height, nx, ny, sheet_ohms, MeshPerturbation{});
 }
 
 std::shared_ptr<const AssembledMesh> assemble_mesh(
@@ -30,7 +24,7 @@ std::shared_ptr<const AssembledMesh> assemble_mesh(
   // recomputed from the stamped operator at factor time.
   MgSymbolic hierarchy(nx, ny);
   return std::make_shared<const AssembledMesh>(
-      AssembledMesh{mesh, std::move(laplacian), std::move(symbolic),
+      AssembledMesh{std::move(mesh), std::move(laplacian), std::move(symbolic),
                     std::move(hierarchy)});
 }
 
@@ -63,6 +57,44 @@ bool MeshSolveCache::Key::operator<(const Key& o) const {
                   o.perturbation_digest);
 }
 
+bool MeshSolveCache::GridKey::operator<(const GridKey& o) const {
+  return std::tie(nx, ny, structure_digest) <
+         std::tie(o.nx, o.ny, o.structure_digest);
+}
+
+template <class K, class T, class Lookup, class Build>
+T MeshSolveCache::get_once(std::map<K, Slot<T>>& slots, const K& key,
+                           Lookup lookup, Build build) {
+  std::promise<T> promise;
+  std::uint64_t claim = 0;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto it = slots.find(key);
+    if (it != slots.end()) {
+      lookup(true);
+      const std::shared_future<T> pending = it->second.value;
+      lock.unlock();
+      return pending.get();  // waits for an in-flight build; rethrows
+    }
+    lookup(false);
+    claim = ++builds_;
+    slots.emplace(key, Slot<T>{promise.get_future().share(), claim});
+  }
+  try {
+    T value = build();
+    promise.set_value(value);
+    return value;
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      const auto it = slots.find(key);
+      if (it != slots.end() && it->second.build == claim) slots.erase(it);
+    }
+    promise.set_exception(std::current_exception());
+    throw;
+  }
+}
+
 std::shared_ptr<const AssembledMesh> MeshSolveCache::get(
     Length width, Length height, std::size_t nx, std::size_t ny,
     double sheet_ohms, obs::TraceContext trace) {
@@ -75,24 +107,34 @@ std::shared_ptr<const AssembledMesh> MeshSolveCache::get(
     obs::TraceContext trace) {
   const Key key{width.value, height.value, nx, ny, sheet_ohms,
                 mesh_perturbation_digest(perturbation)};
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    ++stats_.hits;
-    obs::count(obs::Work::kMeshHits);
-    return it->second;
-  }
-  // Assemble under the lock: concurrent requests for the same key wait and
-  // then hit, so each mesh is built exactly once per cache lifetime.
-  ++stats_.misses;
-  obs::count(obs::Work::kMeshMisses);
-  obs::Span span("mesh.assemble", trace);
-  span.set_arg("nx", double(nx));
-  span.set_arg("ny", double(ny));
-  auto assembled =
-      assemble_mesh(width, height, nx, ny, sheet_ohms, perturbation);
-  entries_.emplace(key, assembled);
-  return assembled;
+  const auto count = [this](bool hit) {
+    if (hit) {
+      ++stats_.hits;
+      obs::count(obs::Work::kMeshHits);
+    } else {
+      ++stats_.misses;
+      obs::count(obs::Work::kMeshMisses);
+    }
+  };
+  const auto assemble = [&] {
+    obs::Span span("mesh.assemble", trace);
+    span.set_arg("nx", double(nx));
+    span.set_arg("ny", double(ny));
+    GridMesh mesh(width, height, nx, ny, sheet_ohms, perturbation);
+    CsrMatrix laplacian(mesh.laplacian());
+    // Same routine as assemble_mesh, but the symbolic analyses come from
+    // the grid's shared copy (built here if this is the grid's first key).
+    const GridAnalysis analysis =
+        get_once(grids_, GridKey{nx, ny, laplacian.structure_digest()},
+                 [](bool) {}, [&] {
+                   return GridAnalysis{IcSymbolic(laplacian),
+                                       MgSymbolic(nx, ny)};
+                 });
+    return std::make_shared<const AssembledMesh>(
+        AssembledMesh{std::move(mesh), std::move(laplacian), analysis.ic,
+                      analysis.mg});
+  };
+  return get_once(entries_, key, count, assemble);
 }
 
 MeshSolveCache::Stats mesh_cache_stats(const obs::WorkAccount& account) {
@@ -110,9 +152,15 @@ std::size_t MeshSolveCache::size() const {
   return entries_.size();
 }
 
+std::size_t MeshSolveCache::analyses() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return grids_.size();
+}
+
 void MeshSolveCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
+  grids_.clear();
   stats_ = Stats{};
 }
 

@@ -1,11 +1,16 @@
 // MeshSolveCache: keying, hit/miss accounting, identity of shared
-// operators, and equivalence with per-call assembly (the property the
-// sweep engine's bit-identical guarantee rests on).
+// operators, one symbolic analysis per grid, concurrent getters (each key
+// built once, outside the lock; a failed build reaches every waiter), and
+// equivalence with per-call assembly (the property the sweep engine's
+// bit-identical guarantee rests on). Runs in the `solver` executable, so
+// the sanitizer jobs cover the concurrent cases.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
+#include "vpd/common/error.hpp"
 #include "vpd/package/irdrop.hpp"
 #include "vpd/package/mesh_cache.hpp"
 
@@ -131,31 +136,134 @@ TEST(MeshSolveCache, PerturbedCachedAssemblyMatchesDirectAssembly) {
   const MeshPerturbation damage{
       EdgeScaleRegion{1.0_mm, 1.0_mm, 5.0_mm, 3.0_mm, 0.25}};
   MeshSolveCache cache;
+  // The nominal key comes first, so the perturbed key takes the grid
+  // analysis built from the nominal Laplacian; the direct assembly builds
+  // its own.
+  const auto nominal = cache.get(10.0_mm, 10.0_mm, 21, 21, 2e-3);
   const auto cached = cache.get(10.0_mm, 10.0_mm, 21, 21, 2e-3, damage);
+  EXPECT_EQ(cache.analyses(), 1u);
   const auto direct = assemble_mesh(10.0_mm, 10.0_mm, 21, 21, 2e-3, damage);
   ASSERT_EQ(cached->laplacian.nonzero_count(),
             direct->laplacian.nonzero_count());
   EXPECT_EQ(cached->laplacian.values(), direct->laplacian.values());
   EXPECT_EQ(cached->laplacian.col_indices(), direct->laplacian.col_indices());
+
+  // Solves through the cache are bit-identical to solves on the direct
+  // assembly, with both preconditioners that use a symbolic analysis. A
+  // nominal solve between the two forces the direct solve to refactor
+  // instead of reusing the cached solve's factorization.
+  const std::vector<VrAttachment> vrs{
+      {cached->mesh.node(10, 0), 1.0_V, Resistance{1e-4}},
+      {cached->mesh.node(10, 20), 1.0_V, Resistance{1e-4}}};
+  const Vector sinks(cached->mesh.node_count(),
+                     50.0 / cached->mesh.node_count());
+  for (CgPreconditioner preconditioner :
+       {CgPreconditioner::kIncompleteCholesky, CgPreconditioner::kMultigrid}) {
+    IrDropOptions options;
+    options.warm_start_voltage = 1.0;
+    options.preconditioner = preconditioner;
+    const IrDropResult via_cache = solve_irdrop(*cached, vrs, sinks, options);
+    (void)solve_irdrop(*nominal, vrs, sinks, options);
+    const IrDropResult via_direct = solve_irdrop(*direct, vrs, sinks, options);
+    EXPECT_EQ(via_cache.node_voltages, via_direct.node_voltages)
+        << to_string(preconditioner);
+    EXPECT_EQ(via_cache.vr_currents, via_direct.vr_currents)
+        << to_string(preconditioner);
+    EXPECT_EQ(via_cache.cg_iterations, via_direct.cg_iterations)
+        << to_string(preconditioner);
+  }
 }
 
 TEST(MeshSolveCache, ConcurrentGettersBuildEachKeyOnce) {
+  // Three nominal keys (two on one grid) and three perturbations of that
+  // grid, fetched by 8 threads in rotated orders: each key is built once
+  // and every getter of a key sees that one object.
+  struct Request {
+    Length side;
+    std::size_t nodes;
+    double sheet;
+    MeshPerturbation perturbation;
+  };
+  const std::vector<Request> requests{
+      {10.0_mm, 21, 2e-3, {}},
+      {10.0_mm, 21, 4e-3, {}},
+      {12.0_mm, 15, 2e-3, {}},
+      {10.0_mm, 21, 2e-3, {EdgeScaleRegion{1.0_mm, 1.0_mm, 5.0_mm, 3.0_mm,
+                                           0.25}}},
+      {10.0_mm, 21, 2e-3, {EdgeScaleRegion{4.0_mm, 4.0_mm, 6.0_mm, 6.0_mm,
+                                           0.0}}},
+      {10.0_mm, 21, 2e-3, {EdgeScaleRegion{0.0_mm, 0.0_mm, 10.0_mm,
+                                           2.0_mm, 1.5}}}};
+  const std::size_t keys = requests.size();
   MeshSolveCache cache;
-  constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const AssembledMesh>> seen(kThreads);
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::vector<std::shared_ptr<const AssembledMesh>>> seen(
+      kThreads, std::vector<std::shared_ptr<const AssembledMesh>>(keys));
   {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&cache, &seen, t] {
-        seen[t] = cache.get(10.0_mm, 10.0_mm, 21, 21, 2e-3);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = 0; i < keys; ++i) {
+          const std::size_t k = (i + t) % keys;
+          const Request& r = requests[k];
+          seen[t][k] = cache.get(r.side, r.side, r.nodes, r.nodes, r.sheet,
+                                 r.perturbation);
+        }
       });
     }
     for (std::thread& th : threads) th.join();
   }
-  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[0].get(), seen[t].get());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, static_cast<std::size_t>(kThreads - 1));
+  for (std::size_t k = 0; k < keys; ++k) {
+    ASSERT_NE(seen[0][k], nullptr) << "key " << k;
+    for (std::size_t t = 1; t < kThreads; ++t)
+      EXPECT_EQ(seen[0][k].get(), seen[t][k].get()) << "key " << k;
+    for (std::size_t other = 0; other < k; ++other)
+      EXPECT_NE(seen[0][k].get(), seen[0][other].get());
+  }
+  EXPECT_EQ(cache.stats().misses, keys);
+  EXPECT_EQ(cache.stats().hits, kThreads * keys - keys);
+  EXPECT_EQ(cache.size(), keys);
+  EXPECT_EQ(cache.analyses(), 2u);  // the 21x21 grid and the 15x15 grid
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.analyses(), 0u);
+}
+
+TEST(MeshSolveCache, FailedBuildReachesEveryWaiterAndLeavesNoEntry) {
+  // A zero sheet resistance makes the build throw. Two getters released
+  // together race on that key: the one that misses builds and throws, the
+  // other either waits on that build and rethrows its error or, arriving
+  // after the failed slot is gone, misses and throws itself. Either way
+  // both throw, neither hangs, and nothing stays cached.
+  MeshSolveCache cache;
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> ready{0};
+    std::atomic<int> thrown{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&] {
+        ++ready;
+        while (ready.load() < 2) std::this_thread::yield();
+        try {
+          (void)cache.get(10.0_mm, 10.0_mm, 21, 21, 0.0);
+        } catch (const InvalidArgument&) {
+          ++thrown;
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(thrown.load(), 2) << "round " << round;
+    EXPECT_EQ(cache.size(), 0u) << "round " << round;
+  }
+  EXPECT_EQ(cache.analyses(), 0u);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses,
+            static_cast<std::size_t>(2 * kRounds));
+  // The failure poisons nothing: a valid key still builds and hits.
+  const auto mesh = cache.get(10.0_mm, 10.0_mm, 21, 21, 2e-3);
+  EXPECT_EQ(mesh.get(), cache.get(10.0_mm, 10.0_mm, 21, 21, 2e-3).get());
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace

@@ -159,9 +159,87 @@ TEST(SolverCore, SharedSymbolicPatternIsBitIdenticalToOwned) {
   EXPECT_EQ(owned.x, shared.x);
 }
 
+TEST(SolverCore, RejectsSharedPatternOfAnotherMatrix) {
+  // A 64x64 tridiagonal matrix and an 8x8 five-point Laplacian have the
+  // same size but different patterns. The Laplacian's IC pattern maps its
+  // slots onto value indices the tridiagonal matrix does not have, so it
+  // must be rejected, never factored.
+  TripletList tridiagonal(64, 64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    tridiagonal.add(i, i, 4.0);
+    if (i + 1 < 64) {
+      tridiagonal.add(i, i + 1, -1.0);
+      tridiagonal.add(i + 1, i, -1.0);
+    }
+  }
+  const CsrMatrix a(tridiagonal);
+  Rng rng(79);
+  const IcSymbolic other(random_spd_laplacian(rng, 8, 8, 2));
+  ASSERT_EQ(other.rows(), a.rows());
+  const Vector b(a.rows(), 1.0);
+
+  IcPreconditioner precond;
+  EXPECT_THROW(precond.factor(a, &other), InvalidArgument);
+  CgOptions options;
+  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
+  options.ic_symbolic = &other;
+  EXPECT_THROW(solve_cg(a, b, options), InvalidArgument);
+
+  // Positive control: the matrix's own pattern is accepted.
+  const IcSymbolic own(a);
+  precond.factor(a, &own);
+  EXPECT_FALSE(precond.ssor_fallback());
+  options.ic_symbolic = &own;
+  EXPECT_TRUE(solve_cg(a, b, options).converged);
+}
+
 // ---------------------------------------------------------------------------
 // Workspace reuse and batched solves
 // ---------------------------------------------------------------------------
+
+TEST(SolverCore, StructureDigestFollowsThePatternOnly) {
+  Rng rng(83);
+  const CsrMatrix a = random_spd_laplacian(rng, 8, 8, 3);
+
+  // Copies carry the digest, and value edits keep it.
+  CsrMatrix edited = a;
+  EXPECT_EQ(edited.structure_digest(), a.structure_digest());
+  edited.add_to_entry(0, 0, 0.5);
+  edited.values_mut()[1] *= 2.0;
+  EXPECT_EQ(edited.structure_digest(), a.structure_digest());
+
+  // Compiled separately from the same triplets: equal digests, and one
+  // workspace reuses its factorization across the two objects — the key
+  // names a pattern and its values, not an object.
+  Rng twin_rng(83);
+  const CsrMatrix twin = random_spd_laplacian(twin_rng, 8, 8, 3);
+  ASSERT_EQ(twin.values(), a.values());
+  EXPECT_EQ(twin.structure_digest(), a.structure_digest());
+  const Vector b = random_vector(rng, a.rows());
+  CgOptions options;
+  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
+  CgWorkspace ws;
+  obs::WorkAccount account;
+  const obs::WorkAccount::Scope scope(&account);
+  const CgResult first = solve_cg(a, b, options, ws);
+  const CgResult second = solve_cg(twin, b, options, ws);
+  EXPECT_EQ(solver_counters(account).precond_factorizations, 1u);
+  EXPECT_EQ(solver_counters(account).precond_reuses, 1u);
+  EXPECT_EQ(first.x, second.x);
+
+  // A different pattern of the same size gets a different digest.
+  TripletList tridiagonal(a.rows(), a.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    tridiagonal.add(i, i, 4.0);
+    if (i + 1 < a.rows()) {
+      tridiagonal.add(i, i + 1, -1.0);
+      tridiagonal.add(i + 1, i, -1.0);
+    }
+  }
+  const CsrMatrix other(tridiagonal);
+  ASSERT_EQ(other.rows(), a.rows());
+  EXPECT_NE(other.structure_digest(), a.structure_digest());
+}
 
 TEST(SolverCore, WorkspaceReusesFactorizationOnIdenticalMatrix) {
   Rng rng(3);

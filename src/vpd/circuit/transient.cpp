@@ -1,7 +1,9 @@
 #include "vpd/circuit/transient.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -40,23 +42,24 @@ std::size_t TransientFactorCache::size() const {
 
 TransientResult::TransientResult(const Netlist& netlist,
                                  std::vector<double> times,
-                                 std::vector<Vector> node_voltages,
-                                 std::vector<Vector> element_currents)
+                                 std::vector<double> node_voltages,
+                                 std::vector<double> element_currents)
     : netlist_(&netlist),
+      node_count_(netlist.node_count()),
+      element_count_(netlist.element_count()),
       times_(std::move(times)),
       node_voltages_(std::move(node_voltages)),
       element_currents_(std::move(element_currents)) {
-  VPD_REQUIRE(times_.size() == node_voltages_.size() &&
-                  times_.size() == element_currents_.size(),
+  VPD_REQUIRE(node_voltages_.size() == times_.size() * node_count_ &&
+                  element_currents_.size() == times_.size() * element_count_,
               "inconsistent sample counts");
 }
 
 Trace TransientResult::voltage(NodeId node) const {
-  VPD_REQUIRE(node < netlist_->node_count(), "node id ", node,
-              " out of range");
+  VPD_REQUIRE(node < node_count_, "node id ", node, " out of range");
   std::vector<double> values(times_.size());
   for (std::size_t i = 0; i < times_.size(); ++i)
-    values[i] = node_voltages_[i][node];
+    values[i] = node_voltages_[i * node_count_ + node];
   return Trace("v(" + netlist_->node_name(node) + ")", times_, std::move(values));
 }
 
@@ -65,11 +68,11 @@ Trace TransientResult::voltage(const std::string& node_name) const {
 }
 
 Trace TransientResult::current(ElementId element) const {
-  VPD_REQUIRE(element < netlist_->element_count(), "element id ", element,
+  VPD_REQUIRE(element < element_count_, "element id ", element,
               " out of range");
   std::vector<double> values(times_.size());
   for (std::size_t i = 0; i < times_.size(); ++i)
-    values[i] = element_currents_[i][element];
+    values[i] = element_currents_[i * element_count_ + element];
   return Trace("i(" + netlist_->element(element).name + ")", times_,
                std::move(values));
 }
@@ -79,12 +82,14 @@ Trace TransientResult::current(const std::string& element_name) const {
 }
 
 Trace TransientResult::power(ElementId element) const {
+  VPD_REQUIRE(element < element_count_, "element id ", element,
+              " out of range");
   const Element& e = netlist_->element(element);
   std::vector<double> values(times_.size());
   for (std::size_t i = 0; i < times_.size(); ++i) {
-    const double v_ab =
-        node_voltages_[i][e.node_a] - node_voltages_[i][e.node_b];
-    values[i] = v_ab * element_currents_[i][element];
+    const double* v = &node_voltages_[i * node_count_];
+    const double v_ab = v[e.node_a] - v[e.node_b];
+    values[i] = v_ab * element_currents_[i * element_count_ + element];
   }
   return Trace("p(" + e.name + ")", times_, std::move(values));
 }
@@ -115,6 +120,63 @@ struct ReactiveState {
   Vector ind_current;     // i_ab through each inductor
   Vector ind_voltage;     // v_ab across each inductor
 };
+
+/// MNA rows of one element, resolved once before stepping.
+struct ElementRows {
+  std::size_t a{MnaLayout::kNoRow};       // node_a's row; kNoRow for ground
+  std::size_t b{MnaLayout::kNoRow};       // node_b's row; kNoRow for ground
+  std::size_t branch{MnaLayout::kNoRow};  // V source / inductor branch row
+  std::size_t switch_index{0};            // switches only: SwitchStates slot
+};
+
+/// Step counts from 2^53 on are refused: beyond it neither the count nor
+/// the sample times step * dt are exact doubles.
+constexpr double kStepCountLimit = 9007199254740992.0;  // 2^53
+
+struct StepSchedule {
+  std::size_t full_steps{0};
+  double remainder{0.0};  // length of the shortened final step; 0 if none
+
+  std::size_t steps() const { return full_steps + (remainder > 0.0 ? 1 : 0); }
+};
+
+/// Full steps of dt plus, when dt does not divide t_stop, one shortened
+/// final step, so the last sample lands exactly on t_stop.
+StepSchedule schedule_steps(double t_stop, double dt) {
+  VPD_REQUIRE(t_stop > 0.0, "t_stop must be positive, got ", t_stop);
+  VPD_REQUIRE(dt > 0.0 && dt < t_stop, "dt must be in (0, t_stop), got ", dt);
+  // Checked before the cast: converting a quotient that size_t cannot
+  // hold (or an infinite one) is undefined behaviour.
+  const double full = std::floor(t_stop / dt);
+  VPD_REQUIRE(full < kStepCountLimit, "t_stop / dt = ", t_stop / dt,
+              " steps; the step count must stay below 2^53");
+  StepSchedule schedule;
+  schedule.full_steps = static_cast<std::size_t>(full);
+  schedule.remainder =
+      t_stop - static_cast<double>(schedule.full_steps) * dt;
+  if (schedule.remainder <= 1e-9 * dt) {
+    // dt divides t_stop (up to FP slop): no partial step.
+    schedule.remainder = 0.0;
+  } else if (schedule.remainder >= (1.0 - 1e-9) * dt) {
+    // floor() landed one full step short of an exact multiple.
+    ++schedule.full_steps;
+    schedule.remainder = 0.0;
+  }
+  VPD_REQUIRE(static_cast<double>(schedule.steps()) < kStepCountLimit,
+              "t_stop / dt = ", t_stop / dt,
+              " steps; the step count must stay below 2^53");
+  return schedule;
+}
+
+/// samples * per_sample doubles, refused when the product would wrap.
+std::size_t record_size(std::size_t samples, std::size_t per_sample) {
+  VPD_REQUIRE(per_sample == 0 ||
+                  samples <= std::numeric_limits<std::size_t>::max() /
+                                 per_sample,
+              "a record of ", samples, " samples of ", per_sample,
+              " values overflows size_t");
+  return samples * per_sample;
+}
 
 /// Appends the bit pattern of a double to a cache key (exact match, no
 /// formatting round-trip).
@@ -159,21 +221,41 @@ std::string netlist_matrix_key(const Netlist& netlist, double gmin) {
 
 }  // namespace
 
+std::size_t transient_step_count(Seconds t_stop, Seconds dt) {
+  return schedule_steps(t_stop.value, dt.value).steps();
+}
+
 TransientResult simulate(const Netlist& netlist,
                          const TransientOptions& options) {
   const double t_stop = options.t_stop.value;
   const double dt = options.dt.value;
-  VPD_REQUIRE(t_stop > 0.0, "t_stop must be positive, got ", t_stop);
-  VPD_REQUIRE(dt > 0.0 && dt < t_stop, "dt must be in (0, t_stop), got ", dt);
+  // Step times are multiples of dt (never accumulated), so long runs do
+  // not drift.
+  const StepSchedule schedule = schedule_steps(t_stop, dt);
+  const std::size_t n_steps = schedule.steps();
+  const double remainder = schedule.remainder;
 
   const MnaLayout layout(netlist);
-  const std::size_t n_elements = netlist.element_count();
-  const std::vector<ElementId> switch_ids = netlist.switches();
+  const std::vector<Element>& elements = netlist.elements();
+  const std::size_t n_nodes = netlist.node_count();
+  const std::size_t n_elements = elements.size();
+
+  std::vector<ElementRows> rows(n_elements);
+  {
+    std::size_t next_switch = 0;
+    for (std::size_t i = 0; i < n_elements; ++i) {
+      const Element& e = elements[i];
+      rows[i].a = layout.node_row(e.node_a);
+      rows[i].b = layout.node_row(e.node_b);
+      if (layout.has_branch(i)) rows[i].branch = layout.branch_row(i);
+      if (e.kind == ElementKind::kSwitch) rows[i].switch_index = next_switch++;
+    }
+  }
 
   SwitchStates states = initial_switch_states(netlist);
 
   // --- Initial conditions ---------------------------------------------------
-  Vector v_nodes(netlist.node_count(), 0.0);
+  Vector v_nodes(n_nodes, 0.0);
   ReactiveState rs;
   rs.cap_voltage.assign(n_elements, 0.0);
   rs.cap_current.assign(n_elements, 0.0);
@@ -185,10 +267,9 @@ TransientResult simulate(const Netlist& netlist,
     dc.gmin = std::max(options.gmin, 1e-12);
     dc.switch_states = states;
     const DcSolution op = solve_dc(netlist, dc);
-    for (NodeId n = 0; n < netlist.node_count(); ++n)
-      v_nodes[n] = op.voltage(n).value;
+    for (NodeId n = 0; n < n_nodes; ++n) v_nodes[n] = op.voltage(n).value;
     for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
+      const Element& e = elements[i];
       if (e.kind == ElementKind::kCapacitor)
         rs.cap_voltage[i] = v_nodes[e.node_a] - v_nodes[e.node_b];
       if (e.kind == ElementKind::kInductor) {
@@ -198,7 +279,7 @@ TransientResult simulate(const Netlist& netlist,
     }
   } else {
     for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
+      const Element& e = elements[i];
       if (e.kind == ElementKind::kCapacitor) rs.cap_voltage[i] = e.initial;
       if (e.kind == ElementKind::kInductor) rs.ind_current[i] = e.initial;
     }
@@ -206,10 +287,9 @@ TransientResult simulate(const Netlist& netlist,
     // replaced by voltage sources at their initial voltage and inductors by
     // current sources at their initial current.
     Netlist snapshot;
-    for (NodeId n = 1; n < netlist.node_count(); ++n)
+    for (NodeId n = 1; n < n_nodes; ++n)
       snapshot.add_node(netlist.node_name(n));
-    for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
+    for (const Element& e : elements) {
       switch (e.kind) {
         case ElementKind::kCapacitor:
           snapshot.add_vsource(e.name, e.node_a, e.node_b,
@@ -239,10 +319,9 @@ TransientResult simulate(const Netlist& netlist,
     DcOptions dc;
     dc.gmin = std::max(options.gmin, 1e-12);
     const DcSolution t0 = solve_dc(snapshot, dc);
-    for (NodeId n = 0; n < netlist.node_count(); ++n)
-      v_nodes[n] = t0.voltage(n).value;
+    for (NodeId n = 0; n < n_nodes; ++n) v_nodes[n] = t0.voltage(n).value;
     for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
+      const Element& e = elements[i];
       // Inrush current through each capacitor (its substitute V source)
       // and initial voltage across each inductor seed the trapezoidal
       // history with consistent values.
@@ -253,77 +332,23 @@ TransientResult simulate(const Netlist& netlist,
     }
   }
 
-  // --- Step schedule ---------------------------------------------------------
-  // Full steps of dt plus, when dt does not divide t_stop, one shortened
-  // final step, so the last sample lands exactly on t_stop. Step times are
-  // multiples of dt (never accumulated), so long runs do not drift.
-  std::size_t n_full = static_cast<std::size_t>(std::floor(t_stop / dt));
-  double remainder = t_stop - static_cast<double>(n_full) * dt;
-  if (remainder <= 1e-9 * dt) {
-    // dt divides t_stop (up to FP slop): no partial step.
-    remainder = 0.0;
-  } else if (remainder >= (1.0 - 1e-9) * dt) {
-    // floor() landed one full step short of an exact multiple.
-    ++n_full;
-    remainder = 0.0;
-  }
-  const std::size_t n_steps = n_full + (remainder > 0.0 ? 1 : 0);
-
   // --- Recording -------------------------------------------------------------
+  // Flat and sample-major (see TransientResult), reserved up front, so
+  // recording a step appends without allocating.
+  const std::size_t n_samples = n_steps + 1;
   std::vector<double> times;
-  std::vector<Vector> node_voltages;
-  std::vector<Vector> element_currents;
-  times.reserve(n_steps + 1);
-  node_voltages.reserve(n_steps + 1);
-  element_currents.reserve(n_steps + 1);
-
-  auto compute_currents = [&](double t, const Vector& v,
-                              const ReactiveState& state,
-                              const Vector& branch,
-                              const SwitchStates& sw) {
-    Vector currents(n_elements, 0.0);
-    std::size_t sw_pos = 0;
-    for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
-      const double v_ab = v[e.node_a] - v[e.node_b];
-      switch (e.kind) {
-        case ElementKind::kResistor:
-          currents[i] = v_ab / e.value;
-          break;
-        case ElementKind::kSwitch:
-          currents[i] = v_ab / switch_resistance(e, sw[sw_pos]);
-          ++sw_pos;
-          break;
-        case ElementKind::kCapacitor:
-          currents[i] = state.cap_current[i];
-          break;
-        case ElementKind::kInductor:
-          currents[i] = state.ind_current[i];
-          break;
-        case ElementKind::kVoltageSource:
-          currents[i] = branch[layout.branch_row(i) -
-                               layout.node_unknowns()];
-          break;
-        case ElementKind::kCurrentSource:
-          currents[i] = e.source(t);
-          break;
-      }
-    }
-    return currents;
-  };
-
-  auto record = [&](double t, const Vector& v, Vector currents) {
-    times.push_back(t);
-    node_voltages.push_back(v);
-    element_currents.push_back(std::move(currents));
-  };
+  std::vector<double> node_voltages;
+  std::vector<double> element_currents;
+  times.reserve(n_samples);
+  node_voltages.reserve(record_size(n_samples, n_nodes));
+  element_currents.reserve(record_size(n_samples, n_elements));
 
   // The t = 0 sample: currents come from the initialization solve so the
   // energy bookkeeping starts consistent (source inrush currents included).
   {
     Vector currents0(n_elements, 0.0);
     for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
+      const Element& e = elements[i];
       switch (e.kind) {
         case ElementKind::kCapacitor:
           currents0[i] = rs.cap_current[i];
@@ -335,19 +360,13 @@ TransientResult simulate(const Netlist& netlist,
           currents0[i] = e.source(0.0);
           break;
         default: {
-          // Resistive elements and V-source branch currents follow from the
-          // initial node voltages by KCL; approximate the V-source current
-          // from the adjacent resistive elements is fragile, so recompute
-          // via initial_currents_ set below where available.
+          // Resistive elements follow from the initial node voltages;
+          // V-source currents are filled in by KCL below.
           const double v_ab = v_nodes[e.node_a] - v_nodes[e.node_b];
           if (e.kind == ElementKind::kResistor) currents0[i] = v_ab / e.value;
           if (e.kind == ElementKind::kSwitch) {
-            std::size_t sw_pos = 0;
-            for (ElementId id : switch_ids) {
-              if (id == i) break;
-              ++sw_pos;
-            }
-            currents0[i] = v_ab / switch_resistance(e, states[sw_pos]);
+            currents0[i] = v_ab / switch_resistance(
+                                      e, states[rows[i].switch_index]);
           }
           break;
         }
@@ -356,21 +375,24 @@ TransientResult simulate(const Netlist& netlist,
     // V-source currents at t = 0 from KCL: the branch current equals the
     // negated sum of all other element currents leaving the source's + node.
     for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
+      const Element& e = elements[i];
       if (e.kind != ElementKind::kVoltageSource) continue;
       double leaving = 0.0;
       for (std::size_t j = 0; j < n_elements; ++j) {
         if (j == i) continue;
-        const Element& other = netlist.element(j);
+        const Element& other = elements[j];
         if (other.node_a == e.node_a) leaving += currents0[j];
         if (other.node_b == e.node_a) leaving -= currents0[j];
       }
       currents0[i] = -leaving;
     }
-    record(0.0, v_nodes, std::move(currents0));
+    times.push_back(0.0);
+    node_voltages.insert(node_voltages.end(), v_nodes.begin(), v_nodes.end());
+    element_currents.insert(element_currents.end(), currents0.begin(),
+                            currents0.end());
   }
 
-  // --- LU cache keyed by (step size, method, switch states) -----------------
+  // --- LU factorizations keyed by (step size, method, switch states) --------
   // The MNA matrix depends only on (topology, h, method, switch states);
   // sources and history enter through the RHS. PWM simulations revisit a
   // handful of patterns thousands of times. With a shared factor_cache the
@@ -385,17 +407,16 @@ TransientResult simulate(const Netlist& netlist,
   auto build_matrix = [&](IntegrationMethod method, double h,
                           const SwitchStates& sw) -> Matrix {
     MnaStamper stamper(layout);
-    std::size_t sw_pos = 0;
     for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
+      const Element& e = elements[i];
       switch (e.kind) {
         case ElementKind::kResistor:
           stamper.stamp_conductance(e.node_a, e.node_b, 1.0 / e.value);
           break;
         case ElementKind::kSwitch:
-          stamper.stamp_conductance(e.node_a, e.node_b,
-                                    1.0 / switch_resistance(e, sw[sw_pos]));
-          ++sw_pos;
+          stamper.stamp_conductance(
+              e.node_a, e.node_b,
+              1.0 / switch_resistance(e, sw[rows[i].switch_index]));
           break;
         case ElementKind::kCapacitor: {
           const double g = (method == IntegrationMethod::kBackwardEuler
@@ -408,13 +429,13 @@ TransientResult simulate(const Netlist& netlist,
           const double r_eq = (method == IntegrationMethod::kBackwardEuler
                                    ? e.value / h
                                    : 2.0 * e.value / h);
-          stamper.stamp_inductor_branch(layout.branch_row(i), e.node_a,
-                                        e.node_b, r_eq, 0.0);
+          stamper.stamp_inductor_branch(rows[i].branch, e.node_a, e.node_b,
+                                        r_eq, 0.0);
           break;
         }
         case ElementKind::kVoltageSource:
-          stamper.stamp_voltage_source(layout.branch_row(i), e.node_a,
-                                       e.node_b, 0.0);
+          stamper.stamp_voltage_source(rows[i].branch, e.node_a, e.node_b,
+                                       0.0);
           break;
         case ElementKind::kCurrentSource:
           break;
@@ -424,6 +445,8 @@ TransientResult simulate(const Netlist& netlist,
     return stamper.matrix();
   };
 
+  // Each distinct key reaches the per-simulation map once per change of
+  // pattern and the shared cache once per simulation.
   auto factorization_for = [&](IntegrationMethod method, double h,
                                const SwitchStates& sw)
       -> const LuFactorization& {
@@ -448,8 +471,26 @@ TransientResult simulate(const Netlist& netlist,
     return *factors;
   };
 
-  // --- Time stepping ----------------------------------------------------------
-  bool first_step = true;
+  // --- Step loop --------------------------------------------------------------
+  // Allocation-free: the RHS, the solution and the node voltages live in
+  // vectors reused every step, the record was reserved above, and the
+  // factorization is looked up only when (method, h, switch states)
+  // differ from the previous step's.
+  Vector rhs(layout.unknown_count());
+  Vector x(layout.unknown_count());
+  Vector v_new(n_nodes, 0.0);  // v_new[kGround] stays 0
+  const LuFactorization* factors = nullptr;
+  IntegrationMethod factored_method = IntegrationMethod::kBackwardEuler;
+  double factored_h = 0.0;
+  SwitchStates factored_states;
+
+  // Current `value` injected into row `to` and drawn from row `from`
+  // (MnaStamper::stamp_current_injection on resolved rows).
+  const auto inject = [&rhs](std::size_t from, std::size_t to, double value) {
+    if (from != MnaLayout::kNoRow) rhs[from] -= value;
+    if (to != MnaLayout::kNoRow) rhs[to] += value;
+  };
+
   for (std::size_t step = 1; step <= n_steps; ++step) {
     const bool final_partial = remainder > 0.0 && step == n_steps;
     const double h = final_partial ? remainder : dt;
@@ -457,68 +498,64 @@ TransientResult simulate(const Netlist& netlist,
         step == n_steps ? t_stop : static_cast<double>(step) * dt;
     // First step uses backward Euler: trapezoidal needs consistent initial
     // element currents, which the ICs do not provide.
-    const IntegrationMethod method = first_step
-                                         ? IntegrationMethod::kBackwardEuler
-                                         : options.method;
+    const IntegrationMethod method =
+        step == 1 ? IntegrationMethod::kBackwardEuler : options.method;
+    const bool euler = method == IntegrationMethod::kBackwardEuler;
 
     if (options.controller) options.controller(t_next, states);
 
-    const LuFactorization& factors = factorization_for(method, h, states);
+    if (factors == nullptr || method != factored_method || h != factored_h ||
+        states != factored_states) {
+      factors = &factorization_for(method, h, states);
+      factored_method = method;
+      factored_h = h;
+      factored_states = states;
+    }
 
-    // RHS for this step.
-    MnaStamper rhs_stamper(layout);
+    // RHS for this step: the companion-model history and the sources.
+    std::fill(rhs.begin(), rhs.end(), 0.0);
     for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
+      const Element& e = elements[i];
+      const ElementRows& r = rows[i];
       switch (e.kind) {
-        case ElementKind::kCapacitor: {
-          if (method == IntegrationMethod::kBackwardEuler) {
-            const double g = e.value / h;
-            rhs_stamper.stamp_current_injection(e.node_b, e.node_a,
-                                                g * rs.cap_voltage[i]);
+        case ElementKind::kCapacitor:
+          if (euler) {
+            inject(r.b, r.a, (e.value / h) * rs.cap_voltage[i]);
           } else {
-            const double g = 2.0 * e.value / h;
-            rhs_stamper.stamp_current_injection(
-                e.node_b, e.node_a,
-                g * rs.cap_voltage[i] + rs.cap_current[i]);
+            inject(r.b, r.a,
+                   (2.0 * e.value / h) * rs.cap_voltage[i] + rs.cap_current[i]);
           }
           break;
-        }
-        case ElementKind::kInductor: {
-          const std::size_t row = layout.branch_row(i);
-          if (method == IntegrationMethod::kBackwardEuler) {
-            rhs_stamper.rhs()[row] = -(e.value / h) * rs.ind_current[i];
+        case ElementKind::kInductor:
+          if (euler) {
+            rhs[r.branch] = -(e.value / h) * rs.ind_current[i];
           } else {
-            rhs_stamper.rhs()[row] =
+            rhs[r.branch] =
                 -(2.0 * e.value / h) * rs.ind_current[i] - rs.ind_voltage[i];
           }
           break;
-        }
         case ElementKind::kVoltageSource:
-          rhs_stamper.rhs()[layout.branch_row(i)] = e.source(t_next);
+          rhs[r.branch] = e.source(t_next);
           break;
         case ElementKind::kCurrentSource:
-          rhs_stamper.stamp_current_injection(e.node_a, e.node_b,
-                                              e.source(t_next));
+          inject(r.a, r.b, e.source(t_next));
           break;
         default:
           break;
       }
     }
 
-    const Vector x = factors.solve(rhs_stamper.rhs());
-
-    Vector v_new(netlist.node_count(), 0.0);
-    for (NodeId n = 1; n < netlist.node_count(); ++n)
-      v_new[n] = x[layout.node_row(n)];
-    const Vector branch(x.begin() + static_cast<long>(layout.node_unknowns()),
-                        x.end());
+    factors->solve_into(rhs, x);
+    // Node n's row is n - 1 (ground has none).
+    std::copy(x.begin(), x.begin() + static_cast<long>(layout.node_unknowns()),
+              v_new.begin() + 1);
 
     // Update reactive histories.
     for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
+      const Element& e = elements[i];
       if (e.kind == ElementKind::kCapacitor) {
         const double v_ab = v_new[e.node_a] - v_new[e.node_b];
-        if (method == IntegrationMethod::kBackwardEuler) {
+        if (euler) {
           rs.cap_current[i] = (e.value / h) * (v_ab - rs.cap_voltage[i]);
         } else {
           rs.cap_current[i] =
@@ -527,15 +564,41 @@ TransientResult simulate(const Netlist& netlist,
         }
         rs.cap_voltage[i] = v_ab;
       } else if (e.kind == ElementKind::kInductor) {
-        rs.ind_current[i] = branch[layout.branch_row(i) -
-                                   layout.node_unknowns()];
+        rs.ind_current[i] = x[rows[i].branch];
         rs.ind_voltage[i] = v_new[e.node_a] - v_new[e.node_b];
       }
     }
 
     if (options.observer) options.observer(t_next, v_new);
-    record(t_next, v_new, compute_currents(t_next, v_new, rs, branch, states));
-    first_step = false;
+
+    times.push_back(t_next);
+    node_voltages.insert(node_voltages.end(), v_new.begin(), v_new.end());
+    for (std::size_t i = 0; i < n_elements; ++i) {
+      const Element& e = elements[i];
+      double current = 0.0;
+      switch (e.kind) {
+        case ElementKind::kResistor:
+          current = (v_new[e.node_a] - v_new[e.node_b]) / e.value;
+          break;
+        case ElementKind::kSwitch:
+          current = (v_new[e.node_a] - v_new[e.node_b]) /
+                    switch_resistance(e, states[rows[i].switch_index]);
+          break;
+        case ElementKind::kCapacitor:
+          current = rs.cap_current[i];
+          break;
+        case ElementKind::kInductor:
+          current = rs.ind_current[i];
+          break;
+        case ElementKind::kVoltageSource:
+          current = x[rows[i].branch];
+          break;
+        case ElementKind::kCurrentSource:
+          current = e.source(t_next);
+          break;
+      }
+      element_currents.push_back(current);
+    }
   }
 
   return TransientResult(netlist, std::move(times), std::move(node_voltages),

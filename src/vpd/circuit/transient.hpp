@@ -8,6 +8,11 @@
 // simulations of the same netlist (campaign runners revisit one reduced
 // PDN with many source waveforms).
 //
+// Step loop: element rows are resolved once; each step stamps its RHS
+// into one reused vector, keeps the previous step's factorization until
+// (method, step size, switch states) change, solves in place and appends
+// to a flat record reserved up front, so a step allocates nothing.
+//
 // End-time contract: the returned samples are t = 0, dt, 2 dt, ..., and
 // the final sample lands exactly on t_stop. When dt does not divide
 // t_stop the engine takes one shortened final step (companion models are
@@ -42,7 +47,8 @@ using SwitchController = std::function<void(double, SwitchStates&)>;
 
 /// Called after each accepted step with the step's end time and the node
 /// voltages (indexed by NodeId). Feedback controllers use this to sample
-/// the output rail.
+/// the output rail. The vector is reused by the next step: it is valid only
+/// during the call.
 using StepObserver = std::function<void(double, const Vector&)>;
 
 /// Shared cache of transient-step LU factorizations, keyed exactly on
@@ -99,10 +105,6 @@ struct TransientOptions {
 /// above).
 class TransientResult {
  public:
-  TransientResult(const Netlist& netlist, std::vector<double> times,
-                  std::vector<Vector> node_voltages,
-                  std::vector<Vector> element_currents);
-
   std::size_t sample_count() const { return times_.size(); }
   const std::vector<double>& times() const { return times_; }
 
@@ -126,16 +128,35 @@ class TransientResult {
   Power average_power(const std::string& element_name, Seconds window) const;
 
  private:
+  friend TransientResult simulate(const Netlist& netlist,
+                                  const TransientOptions& options);
+
+  TransientResult(const Netlist& netlist, std::vector<double> times,
+                  std::vector<double> node_voltages,
+                  std::vector<double> element_currents);
+
   const Netlist* netlist_;
+  std::size_t node_count_;
+  std::size_t element_count_;
   std::vector<double> times_;
-  std::vector<Vector> node_voltages_;     // per sample, indexed by NodeId
-  std::vector<Vector> element_currents_;  // per sample, indexed by ElementId
+  // Flat and sample-major: sample i's values start at i * node_count_
+  // (indexed by NodeId) and at i * element_count_ (indexed by ElementId).
+  std::vector<double> node_voltages_;
+  std::vector<double> element_currents_;
 };
 
-/// Runs the transient analysis. Throws InvalidArgument for bad options and
+/// Runs the transient analysis. Throws InvalidArgument for bad options
+/// (including a step count transient_step_count() refuses) and
 /// NumericalError if a step's system is singular.
 TransientResult simulate(const Netlist& netlist,
                          const TransientOptions& options);
+
+/// Steps simulate() takes for the window: floor(t_stop / dt) full steps,
+/// plus one shortened final step when dt does not divide t_stop (see the
+/// end-time contract above). Throws InvalidArgument unless
+/// 0 < dt < t_stop and the count is below 2^53, beyond which neither the
+/// count nor the sample times step * dt are exact.
+std::size_t transient_step_count(Seconds t_stop, Seconds dt);
 
 /// Per-cycle averages of a trace (cycle length `period`, anchored at the
 /// trace start). Used for periodic-steady-state detection.

@@ -7,6 +7,17 @@
 
 namespace vpd {
 
+namespace {
+
+/// Index of the first sample strictly after `t`: where a window scan over
+/// (t, t1) starts.
+std::size_t first_after(const std::vector<double>& times, double t) {
+  return static_cast<std::size_t>(
+      std::upper_bound(times.begin(), times.end(), t) - times.begin());
+}
+
+}  // namespace
+
 Trace::Trace(std::string name, std::vector<double> times,
              std::vector<double> values)
     : name_(std::move(name)),
@@ -46,9 +57,8 @@ double Trace::average(double t0, double t1) const {
   double integral = 0.0;
   double prev_t = t0;
   double prev_v = at(t0);
-  for (std::size_t i = 0; i < times_.size(); ++i) {
-    if (times_[i] <= t0) continue;
-    if (times_[i] >= t1) break;
+  for (std::size_t i = first_after(times_, t0);
+       i < times_.size() && times_[i] < t1; ++i) {
     integral += 0.5 * (prev_v + values_[i]) * (times_[i] - prev_t);
     prev_t = times_[i];
     prev_v = values_[i];
@@ -73,9 +83,8 @@ double Trace::rms(double t0, double t1) const {
   double integral = 0.0;
   double prev_t = t0;
   double prev_v = at(t0);
-  for (std::size_t i = 0; i < times_.size(); ++i) {
-    if (times_[i] <= t0) continue;
-    if (times_[i] >= t1) break;
+  for (std::size_t i = first_after(times_, t0);
+       i < times_.size() && times_[i] < t1; ++i) {
     integral += segment(prev_v, values_[i], times_[i] - prev_t);
     prev_t = times_[i];
     prev_v = values_[i];
@@ -92,16 +101,18 @@ double Trace::rms() const {
 double Trace::min(double t0, double t1) const {
   check_window(t0, t1);
   double m = std::min(at(t0), at(t1));
-  for (std::size_t i = 0; i < times_.size(); ++i)
-    if (times_[i] > t0 && times_[i] < t1) m = std::min(m, values_[i]);
+  for (std::size_t i = first_after(times_, t0);
+       i < times_.size() && times_[i] < t1; ++i)
+    m = std::min(m, values_[i]);
   return m;
 }
 
 double Trace::max(double t0, double t1) const {
   check_window(t0, t1);
   double m = std::max(at(t0), at(t1));
-  for (std::size_t i = 0; i < times_.size(); ++i)
-    if (times_[i] > t0 && times_[i] < t1) m = std::max(m, values_[i]);
+  for (std::size_t i = first_after(times_, t0);
+       i < times_.size() && times_[i] < t1; ++i)
+    m = std::max(m, values_[i]);
   return m;
 }
 
@@ -139,11 +150,9 @@ double Trace::harmonic_magnitude(double frequency, double t0,
     prev_vc = vc;
     prev_vs = vs;
   };
-  for (std::size_t i = 0; i < times_.size(); ++i) {
-    if (times_[i] <= t0) continue;
-    if (times_[i] >= t1) break;
+  for (std::size_t i = first_after(times_, t0);
+       i < times_.size() && times_[i] < t1; ++i)
     accumulate(times_[i], values_[i]);
-  }
   accumulate(t1, at(t1));
   const double span = t1 - t0;
   return 2.0 / span * std::hypot(re, im);

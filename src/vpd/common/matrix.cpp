@@ -123,9 +123,16 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
 }
 
 Vector LuFactorization::solve(const Vector& b) const {
+  Vector x;
+  solve_into(b, x);
+  return x;
+}
+
+void LuFactorization::solve_into(const Vector& b, Vector& x) const {
   const std::size_t n = size();
+  VPD_REQUIRE(&b != &x, "solve_into needs distinct rhs and solution vectors");
   VPD_REQUIRE(b.size() == n, "rhs has ", b.size(), " entries, expected ", n);
-  Vector x(n);
+  x.resize(n);
   // Apply permutation, forward-substitute L (unit diagonal).
   for (std::size_t i = 0; i < n; ++i) {
     double s = b[perm_[i]];
@@ -138,7 +145,6 @@ Vector LuFactorization::solve(const Vector& b) const {
     for (std::size_t j = ii + 1; j < n; ++j) s -= lu_(ii, j) * x[j];
     x[ii] = s / lu_(ii, ii);
   }
-  return x;
 }
 
 double LuFactorization::determinant() const {

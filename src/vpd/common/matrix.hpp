@@ -74,6 +74,11 @@ class LuFactorization {
   /// Solves A x = b.
   Vector solve(const Vector& b) const;
 
+  /// Solves A x = b into `x`, resizing it to size(). Reuses x's storage,
+  /// so a caller that keeps `x` across solves allocates nothing. Throws
+  /// InvalidArgument when `b` and `x` are the same object.
+  void solve_into(const Vector& b, Vector& x) const;
+
   /// Determinant of the factored matrix (sign-adjusted for pivoting).
   double determinant() const;
 

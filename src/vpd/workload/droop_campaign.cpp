@@ -285,9 +285,9 @@ void check_dynamic_limits(TransientScenarioOutcome& outcome,
 
 void DroopCampaignConfig::validate() const {
   resilience.validate();
-  VPD_REQUIRE(t_stop.value > 0.0 && dt.value > 0.0 &&
-                  dt.value < t_stop.value,
-              "need 0 < dt < t_stop");
+  // Refuses the windows simulate() refuses (dt outside (0, t_stop), 2^53
+  // steps or more), once here rather than once per scenario.
+  (void)transient_step_count(t_stop, dt);
   VPD_REQUIRE(tile_grid > 0, "tile_grid must be >= 1");
   VPD_REQUIRE(t_event.value >= 0.0 && t_event.value < t_stop.value,
               "t_event must fall inside the window");

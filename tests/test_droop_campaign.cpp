@@ -124,6 +124,14 @@ TEST(DroopCampaign, RejectsBadConfigAndOptions) {
   EXPECT_THROW(DroopCampaignRunner(paper_system(), short_window),
                InvalidArgument);
 
+  // 1e-3 / 1e-300 steps: refused once here, as simulate() refuses it,
+  // instead of failing every scenario.
+  DroopCampaignConfig endless;
+  endless.t_stop = Seconds{1e-3};
+  endless.dt = Seconds{1e-300};
+  EXPECT_THROW(DroopCampaignRunner(paper_system(), endless),
+               InvalidArgument);
+
   const DroopCampaignRunner runner(paper_system());
   EXPECT_THROW(runner.run(ArchitectureKind::kA0_PcbConversion,
                           TopologyKind::kDsch),

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "vpd/common/error.hpp"
 #include "vpd/common/rng.hpp"
@@ -149,6 +151,32 @@ TEST(Lu, RandomSystemsHaveSmallResidual) {
     const Vector x = solve_dense(a, b);
     EXPECT_LT(norm_inf(a * x - b), 1e-9) << "trial " << trial << " n=" << n;
   }
+}
+
+TEST(Matrix, LuSolveIntoMatchesSolve) {
+  Rng rng(7);
+  Vector x(3, 1.0);  // wrong size on purpose: solve_into resizes it
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::size_t n = 4 + rng.next_below(12);
+    Matrix a(n, n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
+    Vector b(n);
+    for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-5.0, 5.0);
+    const LuFactorization lu{a};
+    const Vector expected = lu.solve(b);
+    lu.solve_into(b, x);
+    ASSERT_EQ(x.size(), n) << "trial " << trial;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]),
+                std::bit_cast<std::uint64_t>(expected[i]))
+          << "trial " << trial << " entry " << i;
+    }
+  }
+  const LuFactorization lu{Matrix{{2.0, 1.0}, {1.0, 3.0}}};
+  Vector b{3.0, 5.0};
+  EXPECT_THROW(lu.solve_into(b, b), InvalidArgument);
+  EXPECT_THROW(lu.solve_into(Vector{1.0}, x), InvalidArgument);
 }
 
 TEST(VectorOps, DotNormAxpy) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "vpd/circuit/pwm.hpp"
 #include "vpd/common/error.hpp"
@@ -24,6 +26,32 @@ TEST(Transient, OptionsValidation) {
   opts.t_stop = Seconds{1.0};
   opts.dt = Seconds{2.0};
   EXPECT_THROW(simulate(nl, opts), InvalidArgument);
+}
+
+TEST(Transient, RejectsUnrepresentableStepCount) {
+  // Regression: floor(t_stop / dt) was cast to size_t unchecked, and
+  // 1e-3 / 1e-300 = 1e297 steps has no size_t value (undefined behaviour;
+  // x86-64 builds returned a 2-sample record claiming to reach t_stop).
+  Netlist nl;
+  const NodeId out = nl.add_node("out");
+  nl.add_vsource("V1", out, kGround, 1.0_V);
+  nl.add_resistor("R1", out, kGround, 1.0_Ohm);
+  TransientOptions opts;
+  opts.t_stop = Seconds{1e-3};
+  opts.dt = Seconds{1e-300};
+  EXPECT_THROW(simulate(nl, opts), InvalidArgument);
+  opts.t_stop = Seconds{1e300};  // the quotient overflows to infinity
+  opts.dt = Seconds{1e-300};
+  EXPECT_THROW(simulate(nl, opts), InvalidArgument);
+
+  // The bound is 2^53 steps: from there on neither the count nor the
+  // sample times step * dt are exact doubles.
+  const double limit = 9007199254740992.0;  // 2^53
+  EXPECT_EQ(transient_step_count(Seconds{limit - 1.0}, Seconds{1.0}),
+            (std::size_t{1} << 53) - 1);
+  EXPECT_THROW(transient_step_count(Seconds{limit}, Seconds{1.0}),
+               InvalidArgument);
+  EXPECT_EQ(transient_step_count(Seconds{1.05e-3}, Seconds{1e-4}), 11u);
 }
 
 TEST(Transient, RcChargeMatchesAnalytic) {
@@ -385,6 +413,89 @@ TEST(Transient, SharedFactorCacheIsBitIdenticalAndDeterministic) {
   (void)simulate(quiet, opts);
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.size(), 3u);
+}
+
+/// Every recorded time, node voltage and element current, as bit patterns.
+std::vector<std::uint64_t> record_bits(const Netlist& nl,
+                                       const TransientResult& r) {
+  std::vector<std::uint64_t> bits;
+  for (double t : r.times()) bits.push_back(std::bit_cast<std::uint64_t>(t));
+  for (NodeId n = 0; n < nl.node_count(); ++n) {
+    const Trace v = r.voltage(n);
+    for (double x : v.values()) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  }
+  for (ElementId e = 0; e < nl.element_count(); ++e) {
+    const Trace i = r.current(e);
+    for (double x : i.values()) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  }
+  return bits;
+}
+
+TEST(Transient, SwitchPatternChangesUseTheirOwnFactorization) {
+  // A switched RC under backward Euler: S1 charges C1 from a 1 V source,
+  // S2 discharges it to ground. The schedule flips on the first step, on
+  // consecutive steps, returns to earlier patterns and flips on the
+  // shortened final step. A step that solved with the previous pattern's
+  // factorization would leave the scalar recurrence below.
+  Netlist nl;
+  const NodeId in = nl.add_node("in");
+  const NodeId out = nl.add_node("out");
+  nl.add_vsource("V1", in, kGround, 1.0_V);
+  const double r1_on = 1.0, r2_on = 2.0, r_off = 1e6;
+  nl.add_switch("S1", in, out, Resistance{r1_on}, Resistance{r_off}, true);
+  nl.add_switch("S2", out, kGround, Resistance{r2_on}, Resistance{r_off},
+                false);
+  const double cap = 1e-6, v0 = 0.3;
+  nl.add_capacitor("C1", out, kGround, Capacitance{cap}, Voltage{v0});
+
+  const SwitchStates a{true, false}, b{false, true}, c{false, false},
+      d{true, true};
+  // Step k (1-based) runs schedule[k - 1]; the initial states are `a`.
+  const std::vector<SwitchStates> schedule{b, c, d, d, b, b, a, c, a, a, d};
+  std::size_t calls = 0;
+  TransientOptions opts;
+  opts.t_stop = Seconds{10.5e-6};  // 10 full steps + a half step
+  opts.dt = Seconds{1e-6};
+  opts.method = IntegrationMethod::kBackwardEuler;
+  opts.controller = [&](double, SwitchStates& states) {
+    states = schedule.at(calls++);
+  };
+
+  const TransientResult plain = simulate(nl, opts);
+  ASSERT_EQ(calls, schedule.size());
+  ASSERT_EQ(plain.sample_count(), schedule.size() + 1);
+
+  // Node `out` under backward Euler, gmin included:
+  // v_k = (g1 * 1 V + (C/h) v_{k-1}) / (g1 + g2 + gmin + C/h).
+  const Trace v = plain.voltage("out");
+  double expected = v0;
+  for (std::size_t k = 1; k <= schedule.size(); ++k) {
+    const double h = k == schedule.size()
+                         ? opts.t_stop.value - 10.0 * opts.dt.value
+                         : opts.dt.value;
+    const double g1 = 1.0 / (schedule[k - 1][0] ? r1_on : r_off);
+    const double g2 = 1.0 / (schedule[k - 1][1] ? r2_on : r_off);
+    expected = (g1 * 1.0 + cap / h * expected) /
+               (g1 + g2 + opts.gmin + cap / h);
+    EXPECT_NEAR(v.values()[k], expected, 1e-9 * std::fabs(expected))
+        << "step " << k;
+  }
+
+  // Through a shared cache: the same bits. The first run misses once per
+  // distinct (method, h, states) key — a, b, c and d at dt, d at the final
+  // step's h — and the rerun hits every one.
+  TransientFactorCache cache;
+  opts.factor_cache = &cache;
+  calls = 0;
+  const TransientResult cached = simulate(nl, opts);
+  EXPECT_EQ(cache.stats().misses, 5u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(record_bits(nl, cached), record_bits(nl, plain));
+  calls = 0;
+  const TransientResult rerun = simulate(nl, opts);
+  EXPECT_EQ(cache.stats().misses, 5u);
+  EXPECT_EQ(cache.stats().hits, 5u);
+  EXPECT_EQ(record_bits(nl, rerun), record_bits(nl, plain));
 }
 
 TEST(Transient, CurrentSourceLoadDrawsFromNode) {

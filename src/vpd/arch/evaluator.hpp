@@ -107,9 +107,9 @@ struct EvaluationOptions {
   /// default) selects automatically by mesh size: IC(0) below
   /// kAutoMultigridMeshNodes nodes per edge — it cuts CG iteration counts
   /// several-fold over Jacobi on mesh operators — and kMultigrid at or
-  /// above, where its mesh-size-independent iteration count wins. Set
-  /// explicitly to override the automatic choice; every choice converges
-  /// to the same certified criterion. See resolved_irdrop_preconditioner().
+  /// above, where whole sweep jobs run faster on it. Set explicitly to
+  /// override the automatic choice; every choice converges to the same
+  /// certified criterion. See resolved_irdrop_preconditioner().
   std::optional<CgPreconditioner> irdrop_preconditioner;
   /// Shared cache of assembled mesh operators; nullptr = assemble per
   /// call. The cache is thread-safe and must outlive the evaluation; a
@@ -133,10 +133,13 @@ struct EvaluationOptions {
 };
 
 /// Mesh size (nodes per die edge) at which the automatic preconditioner
-/// choice switches from IC(0) to multigrid: a 256^2 operator is where the
-/// multigrid V-cycle's mesh-size-independent iteration count clearly beats
-/// IC(0)'s growing one (13->15 vs 42->164 across 64^2 -> 512^2).
-inline constexpr std::size_t kAutoMultigridMeshNodes = 256;
+/// choice switches from IC(0) to multigrid. It is a wall-time crossover,
+/// not an iteration-count one: whole seeded sweep jobs with each
+/// preconditioner forced ran at multigrid/IC(0) wall ratios of 0.74 at
+/// 65^2, 0.60 at 97^2, 0.50 at 129^2 and 0.31 at 257^2 (EXPERIMENTS.md).
+/// At the default 41^2 mesh the two are within noise, and it stays on
+/// IC(0).
+inline constexpr std::size_t kAutoMultigridMeshNodes = 64;
 
 /// The preconditioner the distribution solve actually runs with: the
 /// explicit override when set, otherwise IC(0) below

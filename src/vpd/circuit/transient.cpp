@@ -133,41 +133,6 @@ struct ElementRows {
 /// the sample times step * dt are exact doubles.
 constexpr double kStepCountLimit = 9007199254740992.0;  // 2^53
 
-struct StepSchedule {
-  std::size_t full_steps{0};
-  double remainder{0.0};  // length of the shortened final step; 0 if none
-
-  std::size_t steps() const { return full_steps + (remainder > 0.0 ? 1 : 0); }
-};
-
-/// Full steps of dt plus, when dt does not divide t_stop, one shortened
-/// final step, so the last sample lands exactly on t_stop.
-StepSchedule schedule_steps(double t_stop, double dt) {
-  VPD_REQUIRE(t_stop > 0.0, "t_stop must be positive, got ", t_stop);
-  VPD_REQUIRE(dt > 0.0 && dt < t_stop, "dt must be in (0, t_stop), got ", dt);
-  // Checked before the cast: converting a quotient that size_t cannot
-  // hold (or an infinite one) is undefined behaviour.
-  const double full = std::floor(t_stop / dt);
-  VPD_REQUIRE(full < kStepCountLimit, "t_stop / dt = ", t_stop / dt,
-              " steps; the step count must stay below 2^53");
-  StepSchedule schedule;
-  schedule.full_steps = static_cast<std::size_t>(full);
-  schedule.remainder =
-      t_stop - static_cast<double>(schedule.full_steps) * dt;
-  if (schedule.remainder <= 1e-9 * dt) {
-    // dt divides t_stop (up to FP slop): no partial step.
-    schedule.remainder = 0.0;
-  } else if (schedule.remainder >= (1.0 - 1e-9) * dt) {
-    // floor() landed one full step short of an exact multiple.
-    ++schedule.full_steps;
-    schedule.remainder = 0.0;
-  }
-  VPD_REQUIRE(static_cast<double>(schedule.steps()) < kStepCountLimit,
-              "t_stop / dt = ", t_stop / dt,
-              " steps; the step count must stay below 2^53");
-  return schedule;
-}
-
 /// samples * per_sample doubles, refused when the product would wrap.
 std::size_t record_size(std::size_t samples, std::size_t per_sample) {
   VPD_REQUIRE(per_sample == 0 ||
@@ -221,19 +186,45 @@ std::string netlist_matrix_key(const Netlist& netlist, double gmin) {
 
 }  // namespace
 
+StepSchedule schedule_steps(double t_stop, double dt) {
+  VPD_REQUIRE(t_stop > 0.0, "t_stop must be positive, got ", t_stop);
+  VPD_REQUIRE(dt > 0.0 && dt < t_stop, "dt must be in (0, t_stop), got ", dt);
+  // Checked before the cast: converting a quotient that size_t cannot
+  // hold (or an infinite one) is undefined behaviour.
+  const double full = std::floor(t_stop / dt);
+  VPD_REQUIRE(full < kStepCountLimit, "t_stop / dt = ", t_stop / dt,
+              " steps; the step count must stay below 2^53");
+  StepSchedule schedule;
+  schedule.t_stop = t_stop;
+  schedule.dt = dt;
+  schedule.full_steps = static_cast<std::size_t>(full);
+  schedule.remainder =
+      t_stop - static_cast<double>(schedule.full_steps) * dt;
+  if (schedule.remainder <= 1e-9 * dt) {
+    // dt divides t_stop (up to FP slop): no partial step.
+    schedule.remainder = 0.0;
+  } else if (schedule.remainder >= (1.0 - 1e-9) * dt) {
+    // floor() landed one full step short of an exact multiple.
+    ++schedule.full_steps;
+    schedule.remainder = 0.0;
+  }
+  VPD_REQUIRE(static_cast<double>(schedule.steps()) < kStepCountLimit,
+              "t_stop / dt = ", t_stop / dt,
+              " steps; the step count must stay below 2^53");
+  return schedule;
+}
+
 std::size_t transient_step_count(Seconds t_stop, Seconds dt) {
   return schedule_steps(t_stop.value, dt.value).steps();
 }
 
 TransientResult simulate(const Netlist& netlist,
                          const TransientOptions& options) {
-  const double t_stop = options.t_stop.value;
-  const double dt = options.dt.value;
   // Step times are multiples of dt (never accumulated), so long runs do
   // not drift.
-  const StepSchedule schedule = schedule_steps(t_stop, dt);
+  const StepSchedule schedule =
+      schedule_steps(options.t_stop.value, options.dt.value);
   const std::size_t n_steps = schedule.steps();
-  const double remainder = schedule.remainder;
 
   const MnaLayout layout(netlist);
   const std::vector<Element>& elements = netlist.elements();
@@ -492,10 +483,8 @@ TransientResult simulate(const Netlist& netlist,
   };
 
   for (std::size_t step = 1; step <= n_steps; ++step) {
-    const bool final_partial = remainder > 0.0 && step == n_steps;
-    const double h = final_partial ? remainder : dt;
-    const double t_next =
-        step == n_steps ? t_stop : static_cast<double>(step) * dt;
+    const double h = schedule.step_size(step);
+    const double t_next = schedule.time(step);
     // First step uses backward Euler: trapezoidal needs consistent initial
     // element currents, which the ICs do not provide.
     const IntegrationMethod method =

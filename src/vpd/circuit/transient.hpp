@@ -151,11 +151,35 @@ class TransientResult {
 TransientResult simulate(const Netlist& netlist,
                          const TransientOptions& options);
 
-/// Steps simulate() takes for the window: floor(t_stop / dt) full steps,
-/// plus one shortened final step when dt does not divide t_stop (see the
-/// end-time contract above). Throws InvalidArgument unless
-/// 0 < dt < t_stop and the count is below 2^53, beyond which neither the
-/// count nor the sample times step * dt are exact.
+/// The fixed-step schedule of a window (0, t_stop]: floor(t_stop / dt)
+/// full steps, plus one shortened final step when dt does not divide
+/// t_stop (see the end-time contract above). simulate() and
+/// ThermalSolver::solve_transient both step by it.
+struct StepSchedule {
+  double t_stop{0.0};
+  double dt{0.0};
+  std::size_t full_steps{0};
+  double remainder{0.0};  // length of the shortened final step; 0 if none
+
+  std::size_t steps() const { return full_steps + (remainder > 0.0 ? 1 : 0); }
+  /// End time of step k (1-based): k * dt, never accumulated; the last
+  /// step ends exactly on t_stop.
+  double time(std::size_t k) const {
+    return k == steps() ? t_stop : static_cast<double>(k) * dt;
+  }
+  /// Length of step k: dt, or the remainder for a shortened final step.
+  double step_size(std::size_t k) const {
+    return remainder > 0.0 && k == steps() ? remainder : dt;
+  }
+};
+
+/// Schedules the window. Throws InvalidArgument unless 0 < dt < t_stop
+/// and the count is below 2^53, beyond which neither the count nor the
+/// sample times k * dt are exact.
+StepSchedule schedule_steps(double t_stop, double dt);
+
+/// Steps simulate() takes for the window: schedule_steps(t_stop,
+/// dt).steps(), with the same refusals.
 std::size_t transient_step_count(Seconds t_stop, Seconds dt);
 
 /// Per-cycle averages of a trace (cycle length `period`, anchored at the

@@ -188,23 +188,47 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
   const std::size_t depth = hierarchy.size();
   levels_.assign(depth, {});
 
-  // Finest operator: the matrix itself (u32 copy). Its pattern must stay
-  // within the declared grid's 5-point stencil for the Galerkin scatter
-  // below to be lossless; membership is checked slot by slot.
+  // Finest operator: the matrix itself (u32 copy). Every entry must lie in
+  // its row node's 3x3 grid neighbourhood: the level-1 pattern built from
+  // the 5-point stencil holds the Galerkin image of any such entry, and
+  // each coarser pattern is the symbolic image of the one above, so the
+  // scatters below never reach a column outside their row's pattern.
   {
     Level& fine = levels_.front();
     fine.n = a.rows();
-    fine.a_offsets.assign(a.row_offsets().begin(), a.row_offsets().end());
-    fine.a_cols.assign(a.col_indices().begin(), a.col_indices().end());
+    const std::size_t nx = hierarchy.front().nx;
+    const std::vector<std::size_t>& offsets = a.row_offsets();
+    const std::vector<std::size_t>& cols = a.col_indices();
+    fine.a_offsets.assign(offsets.begin(), offsets.end());
+    fine.a_cols.resize(cols.size());
+    std::size_t ix = 0;
+    for (std::size_t i = 0; i < fine.n; ++i) {
+      // Columns ix-1..ix+1 (clamped to the grid) of rows iy-1..iy+1, as
+      // offsets from the window's first column i - nx - left: [0, width],
+      // [nx, nx + width] and [2 nx, 2 nx + width]. Columns left of the
+      // window wrap to huge unsigned offsets and fail all three bands.
+      const std::size_t left = ix > 0 ? 1 : 0;
+      const std::size_t width = left + (ix + 1 < nx ? 1 : 0);
+      for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+        const std::size_t off = cols[k] + nx + left - i;
+        VPD_REQUIRE(off <= width || off - nx <= width ||
+                        off - 2 * nx <= width,
+                    "matrix entry (", i, ",", cols[k], ") lies outside the ",
+                    "3x3 grid neighbourhood of the multigrid hierarchy's ",
+                    nx, "-wide grid");
+        fine.a_cols[k] = static_cast<std::uint32_t>(cols[k]);
+      }
+      if (++ix == nx) ix = 0;
+    }
     fine.a_vals = a.values();
   }
 
   // Numeric Galerkin chain:
-  // A_{l+1}(I, J) = sum_i R(I, i) sum_j A_l(i, j) P(j, J), accumulated
-  // into a dense per-row scratch and gathered in pattern order, so the
-  // rounding order is a fixed function of the hierarchy — deterministic.
+  // A_{l+1}(I, J) = sum_i R(I, i) sum_j A_l(i, j) P(j, J), scattered into
+  // a dense per-row scratch and gathered (and cleared) in pattern order,
+  // so the rounding order is a fixed function of the hierarchy —
+  // deterministic.
   std::vector<double> acc;
-  std::vector<std::uint32_t> touched;
   for (std::size_t l = 0; l + 1 < depth; ++l) {
     const MgSymbolic::Level& sym = hierarchy[l];
     Level& level = levels_[l];
@@ -218,7 +242,6 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
 
     acc.assign(nc, 0.0);
     for (std::size_t I = 0; I < nc; ++I) {
-      touched.clear();
       for (std::uint32_t t = sym.r_offsets[I]; t < sym.r_offsets[I + 1];
            ++t) {
         const std::uint32_t i = sym.r_rows[t];
@@ -229,27 +252,15 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
           const std::uint32_t j = level.a_cols[k];
           for (std::uint32_t q = sym.p_offsets[j]; q < sym.p_offsets[j + 1];
                ++q) {
-            const std::uint32_t J = sym.p_cols[q];
-            if (acc[J] == 0.0) touched.push_back(J);
-            acc[J] += contrib * sym.p_vals[q];
+            acc[sym.p_cols[q]] += contrib * sym.p_vals[q];
           }
         }
       }
-      // Gather in pattern order; every touched column must be a pattern
-      // slot (guaranteed when the fine operator stays within the grid
-      // stencil the hierarchy was built for).
-      const std::uint32_t begin = sym.c_offsets[I];
-      const std::uint32_t end = sym.c_offsets[I + 1];
-      for (std::uint32_t s = begin; s < end; ++s) {
-        coarse.a_vals[s] = acc[sym.c_cols[s]];
-      }
-      for (std::uint32_t J : touched) {
-        const auto first = sym.c_cols.begin() + begin;
-        const auto last = sym.c_cols.begin() + end;
-        VPD_REQUIRE(std::binary_search(first, last, J),
-                    "matrix pattern escapes the multigrid hierarchy's grid "
-                    "stencil at coarse entry (", I, ",", J, ")");
-        acc[J] = 0.0;
+      for (std::uint32_t s = sym.c_offsets[I]; s < sym.c_offsets[I + 1];
+           ++s) {
+        double& sum = acc[sym.c_cols[s]];
+        coarse.a_vals[s] = sum;
+        sum = 0.0;
       }
     }
   }

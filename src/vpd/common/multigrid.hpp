@@ -101,8 +101,11 @@ class MgPreconditioner {
   static constexpr double kJacobiDamping = 0.8;
 
   /// Factors `a` over the hierarchy `shared` (must describe a's grid:
-  /// shared->rows() == a.rows()). Keeps a share of the hierarchy, so
-  /// `shared` may be destroyed afterwards.
+  /// shared->rows() == a.rows()). Every entry (i, j) of `a` must lie in
+  /// node i's 3x3 grid neighbourhood — the 5-point stencil plus its
+  /// diagonals, without wrapping across a row end; the pattern is checked
+  /// once up front and anything else throws InvalidArgument. Keeps a share
+  /// of the hierarchy, so `shared` may be destroyed afterwards.
   void factor(const CsrMatrix& a, const MgSymbolic& shared);
 
   /// z = M^{-1} r: one V(1,1)-cycle. Requires a prior factor(); z is

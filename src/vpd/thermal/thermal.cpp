@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "vpd/circuit/transient.hpp"
 #include "vpd/common/error.hpp"
 #include "vpd/common/sparse.hpp"
 
@@ -45,49 +46,53 @@ ThermalSolver::TransientTemperatures ThermalSolver::solve_transient(
     const std::function<Vector(double)>& power_of_t, Seconds t_stop,
     Seconds dt, double heat_capacity_per_area) const {
   VPD_REQUIRE(static_cast<bool>(power_of_t), "null power function");
-  VPD_REQUIRE(t_stop.value > 0.0 && dt.value > 0.0 &&
-                  dt.value < t_stop.value,
-              "need 0 < dt < t_stop");
+  // The MNA engine's schedule: sample k at k * dt, and one shortened final
+  // step when dt does not divide t_stop, so the record ends on t_stop.
+  const StepSchedule schedule = schedule_steps(t_stop.value, dt.value);
   VPD_REQUIRE(heat_capacity_per_area > 0.0,
               "heat capacity must be positive");
   const std::size_t n = mesh_.node_count();
   const double node_area =
       mesh_.width().value * mesh_.height().value / static_cast<double>(n);
   const double c_node = heat_capacity_per_area * node_area;  // J/K
-  const double g_dt = c_node / dt.value;
 
-  // System matrix (constant across steps): C/dt + G_lateral + G_shunt.
-  TripletList t = mesh_.laplacian();
-  for (std::size_t i = 0; i < n; ++i)
-    t.add(i, i, shunt_conductance_ + g_dt);
-  const CsrMatrix a(t);
+  // System matrix of a step of length h: C/h + G_lateral + G_shunt. Every
+  // full step shares one; a shortened final step stamps its own.
+  const auto system_matrix = [&](double h) {
+    TripletList t = mesh_.laplacian();
+    for (std::size_t i = 0; i < n; ++i)
+      t.add(i, i, shunt_conductance_ + c_node / h);
+    return CsrMatrix(t);
+  };
+  CsrMatrix a = system_matrix(dt.value);
 
   TransientTemperatures result;
   result.time_constant = c_node / shunt_conductance_;
   Vector temp(n, stack_.coolant_temperature);
-  double time = 0.0;
   auto record = [&](double at) {
     result.times.push_back(at);
     result.max_temperature.push_back(max_temperature(temp));
     result.mean_temperature.push_back(mean_temperature(temp));
   };
   record(0.0);
-  while (time < t_stop.value - 0.5 * dt.value) {
-    const double t_next = time + dt.value;
+  for (std::size_t step = 1; step <= schedule.steps(); ++step) {
+    const double h = schedule.step_size(step);
+    const double t_next = schedule.time(step);
+    if (h != dt.value) a = system_matrix(h);
+    const double g_h = c_node / h;
     Vector power = power_of_t(t_next);
     VPD_REQUIRE(power.size() == n, "power map size mismatch at t=", t_next);
     Vector rhs(n);
     for (std::size_t i = 0; i < n; ++i) {
       VPD_REQUIRE(power[i] >= 0.0, "negative heat at node ", i);
-      rhs[i] = power[i] + g_dt * temp[i] +
+      rhs[i] = power[i] + g_h * temp[i] +
                shunt_conductance_ * stack_.coolant_temperature;
     }
     const CgResult cg = solve_cg(a, rhs);
     VPD_CHECK_NUMERIC(cg.converged, "thermal transient CG failed at t=",
                       t_next);
     temp = cg.x;
-    time = t_next;
-    record(time);
+    record(t_next);
   }
   result.final_field = std::move(temp);
   return result;

@@ -48,7 +48,11 @@ class ThermalSolver {
   /// Euler on C dT/dt = P(t) - G T. `heat_capacity_per_area` is the
   /// stack's areal heat capacity [J/(K m^2)] (silicon + lid,
   /// ~1.7e6 J/(K m^3) x effective thickness). Starts at the coolant
-  /// temperature.
+  /// temperature. Steps on the MNA engine's schedule (schedule_steps in
+  /// circuit/transient.hpp): samples at 0, dt, 2 dt, ..., and a shortened
+  /// final step when dt does not divide t_stop, so the last sample lands
+  /// exactly on t_stop. Throws InvalidArgument unless 0 < dt < t_stop and
+  /// the step count is below 2^53.
   struct TransientTemperatures {
     std::vector<double> times;
     std::vector<double> max_temperature;   // per sample

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
 #include "vpd/common/error.hpp"
+#include "vpd/io/schema.hpp"
 #include "vpd/workload/power_map.hpp"
 
 namespace vpd {
@@ -287,6 +292,102 @@ TEST(Evaluator, OptionValidation) {
   EXPECT_THROW(eval(ArchitectureKind::kA1_InterposerPeriphery,
                     TopologyKind::kDsch, opts),
                InvalidArgument);
+}
+
+TEST(Evaluator, AutomaticPreconditionerIsMultigridFromSixtyFourNodes) {
+  EvaluationOptions options;
+  for (std::size_t nodes : {41u, 63u}) {
+    options.mesh_nodes = nodes;
+    EXPECT_EQ(resolved_irdrop_preconditioner(options),
+              CgPreconditioner::kIncompleteCholesky)
+        << nodes;
+  }
+  for (std::size_t nodes : {64u, 129u, 257u}) {
+    options.mesh_nodes = nodes;
+    EXPECT_EQ(resolved_irdrop_preconditioner(options),
+              CgPreconditioner::kMultigrid)
+        << nodes;
+  }
+  // An explicit choice wins on either side of the threshold.
+  options.mesh_nodes = 129;
+  options.irdrop_preconditioner = CgPreconditioner::kIncompleteCholesky;
+  EXPECT_EQ(resolved_irdrop_preconditioner(options),
+            CgPreconditioner::kIncompleteCholesky);
+  options.mesh_nodes = 41;
+  options.irdrop_preconditioner = CgPreconditioner::kMultigrid;
+  EXPECT_EQ(resolved_irdrop_preconditioner(options),
+            CgPreconditioner::kMultigrid);
+}
+
+/// Every number of two evaluations' wire forms agrees within 1e-8
+/// relative to max(|a|, |b|, 1), except cg_iterations, the one number the
+/// preconditioner is expected to move; everything else matches exactly.
+void expect_same_numbers(const io::Value& a, const io::Value& b,
+                         const std::string& path) {
+  ASSERT_EQ(a.type(), b.type()) << path;
+  if (a.is_number()) {
+    const double scale =
+        std::max({std::fabs(a.as_number()), std::fabs(b.as_number()), 1.0});
+    EXPECT_NEAR(a.as_number(), b.as_number(), 1e-8 * scale) << path;
+  } else if (a.is_array()) {
+    ASSERT_EQ(a.size(), b.size()) << path;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      expect_same_numbers(a.as_array()[i], b.as_array()[i],
+                          path + "[" + std::to_string(i) + "]");
+  } else if (a.is_object()) {
+    ASSERT_EQ(a.size(), b.size()) << path;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const auto& [key, value] = a.as_object()[i];
+      ASSERT_EQ(key, b.as_object()[i].first) << path;
+      if (key == "cg_iterations") continue;
+      expect_same_numbers(value, b.as_object()[i].second, path + "." + key);
+    }
+  } else {
+    EXPECT_EQ(a, b) << path;
+  }
+}
+
+TEST(Evaluator, AutomaticMultigridAgreesWithIcAtSixtyFiveNodes) {
+  // 65^2 now resolves to multigrid: the same evaluation forced onto IC(0)
+  // reports the same certified numbers, in fewer CG iterations. Once
+  // nominal, once with a severed mesh region whose interior nodes are
+  // grounded.
+  EvaluationOptions automatic = paper_mode();
+  automatic.mesh_nodes = 65;
+  ASSERT_EQ(resolved_irdrop_preconditioner(automatic),
+            CgPreconditioner::kMultigrid);
+  EvaluationOptions severed = automatic;
+  const double side = paper_system().die_side().value;
+  severed.faults.mesh_perturbation = {
+      EdgeScaleRegion{Length{0.3 * side}, Length{0.3 * side},
+                      Length{0.6 * side}, Length{0.6 * side}, 0.0}};
+  {
+    // The region fully cuts its interior at 65^2: those nodes float and
+    // the solve grounds them.
+    const GridMesh mesh(Length{side}, Length{side}, 65, 65,
+                        severed.distribution_sheet_ohms,
+                        severed.faults.mesh_perturbation);
+    const auto vrs =
+        patch_attachment(mesh, Length{0.1 * side}, Length{0.1 * side},
+                         Length{1.5e-3}, Voltage{1.0}, Resistance{100e-6});
+    IrDropOptions options;
+    options.preconditioner = CgPreconditioner::kMultigrid;
+    EXPECT_GT(solve_irdrop(mesh, vrs, uniform_sinks(mesh, Current{100.0}),
+                           options)
+                  .floating_nodes,
+              0u);
+  }
+  for (const EvaluationOptions& options : {automatic, severed}) {
+    EvaluationOptions ic = options;
+    ic.irdrop_preconditioner = CgPreconditioner::kIncompleteCholesky;
+    const auto mg_eval = eval(ArchitectureKind::kA2_InterposerBelowDie,
+                              TopologyKind::kDsch, options);
+    const auto ic_eval = eval(ArchitectureKind::kA2_InterposerBelowDie,
+                              TopologyKind::kDsch, ic);
+    expect_same_numbers(io::to_json(mg_eval), io::to_json(ic_eval),
+                        options.faults.empty() ? "nominal" : "severed");
+    EXPECT_LT(mg_eval.cg_iterations, ic_eval.cg_iterations);
+  }
 }
 
 // Mesh-resolution robustness of the headline numbers.

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "vpd/common/error.hpp"
@@ -30,8 +31,9 @@ namespace {
 /// nx x ny grid Laplacian with random positive edge conductances plus
 /// random shunts (to ground) on a few nodes — the exact structure of an
 /// IR-drop operator, with none of its symmetry to hide bugs behind.
-CsrMatrix random_spd_laplacian(Rng& rng, std::size_t nx, std::size_t ny,
-                               std::size_t shunt_count) {
+TripletList random_laplacian_triplets(Rng& rng, std::size_t nx,
+                                      std::size_t ny,
+                                      std::size_t shunt_count) {
   const std::size_t n = nx * ny;
   TripletList t(n, n);
   const auto node = [nx](std::size_t ix, std::size_t iy) {
@@ -52,6 +54,33 @@ CsrMatrix random_spd_laplacian(Rng& rng, std::size_t nx, std::size_t ny,
   for (std::size_t s = 0; s < shunt_count; ++s) {
     const std::size_t shunted = rng.next_below(static_cast<std::uint32_t>(n));
     t.add(shunted, shunted, rng.uniform(0.1, 1.0));
+  }
+  return t;
+}
+
+CsrMatrix random_spd_laplacian(Rng& rng, std::size_t nx, std::size_t ny,
+                               std::size_t shunt_count) {
+  return CsrMatrix(random_laplacian_triplets(rng, nx, ny, shunt_count));
+}
+
+/// random_spd_laplacian's structure plus both diagonal couplings of every
+/// grid cell: a 9-point Laplacian, the widest pattern multigrid accepts.
+CsrMatrix random_nine_point_laplacian(Rng& rng, std::size_t nx,
+                                      std::size_t ny,
+                                      std::size_t shunt_count) {
+  TripletList t = random_laplacian_triplets(rng, nx, ny, shunt_count);
+  const auto stamp = [&](std::size_t a, std::size_t b, double g) {
+    t.add(a, a, g);
+    t.add(b, b, g);
+    t.add(a, b, -g);
+    t.add(b, a, -g);
+  };
+  for (std::size_t iy = 0; iy + 1 < ny; ++iy) {
+    for (std::size_t ix = 0; ix + 1 < nx; ++ix) {
+      const std::size_t i = iy * nx + ix;
+      stamp(i, i + nx + 1, rng.uniform(0.25, 1.0));
+      stamp(i + 1, i + nx, rng.uniform(0.25, 1.0));
+    }
   }
   return CsrMatrix(t);
 }
@@ -535,6 +564,72 @@ TEST(Multigrid, MatchesDenseReferenceOnRandomSpdLaplacians) {
                   1e-8 * (1.0 + std::fabs(reference[i])))
           << "seed " << seed << " node " << i;
   }
+}
+
+TEST(Multigrid, MatchesDenseReferenceOnNinePointLaplacians) {
+  // The factor's pattern contract is the 3x3 grid neighbourhood: the
+  // diagonal couplings of a 9-point operator factor and solve like the
+  // 5-point stencil, on even and odd grid dimensions alike and through a
+  // three-level hierarchy (17x17).
+  struct Grid {
+    std::size_t nx;
+    std::size_t ny;
+  };
+  std::uint64_t seed = 0;
+  for (const Grid g : {Grid{8, 9}, Grid{9, 9}, Grid{10, 7}, Grid{17, 17}}) {
+    Rng rng(++seed);
+    const CsrMatrix a = random_nine_point_laplacian(rng, g.nx, g.ny, 4);
+    ASSERT_TRUE(a.is_symmetric());
+    const Vector b = random_vector(rng, a.rows());
+    const Vector reference = dense_cholesky_solve(a, b);
+
+    const MgSymbolic hierarchy(g.nx, g.ny);
+    ASSERT_GE(hierarchy.level_count(), 2u);
+    CgOptions options;
+    options.relative_tolerance = 1e-13;
+    options.preconditioner = CgPreconditioner::kMultigrid;
+    options.mg_symbolic = &hierarchy;
+    const CgResult result = solve_cg(a, b, options);
+    ASSERT_TRUE(result.converged) << g.nx << "x" << g.ny;
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      EXPECT_NEAR(result.x[i], reference[i],
+                  1e-8 * (1.0 + std::fabs(reference[i])))
+          << g.nx << "x" << g.ny << " node " << i;
+  }
+}
+
+TEST(Multigrid, RejectsEntriesOutsideTheGridNeighbourhood) {
+  // Each pair couples two nodes that are not 3x3 grid neighbours: two
+  // columns apart on one row, from an even and an odd column, across the
+  // end of a row (one offset by +1 and one landing on the next row), and
+  // corner to corner. The operator stays SPD, so only the pattern check
+  // can refuse it.
+  constexpr std::size_t nx = 9;
+  constexpr std::size_t ny = 9;
+  constexpr std::size_t n = nx * ny;
+  const MgSymbolic hierarchy(nx, ny);
+  CgOptions options;
+  options.preconditioner = CgPreconditioner::kMultigrid;
+  options.mg_symbolic = &hierarchy;
+  const std::pair<std::size_t, std::size_t> escapes[] = {
+      {0, 2}, {1, 3}, {nx - 1, nx}, {nx - 1, nx + 1}, {0, n - 1}};
+  for (const auto& [i, j] : escapes) {
+    Rng rng(43);
+    TripletList t = random_laplacian_triplets(rng, nx, ny, 3);
+    t.add(i, i, 0.5);
+    t.add(j, j, 0.5);
+    t.add(i, j, -0.5);
+    t.add(j, i, -0.5);
+    const CsrMatrix a(t);
+    const Vector b = random_vector(rng, n);
+    EXPECT_THROW(solve_cg(a, b, options), InvalidArgument)
+        << "entry (" << i << "," << j << ")";
+  }
+
+  // Positive control: the same operator without the extra coupling.
+  Rng rng(43);
+  const CsrMatrix a = random_spd_laplacian(rng, nx, ny, 3);
+  EXPECT_TRUE(solve_cg(a, random_vector(rng, n), options).converged);
 }
 
 TEST(Multigrid, IterationCountStaysFlatAcrossRefinement) {

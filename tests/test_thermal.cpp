@@ -174,6 +174,59 @@ TEST(ThermalTransient, BurstPowerIsThermallyFiltered) {
   EXPECT_GT(t_max, 65.0);
 }
 
+TEST(ThermalTransient, RecordEndsExactlyOnStopTime) {
+  // The MNA engine's end-time contract: samples at k * dt, never
+  // accumulated, and a shortened final step that lands on t_stop. An
+  // accumulating loop ended these windows at 1.0e-3, 0.99999999999999989
+  // and 0.30000000000000004. The ASSERTs stop the test before the last
+  // window should an accumulating loop ever come back: it would never end
+  // there.
+  const ThermalSolver solver = paper_die(11);
+  const std::size_t n = solver.mesh().node_count();
+  const Vector heat(n, 1000.0 / static_cast<double>(n));
+  const auto power = [&](double) { return heat; };
+  // A uniform heat map keeps the field uniform, so every node follows the
+  // scalar backward-Euler recurrence of its own coolant path, step by step.
+  const double node_area = solver.mesh().width().value *
+                           solver.mesh().height().value /
+                           static_cast<double>(n);
+  const double g_shunt = node_area / solver.stack().theta_to_coolant;
+  const double c_node = 1700.0 * node_area;
+
+  struct Window {
+    double t_stop;
+    double dt;
+    std::size_t samples;
+  };
+  for (const Window& w : {Window{1.05e-3, 1e-4, 12}, Window{1.0, 0.1, 11},
+                          Window{0.3, 0.1, 4}}) {
+    const auto r =
+        solver.solve_transient(power, Seconds{w.t_stop}, Seconds{w.dt});
+    ASSERT_EQ(r.times.size(), w.samples) << "t_stop " << w.t_stop;
+    ASSERT_EQ(r.times.back(), w.t_stop) << "t_stop " << w.t_stop;
+    double temperature = solver.stack().coolant_temperature;
+    for (std::size_t k = 1; k < r.times.size(); ++k) {
+      if (k + 1 < r.times.size()) {
+        EXPECT_EQ(r.times[k], static_cast<double>(k) * w.dt)
+            << "t_stop " << w.t_stop << " sample " << k;
+      }
+      // The shortened final step stamps its own C/h: a step of length dt
+      // over the remainder would overshoot this recurrence.
+      const double g_h = c_node / (r.times[k] - r.times[k - 1]);
+      temperature = (heat[0] + g_h * temperature +
+                     g_shunt * solver.stack().coolant_temperature) /
+                    (g_h + g_shunt);
+      EXPECT_NEAR(r.mean_temperature[k], temperature, 1e-8 * temperature)
+          << "t_stop " << w.t_stop << " sample " << k;
+    }
+  }
+
+  // 1e-3 / 1e-300 is 1e297 steps: beyond 2^53 the schedule is refused.
+  EXPECT_THROW(
+      solver.solve_transient(power, Seconds{1e-3}, Seconds{1e-300}),
+      InvalidArgument);
+}
+
 TEST(ThermalTransient, Validation) {
   const ThermalSolver solver = paper_die(11);
   const Vector heat(solver.mesh().node_count(), 0.0);

@@ -71,27 +71,33 @@ void five_point_pattern(std::size_t nx, std::size_t ny,
 
 }  // namespace
 
-MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) {
-  VPD_REQUIRE(nx >= 2 && ny >= 2, "multigrid hierarchy needs an nx, ny >= 2 "
-              "grid, got ", nx, "x", ny);
-  auto levels = std::make_shared<std::vector<Level>>();
-  // Pattern of the operator at the level under construction; seeded with
-  // the fine 5-point stencil, replaced by each Galerkin coarse pattern.
-  std::vector<std::uint32_t> a_offsets;
-  std::vector<std::uint32_t> a_cols;
-  five_point_pattern(nx, ny, a_offsets, a_cols);
+MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) : nx_(nx), ny_(ny) {
+  VPD_REQUIRE(nx >= 2 && ny >= 2, "multigrid grid needs nx, ny >= 2, got ",
+              nx, "x", ny);
+}
 
-  for (;;) {
-    levels->push_back({});
-    Level& level = levels->back();
-    level.nx = nx;
-    level.ny = ny;
+void MgPreconditioner::build_hierarchy(const MgSymbolic& grid) {
+  // Cleared first, so a build that throws leaves no grid to match.
+  grid_ = MgSymbolic{};
+  fine_digest_ = 0;
+  levels_.assign(1, {});
+  std::size_t nx = grid.nx();
+  std::size_t ny = grid.ny();
+  // The symbolic Galerkin chain starts from the fine 5-point stencil;
+  // factor() then gives level 0 the factored matrix's own pattern.
+  five_point_pattern(nx, ny, levels_[0].a_offsets, levels_[0].a_cols);
+
+  for (std::size_t l = 0;; ++l) {
     const std::size_t n = nx * ny;
+    levels_[l].n = n;
     if (n <= kCoarsestNodes) break;  // coarsest level: solved directly
 
     const std::size_t cnx = coarse_dim(nx);
     const std::size_t cny = coarse_dim(ny);
     const std::size_t nc = cnx * cny;
+    levels_.emplace_back();
+    Level& level = levels_[l];
+    Level& coarse = levels_[l + 1];
 
     // Prolongation: tensor product of the per-dimension stencils. The y
     // stencil's outer position dominates the coarse index, so entries come
@@ -137,11 +143,11 @@ MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) {
       }
     }
 
-    // Symbolic Galerkin pattern of P^T A P: coarse row I touches coarse
-    // column J whenever some fine entry (i, j) has P(i, I) and P(j, J)
-    // nonzero. Marker-swept per coarse row, columns emitted sorted.
-    level.c_offsets.assign(nc + 1, 0);
-    level.c_cols.clear();
+    // Symbolic Galerkin pattern of P^T A P, the coarse level's operator
+    // pattern: coarse row I touches coarse column J whenever some fine
+    // entry (i, j) has P(i, I) and P(j, J) nonzero. Marker-swept per
+    // coarse row, columns emitted sorted.
+    coarse.a_offsets.assign(nc + 1, 0);
     std::vector<std::uint32_t> marker(nc, 0);
     std::vector<std::uint32_t> scratch;
     for (std::size_t I = 0; I < nc; ++I) {
@@ -150,8 +156,9 @@ MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) {
       for (std::uint32_t t = level.r_offsets[I]; t < level.r_offsets[I + 1];
            ++t) {
         const std::uint32_t i = level.r_rows[t];
-        for (std::uint32_t k = a_offsets[i]; k < a_offsets[i + 1]; ++k) {
-          const std::uint32_t j = a_cols[k];
+        for (std::uint32_t k = level.a_offsets[i];
+             k < level.a_offsets[i + 1]; ++k) {
+          const std::uint32_t j = level.a_cols[k];
           for (std::uint32_t q = level.p_offsets[j];
                q < level.p_offsets[j + 1]; ++q) {
             const std::uint32_t J = level.p_cols[q];
@@ -163,40 +170,35 @@ MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) {
         }
       }
       std::sort(scratch.begin(), scratch.end());
-      level.c_cols.insert(level.c_cols.end(), scratch.begin(), scratch.end());
-      level.c_offsets[I + 1] = static_cast<std::uint32_t>(level.c_cols.size());
+      coarse.a_cols.insert(coarse.a_cols.end(), scratch.begin(),
+                           scratch.end());
+      coarse.a_offsets[I + 1] =
+          static_cast<std::uint32_t>(coarse.a_cols.size());
     }
-
-    // The coarse pattern becomes the next level's operator pattern.
-    a_offsets.assign(level.c_offsets.begin(), level.c_offsets.end());
-    a_cols = level.c_cols;
     nx = cnx;
     ny = cny;
   }
-  levels_ = std::move(levels);
+  grid_ = grid;
 }
 
-void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
-  VPD_REQUIRE(!shared.empty(), "MgPreconditioner::factor with an empty "
-              "hierarchy");
-  VPD_REQUIRE(shared.rows() == a.rows(), "multigrid hierarchy is for a ",
-              shared.rows(), "-row grid, got ", a.rows());
+void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& grid) {
+  VPD_REQUIRE(!grid.empty(), "MgPreconditioner::factor with an empty grid");
+  VPD_REQUIRE(grid.rows() == a.rows(), "multigrid grid has ", grid.rows(),
+              " nodes, got ", a.rows(), " rows");
   VPD_REQUIRE(a.rows() == a.cols(), "multigrid requires a square matrix");
+  if (grid != grid_) build_hierarchy(grid);
+  const std::size_t depth = levels_.size();
 
-  hierarchy_ = shared;
-  const std::vector<MgSymbolic::Level>& hierarchy = *hierarchy_.levels_;
-  const std::size_t depth = hierarchy.size();
-  levels_.assign(depth, {});
-
-  // Finest operator: the matrix itself (u32 copy). Every entry must lie in
+  // Finest operator: the matrix itself, its pattern copied to u32 indices
+  // and kept while the structure stays the same. Every entry must lie in
   // its row node's 3x3 grid neighbourhood: the level-1 pattern built from
   // the 5-point stencil holds the Galerkin image of any such entry, and
   // each coarser pattern is the symbolic image of the one above, so the
   // scatters below never reach a column outside their row's pattern.
-  {
-    Level& fine = levels_.front();
-    fine.n = a.rows();
-    const std::size_t nx = hierarchy.front().nx;
+  Level& fine = levels_.front();
+  if (fine_digest_ == 0 || fine_digest_ != a.structure_digest()) {
+    fine_digest_ = 0;  // recorded again once the new pattern has passed
+    const std::size_t nx = grid.nx();
     const std::vector<std::size_t>& offsets = a.row_offsets();
     const std::vector<std::size_t>& cols = a.col_indices();
     fine.a_offsets.assign(offsets.begin(), offsets.end());
@@ -220,8 +222,9 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
       }
       if (++ix == nx) ix = 0;
     }
-    fine.a_vals = a.values();
+    fine_digest_ = a.structure_digest();
   }
+  fine.a_vals = a.values();
 
   // Numeric Galerkin chain:
   // A_{l+1}(I, J) = sum_i R(I, i) sum_j A_l(i, j) P(j, J), scattered into
@@ -230,35 +233,30 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
   // deterministic.
   std::vector<double> acc;
   for (std::size_t l = 0; l + 1 < depth; ++l) {
-    const MgSymbolic::Level& sym = hierarchy[l];
-    Level& level = levels_[l];
-
+    const Level& level = levels_[l];
     Level& coarse = levels_[l + 1];
-    const std::size_t nc = sym.r_offsets.size() - 1;
-    coarse.n = nc;
-    coarse.a_offsets = sym.c_offsets;
-    coarse.a_cols = sym.c_cols;
-    coarse.a_vals.assign(sym.c_cols.size(), 0.0);
+    const std::size_t nc = coarse.n;
+    coarse.a_vals.resize(coarse.a_cols.size());
 
     acc.assign(nc, 0.0);
     for (std::size_t I = 0; I < nc; ++I) {
-      for (std::uint32_t t = sym.r_offsets[I]; t < sym.r_offsets[I + 1];
+      for (std::uint32_t t = level.r_offsets[I]; t < level.r_offsets[I + 1];
            ++t) {
-        const std::uint32_t i = sym.r_rows[t];
-        const double w_i = sym.r_vals[t];
+        const std::uint32_t i = level.r_rows[t];
+        const double w_i = level.r_vals[t];
         for (std::uint32_t k = level.a_offsets[i]; k < level.a_offsets[i + 1];
              ++k) {
           const double contrib = w_i * level.a_vals[k];
           const std::uint32_t j = level.a_cols[k];
-          for (std::uint32_t q = sym.p_offsets[j]; q < sym.p_offsets[j + 1];
-               ++q) {
-            acc[sym.p_cols[q]] += contrib * sym.p_vals[q];
+          for (std::uint32_t q = level.p_offsets[j];
+               q < level.p_offsets[j + 1]; ++q) {
+            acc[level.p_cols[q]] += contrib * level.p_vals[q];
           }
         }
       }
-      for (std::uint32_t s = sym.c_offsets[I]; s < sym.c_offsets[I + 1];
+      for (std::uint32_t s = coarse.a_offsets[I]; s < coarse.a_offsets[I + 1];
            ++s) {
-        double& sum = acc[sym.c_cols[s]];
+        double& sum = acc[coarse.a_cols[s]];
         coarse.a_vals[s] = sum;
         sum = 0.0;
       }
@@ -319,7 +317,6 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
 void MgPreconditioner::cycle(std::size_t l) {
   Level& level = levels_[l];
   const std::size_t n = level.n;
-  const MgSymbolic::Level& transfer = (*hierarchy_.levels_)[l];
 
   if (l + 1 == levels_.size()) {
     // Coarsest: direct dense Cholesky solve, x = (L L^T)^{-1} rhs.
@@ -359,9 +356,9 @@ void MgPreconditioner::cycle(std::size_t l) {
   coarse.rhs.resize(coarse.n);
   for (std::size_t I = 0; I < coarse.n; ++I) {
     double s = 0.0;
-    for (std::uint32_t t = transfer.r_offsets[I];
-         t < transfer.r_offsets[I + 1]; ++t)
-      s += transfer.r_vals[t] * level.r[transfer.r_rows[t]];
+    for (std::uint32_t t = level.r_offsets[I]; t < level.r_offsets[I + 1];
+         ++t)
+      s += level.r_vals[t] * level.r[level.r_rows[t]];
     coarse.rhs[I] = s;
   }
   cycle(l + 1);
@@ -369,9 +366,9 @@ void MgPreconditioner::cycle(std::size_t l) {
   // Prolongate the coarse correction.
   for (std::size_t i = 0; i < n; ++i) {
     double s = 0.0;
-    for (std::uint32_t k = transfer.p_offsets[i];
-         k < transfer.p_offsets[i + 1]; ++k)
-      s += transfer.p_vals[k] * coarse.x[transfer.p_cols[k]];
+    for (std::uint32_t k = level.p_offsets[i]; k < level.p_offsets[i + 1];
+         ++k)
+      s += level.p_vals[k] * coarse.x[level.p_cols[k]];
     level.x[i] += s;
   }
 

@@ -224,8 +224,7 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a, unsigned fill_level) {
   const std::size_t n = a.rows();
   const auto& aoff = a.row_offsets();
   const auto& acols = a.col_indices();
-  auto analysis = std::make_shared<Analysis>();
-  Analysis& sym = *analysis;
+  Analysis& sym = analysis_;
   sym.source_digest = a.structure_digest();
 
   // Level-based symbolic factorization (the symmetric IKJ form): row i
@@ -306,21 +305,17 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a, unsigned fill_level) {
       ++cursor[c];
     }
   }
-  analysis_ = std::move(analysis);
 }
 
-void IcPreconditioner::factor(const CsrMatrix& a, const IcSymbolic* shared) {
-  if (shared != nullptr) {
-    VPD_REQUIRE(!shared->empty() &&
-                    shared->analysis_->source_digest == a.structure_digest(),
-                "shared IC pattern was built from another matrix structure "
-                "(a ", shared->rows(), "-row pattern, factoring a ", a.rows(),
-                "-row matrix)");
-    symbolic_ = *shared;
-  } else {
+void IcPreconditioner::factor(const CsrMatrix& a) {
+  // The pattern is a pure function of the structure, so a kept pattern
+  // serves every matrix with the same digest; another structure of the
+  // same size would map the pattern's slots onto the wrong entries.
+  if (symbolic_.empty() ||
+      symbolic_.analysis_.source_digest != a.structure_digest()) {
     symbolic_ = IcSymbolic(a);
   }
-  const IcSymbolic::Analysis& sym = *symbolic_.analysis_;
+  const IcSymbolic::Analysis& sym = symbolic_.analysis_;
   const std::size_t n = sym.offsets.size() - 1;
   const auto& off = sym.offsets;
   const auto& cols = sym.cols;
@@ -387,7 +382,7 @@ void IcPreconditioner::factor(const CsrMatrix& a, const IcSymbolic* shared) {
 }
 
 void IcPreconditioner::finalize_apply_arrays() {
-  const IcSymbolic::Analysis& sym = *symbolic_.analysis_;
+  const IcSymbolic::Analysis& sym = symbolic_.analysis_;
   const std::size_t n = sym.offsets.size() - 1;
   n_ = n;
   const std::size_t lower = sym.col_offsets[n];
@@ -469,7 +464,7 @@ void IcPreconditioner::finalize_apply_arrays() {
 }
 
 void IcPreconditioner::setup_ssor(const CsrMatrix& a) {
-  const IcSymbolic::Analysis& sym = *symbolic_.analysis_;
+  const IcSymbolic::Analysis& sym = symbolic_.analysis_;
   const std::size_t n = sym.offsets.size() - 1;
   for (std::size_t k = 0; k < values_.size(); ++k)
     values_[k] =
@@ -565,10 +560,10 @@ void CgWorkspace::prepare(const CsrMatrix& a, const CgOptions& options) {
   if (options.preconditioner == CgPreconditioner::kMultigrid) {
     VPD_REQUIRE(options.mg_symbolic != nullptr,
                 "kMultigrid requires CgOptions::mg_symbolic (the "
-                "grid-derived hierarchy; see AssembledMesh::mg_symbolic)");
+                "operator's grid; see AssembledMesh::mg_symbolic)");
     VPD_REQUIRE(options.mg_symbolic->rows() == n,
-                "multigrid hierarchy is for a ", options.mg_symbolic->rows(),
-                "-row grid, got a ", n, "-row matrix");
+                "multigrid grid has ", options.mg_symbolic->rows(),
+                " nodes, got a ", n, "-row matrix");
   }
   if (!key_matches(a)) {
     invalidate();
@@ -602,7 +597,7 @@ void CgWorkspace::prepare(const CsrMatrix& a, const CgOptions& options) {
     return;
   }
   if (want == FactorKind::kIncompleteCholesky) {
-    ic_.factor(a, options.ic_symbolic);
+    ic_.factor(a);
   } else {
     if (!mg_) mg_ = std::make_unique<MgPreconditioner>();
     mg_->factor(a, *options.mg_symbolic);
@@ -742,17 +737,6 @@ CgResult solve_cg(const CsrMatrix& a, const Vector& b,
                   const CgOptions& options) {
   CgWorkspace workspace;
   return solve_cg(a, b, options, workspace);
-}
-
-std::vector<CgResult> solve_cg_batch(const CsrMatrix& a,
-                                     const std::vector<Vector>& rhs,
-                                     const CgOptions& options,
-                                     CgWorkspace& workspace) {
-  std::vector<CgResult> results;
-  results.reserve(rhs.size());
-  for (const Vector& b : rhs)
-    results.push_back(solve_cg(a, b, options, workspace));
-  return results;
 }
 
 }  // namespace vpd

@@ -10,7 +10,9 @@
 // allocation-free and reuses the factorization when the matrix values have
 // not changed. A compiled matrix carries a digest of its sparsity pattern,
 // computed once, so keying solver state to a pattern costs one word
-// compare per solve.
+// compare per solve. Each preconditioner builds its own symbolic analysis
+// (the IC fill pattern, the multigrid hierarchy) the first time it factors
+// a pattern or grid and keeps it while that stays the same.
 #pragma once
 
 #include <cstddef>
@@ -79,7 +81,7 @@ class CsrMatrix {
   /// that (add_to_entry and values_mut() edit values only), so copies
   /// carry the digest, and two matrices compiled from the same pattern
   /// get equal digests whatever their values. Keys solver state
-  /// (CgWorkspace, IcSymbolic) to a pattern in O(1). 0 for a
+  /// (CgWorkspace, the IC pattern) to a pattern in O(1). 0 for a
   /// default-constructed matrix.
   std::uint64_t structure_digest() const { return structure_digest_; }
 
@@ -148,9 +150,9 @@ enum class CgPreconditioner {
   /// counts become near-independent of mesh size, where IC(0) counts grow
   /// with refinement — the right choice for large meshes and for batch
   /// workloads that amortize the hierarchy setup. Requires
-  /// CgOptions::mg_symbolic (the grid-derived hierarchy; only the package
-  /// layer knows the mesh dimensions, so it cannot be built from the
-  /// matrix alone).
+  /// CgOptions::mg_symbolic (the operator's grid; only the package layer
+  /// knows the mesh dimensions, so the hierarchy cannot be derived from
+  /// the matrix alone).
   kMultigrid,
 };
 
@@ -159,13 +161,10 @@ const char* to_string(CgPreconditioner preconditioner);
 /// Lower-triangle sparsity pattern of a square CSR matrix, precomputed for
 /// IC(0)/SSOR factorizations: per-row column lists (diagonal last) plus the
 /// mapping from each lower-triangle slot back to the source value index.
-/// The pattern depends only on the matrix structure, so one IcSymbolic can
-/// be shared by every matrix with that pattern — e.g. cached alongside a
-/// mesh Laplacian whose VR shunt stamps only touch existing diagonal
-/// entries, and shared by every mesh on the same grid. The analysis is
-/// one immutable block held by shared pointer: copies share it, and it
-/// records the structure digest of the matrix it was built from, which
-/// IcPreconditioner::factor checks against the matrix it factors.
+/// The pattern depends only on the matrix structure, so IcPreconditioner
+/// builds one the first time it factors a structure and keeps it for every
+/// later matrix with the same structure digest (e.g. a mesh Laplacian
+/// whose VR shunt stamps only touch existing diagonal entries).
 class IcSymbolic {
  public:
   /// Default fill level: level-1 fill (entries reachable through one
@@ -181,13 +180,7 @@ class IcSymbolic {
   explicit IcSymbolic(const CsrMatrix& a,
                       unsigned fill_level = kDefaultFillLevel);
 
-  bool empty() const { return analysis_ == nullptr; }
-  std::size_t rows() const {
-    return analysis_ ? analysis_->offsets.size() - 1 : 0;
-  }
-  std::size_t entry_count() const {
-    return analysis_ ? analysis_->cols.size() : 0;
-  }
+  bool empty() const { return analysis_.offsets.empty(); }
 
  private:
   friend class IcPreconditioner;
@@ -206,7 +199,7 @@ class IcSymbolic {
     std::vector<std::size_t> col_slots;
     std::vector<std::size_t> col_rows;
   };
-  std::shared_ptr<const Analysis> analysis_;
+  Analysis analysis_;
 };
 
 /// Numeric IC(0) factorization (with SSOR fallback) over an IcSymbolic
@@ -214,16 +207,14 @@ class IcSymbolic {
 /// apply() evaluates z = M^{-1} r allocation-free.
 class IcPreconditioner {
  public:
-  /// Factors `a`. `shared` supplies a precomputed pattern of `a`; nullptr
-  /// builds one on demand. Throws InvalidArgument unless `shared` was
-  /// built from a matrix with a's structure digest (another pattern would
-  /// map its slots onto the wrong entries of a's value array).
-  void factor(const CsrMatrix& a, const IcSymbolic* shared = nullptr);
+  /// Factors `a`. Builds the IC pattern of a's structure the first time
+  /// it sees that structure and keeps it while a.structure_digest() stays
+  /// the same, so refactoring the same pattern with new values costs no
+  /// symbolic work, and a matrix of another structure (even one of the
+  /// same size) gets its own pattern.
+  void factor(const CsrMatrix& a);
 
   /// z = M^{-1} r. Requires a prior factor(); z is resized to fit.
-  /// Self-contained: the factor holds its own share of the pattern, so a
-  /// factorization cached in a CgWorkspace stays valid after the shared
-  /// pattern's owner (e.g. a mesh cache entry) is gone.
   void apply(const Vector& r, Vector& z) const;
 
   bool empty() const { return fwd_off_.empty(); }
@@ -235,7 +226,7 @@ class IcPreconditioner {
   void setup_ssor(const CsrMatrix& a);
   void finalize_apply_arrays();
 
-  IcSymbolic symbolic_;  // the caller's shared pattern or one built for a
+  IcSymbolic symbolic_;  // pattern of the last factored structure
   std::size_t n_{0};  // rows of the factored matrix
   std::vector<double> values_;  // L values (IC) or lower-triangle A (SSOR)
   Vector diag_;                 // L_rr (IC) or A_rr (SSOR)
@@ -272,13 +263,12 @@ struct CgOptions {
   /// the perturbation scale instead of ||b||.
   Vector x0;
   CgPreconditioner preconditioner{CgPreconditioner::kJacobi};
-  /// Optional precomputed lower-triangle pattern of the matrix for
-  /// kIncompleteCholesky (e.g. cached next to a mesh Laplacian whose
-  /// stamps never change the pattern). nullptr builds it at factor time;
-  /// a pattern built from another structure throws InvalidArgument.
+  /// Ignored: the workspace's IcPreconditioner builds and keeps the IC
+  /// pattern itself. Kept only because perfbench's layer probes assign it;
+  /// remove it with their next change.
   const IcSymbolic* ic_symbolic{nullptr};
-  /// Grid-derived multigrid hierarchy for kMultigrid (cached next to a
-  /// mesh Laplacian like ic_symbolic; see AssembledMesh::mg_symbolic).
+  /// The operator's grid for kMultigrid (see AssembledMesh::mg_symbolic);
+  /// the workspace's MgPreconditioner builds the hierarchy for it.
   /// Required when preconditioner == kMultigrid — must be non-null with
   /// rows() matching the matrix, or the solve throws InvalidArgument.
   const MgSymbolic* mg_symbolic{nullptr};
@@ -289,8 +279,11 @@ struct CgOptions {
 
 /// Reusable solver state: the iteration vectors, the
 /// operator-derived scalars (||A||_inf, the SPD diagonal check, the Jacobi
-/// inverse diagonal), and the most recent IC(0)/SSOR or multigrid setup,
-/// all keyed to the matrix they were computed from. The key is the
+/// inverse diagonal), the most recent IC(0)/SSOR or multigrid setup, and
+/// the preconditioners' symbolic analyses (the IC pattern, the multigrid
+/// hierarchy), which each preconditioner keeps while the pattern or grid
+/// stays the same. The numeric state is keyed to the matrix it was
+/// computed from. The key is the
 /// matrix's structure digest (CsrMatrix::structure_digest(), computed once
 /// when the pattern was compiled) plus an exact copy of the values — the
 /// pattern check is one word compare instead of a pass over the index
@@ -310,7 +303,9 @@ class CgWorkspace {
   CgWorkspace& operator=(const CgWorkspace&) = delete;
 
   /// Forgets everything keyed to the cached operator (factorization,
-  /// norm, diagonal); the next solve recomputes and refactors.
+  /// norm, diagonal); the next solve recomputes and refactors. The
+  /// symbolic analyses stay: each factorization checks its own against
+  /// the matrix's pattern or the requested grid.
   void invalidate() {
     key_valid_ = false;
     factored_ = FactorKind::kNone;
@@ -391,14 +386,5 @@ CgResult solve_cg(const CsrMatrix& a, const Vector& b,
                   const CgOptions& options, CgWorkspace& workspace);
 CgResult solve_cg(const CsrMatrix& a, const Vector& b,
                   const CgOptions& options = {});
-
-/// Solves A x = b for every right-hand side in `rhs` against one
-/// factorization: the first solve factors (IC kinds), the rest reuse it
-/// through the workspace. Each result is bit-identical to a standalone
-/// solve_cg call with the same options.
-std::vector<CgResult> solve_cg_batch(const CsrMatrix& a,
-                                     const std::vector<Vector>& rhs,
-                                     const CgOptions& options,
-                                     CgWorkspace& workspace);
 
 }  // namespace vpd

@@ -1,6 +1,7 @@
 #include "vpd/io/schema.hpp"
 
 #include <cmath>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,21 @@ std::size_t index_or(FieldReader& r, std::string_view key,
                      std::size_t fallback) {
   const Value* v = r.get(key);
   return v != nullptr ? as_index(*v, "field") : fallback;
+}
+
+/// A campaign's "threads" field. Refused above the machine's hardware
+/// thread count (when known): campaigns are CPU-bound and their results
+/// are identical at any thread count, so more workers buy nothing, and
+/// each is an operating-system thread that one request line would start.
+std::size_t threads_or(FieldReader& r, std::size_t fallback) {
+  const std::size_t threads = index_or(r, "threads", fallback);
+  const unsigned limit = std::thread::hardware_concurrency();
+  if (limit != 0 && threads > limit) {
+    throw InvalidArgument(detail::concat(
+        "threads: at most ", limit, " (the machine's hardware threads), got ",
+        threads));
+  }
+  return threads;
 }
 
 template <typename Kind, typename FromString>
@@ -668,7 +684,7 @@ DroopCampaignConfig droop_campaign_config_from_json(const Value& v) {
       bool_or(r, "include_vr_dropouts", config.include_vr_dropouts);
   config.max_dropout_sites =
       index_or(r, "max_dropout_sites", config.max_dropout_sites);
-  config.sweep.threads = index_or(r, "threads", config.sweep.threads);
+  config.sweep.threads = threads_or(r, config.sweep.threads);
   config.validate();
   return config;
 }
@@ -1040,7 +1056,7 @@ opt::OptimizerConfig optimizer_config_from_json(const Value& v) {
       config.warm_start.push_back(design_point_from_json(e));
     }
   }
-  config.sweep.threads = index_or(r, "threads", config.sweep.threads);
+  config.sweep.threads = threads_or(r, config.sweep.threads);
   return config;
 }
 

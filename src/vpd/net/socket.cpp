@@ -108,9 +108,13 @@ Connection& Connection::operator=(Connection&& other) noexcept {
 
 bool Connection::read_line(std::string* line) {
   line->clear();
+  // The buffer before `scanned` holds no '\n': each search resumes where
+  // the last one stopped, so a long line is scanned once, not once per
+  // read.
+  std::size_t scanned = buffer_pos_;
   for (;;) {
     // Serve from the buffered tail first.
-    const std::size_t newline = buffer_.find('\n', buffer_pos_);
+    const std::size_t newline = buffer_.find('\n', scanned);
     if (newline != std::string::npos) {
       line->assign(buffer_, buffer_pos_, newline - buffer_pos_);
       buffer_pos_ = newline + 1;
@@ -122,6 +126,12 @@ bool Connection::read_line(std::string* line) {
       return true;
     }
     if (read_fd_ < 0) break;
+    // Drop the lines already served before the buffer grows, so a stream
+    // whose reads never end exactly on a line boundary does not keep
+    // every byte it has read.
+    buffer_.erase(0, buffer_pos_);
+    buffer_pos_ = 0;
+    scanned = buffer_.size();
     char chunk[4096];
     const ssize_t n = ::read(read_fd_, chunk, sizeof(chunk));
     if (n < 0) {

@@ -343,9 +343,7 @@ OptimizeReport DesignOptimizer::run() const {
   // once no matter which generation rediscovers it.
   MeshSolveCache private_cache;
   SweepConfig sweep_config = cfg.sweep;
-  if (sweep_config.use_mesh_cache && sweep_config.cache == nullptr) {
-    sweep_config.cache = &private_cache;
-  }
+  if (sweep_config.cache == nullptr) sweep_config.cache = &private_cache;
   SweepRunner runner(spec_, sweep_config);
 
   std::vector<Candidate> all;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "vpd/common/error.hpp"
@@ -15,15 +16,15 @@ Summary IrDropResult::vr_current_summary() const {
 namespace {
 
 /// Marks every node reachable from a VR attachment over nonzero-conductance
-/// edges, then grounds the rest out of the system: their rows become the
+/// edges, then grounds the rest out of the operator: their rows become the
 /// identity (the off-diagonals are already stored zeros — a node with a
-/// live edge would be reachable) and their rhs becomes 0, so they solve to
-/// 0 V. Keeps a fault-severed operator SPD with the nominal sparsity
-/// pattern. Fills `grounded_mask` (resized to the node count) with 1 for
-/// every grounded node — the caller pins those voltages to exactly 0 after
-/// the solve, since CG itself only reaches 0 to within the tolerance —
-/// and returns the number of grounded nodes.
-std::size_t ground_floating_nodes(CsrMatrix& a, Vector& rhs,
+/// live edge would be reachable). Keeps a fault-severed operator SPD with
+/// the nominal sparsity pattern. Fills `grounded_mask` (resized to the
+/// node count) with 1 for every grounded node — each right-hand side gets
+/// 0 there, so they solve to 0 V, and the caller pins those voltages to
+/// exactly 0 after the solve, since CG itself only reaches 0 to within the
+/// tolerance — and returns the number of grounded nodes.
+std::size_t ground_floating_nodes(CsrMatrix& a,
                                   const std::vector<VrAttachment>& vrs,
                                   std::vector<char>& grounded_mask) {
   const std::size_t n = a.rows();
@@ -57,17 +58,31 @@ std::size_t ground_floating_nodes(CsrMatrix& a, Vector& rhs,
     if (reachable[r]) continue;
     for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
       mut[k] = cols[k] == r ? 1.0 : 0.0;
-    rhs[r] = 0.0;
     grounded_mask[r] = 1;
     ++grounded;
   }
   return grounded;
 }
 
-/// rhs = -sinks, with per-entry validation. The VR Norton injections are
-/// added by stamp_vr_shunts.
-void build_sink_rhs(const GridMesh& mesh, const Vector& sink_currents,
-                    Vector& rhs) {
+/// Validates the attachments and folds their shunt conductances onto the
+/// operator's diagonal (Norton equivalence; the source injections go into
+/// each right-hand side, see build_rhs).
+void stamp_vr_shunts(const GridMesh& mesh,
+                     const std::vector<VrAttachment>& vrs, CsrMatrix& a) {
+  for (const VrAttachment& vr : vrs) {
+    VPD_REQUIRE(vr.node < mesh.node_count(), "VR node ", vr.node,
+                " outside mesh");
+    VPD_REQUIRE(vr.series.value > 0.0,
+                "VR series resistance must be positive");
+    a.add_to_entry(vr.node, vr.node, 1.0 / vr.series.value);
+  }
+}
+
+/// rhs = -sinks plus the VR Norton injections, with per-entry validation,
+/// and 0 at every grounded node.
+void build_rhs(const GridMesh& mesh, const std::vector<VrAttachment>& vrs,
+               const Vector& sink_currents, std::size_t floating,
+               const std::vector<char>& grounded_mask, Vector& rhs) {
   VPD_REQUIRE(sink_currents.size() == mesh.node_count(),
               "sink vector has ", sink_currents.size(), " entries, mesh has ",
               mesh.node_count(), " nodes");
@@ -76,28 +91,17 @@ void build_sink_rhs(const GridMesh& mesh, const Vector& sink_currents,
     VPD_REQUIRE(sink_currents[i] >= 0.0, "negative sink at node ", i);
     rhs[i] -= sink_currents[i];
   }
-}
-
-/// Validates the attachments and folds them in by Norton equivalence:
-/// shunt conductance onto the diagonal (when `a` is non-null — batch
-/// solves stamp the shared operator once) and source injection into rhs.
-void stamp_vr_shunts(const GridMesh& mesh,
-                     const std::vector<VrAttachment>& vrs, CsrMatrix* a,
-                     Vector& rhs) {
   for (const VrAttachment& vr : vrs) {
-    VPD_REQUIRE(vr.node < mesh.node_count(), "VR node ", vr.node,
-                " outside mesh");
-    VPD_REQUIRE(vr.series.value > 0.0,
-                "VR series resistance must be positive");
     const double g = 1.0 / vr.series.value;
-    if (a != nullptr) a->add_to_entry(vr.node, vr.node, g);
     rhs[vr.node] += g * vr.source_voltage.value;
+  }
+  if (floating > 0) {
+    for (std::size_t i = 0; i < rhs.size(); ++i)
+      if (grounded_mask[i]) rhs[i] = 0.0;
   }
 }
 
-/// Derives the output metrics from a converged solve. Shared by the
-/// single and batch paths so their per-map results are computed
-/// identically.
+/// Derives the output metrics from a converged solve.
 IrDropResult extract_result(const GridMesh& mesh,
                             const std::vector<VrAttachment>& vrs,
                             CgResult&& cg, std::size_t floating,
@@ -131,69 +135,81 @@ IrDropResult extract_result(const GridMesh& mesh,
   return result;
 }
 
-/// Builds the CgOptions an IR-drop solve hands the solver.
-CgOptions make_cg_options(const GridMesh& mesh, const IcSymbolic* ic,
-                          const MgSymbolic* mg, const IrDropOptions& options,
-                          obs::TraceContext trace) {
-  CgOptions opts;
-  opts.relative_tolerance = options.relative_tolerance;
-  opts.preconditioner = options.preconditioner;
-  opts.ic_symbolic = ic;
-  opts.mg_symbolic = mg;
-  opts.trace = trace;
-  if (options.warm_start_voltage) {
-    opts.x0.assign(mesh.node_count(), *options.warm_start_voltage);
-  }
-  return opts;
-}
+/// Per-thread solver state: the stamped operator, one right-hand side,
+/// the grounding mask and the CG workspace, whose preconditioner keeps its
+/// IC pattern or multigrid hierarchy while the pattern or grid stays the
+/// same. One per thread, so each analysis is built once per thread.
+struct SolveState {
+  CsrMatrix a;
+  Vector rhs;
+  std::vector<char> grounded_mask;
+  CgWorkspace workspace;
+};
 
-/// Shared solve core: copies the compiled Laplacian (a fresh assembly or a
-/// cached one — identical either way) into per-thread storage, stamps the
-/// VR shunts in place, and runs preconditioned CG through a reusable
-/// workspace. Keeping one code path guarantees cached and uncached solves
-/// are bit-identical.
-IrDropResult solve_assembled(const GridMesh& mesh, const CsrMatrix& base,
-                             const IcSymbolic* symbolic,
-                             const MgSymbolic* hierarchy,
-                             const std::vector<VrAttachment>& vrs,
-                             const Vector& sink_currents,
-                             const IrDropOptions& options) {
+/// Shared solve core of solve_irdrop and solve_irdrop_batch: copies the
+/// compiled Laplacian (a fresh assembly or a cached one — identical either
+/// way) into the thread's operator, stamps the VR shunts in place, grounds
+/// severed nodes, and solves each sink map in order through the thread's
+/// workspace, so the first map factors and the rest reuse the factor. One
+/// code path keeps cached, uncached and batched solves bit-identical.
+std::vector<IrDropResult> solve_maps(const GridMesh& mesh,
+                                     const CsrMatrix& base,
+                                     const std::vector<VrAttachment>& vrs,
+                                     std::span<const Vector> sink_maps,
+                                     const IrDropOptions& options,
+                                     bool batch) {
   VPD_REQUIRE(!vrs.empty(), "need at least one VR attachment");
   VPD_REQUIRE(options.relative_tolerance > 0.0,
               "relative tolerance must be positive, got ",
               options.relative_tolerance);
 
   const obs::StageTimer stage_timer(obs::Work::kSolveNanoseconds);
-  obs::Span span("irdrop.solve", options.trace);
+  obs::Span span(batch ? "irdrop.solve_batch" : "irdrop.solve",
+                 options.trace);
 
-  thread_local CsrMatrix a;
-  thread_local Vector rhs;
-  a = base;
-  build_sink_rhs(mesh, sink_currents, rhs);
-  stamp_vr_shunts(mesh, vrs, &a, rhs);
-
+  thread_local SolveState state;
+  state.a = base;
+  stamp_vr_shunts(mesh, vrs, state.a);
   // Only a perturbed mesh can sever nodes (nominal grids are connected and
   // every edge conductance is positive), so the nominal path skips the
-  // reachability sweep entirely.
-  thread_local std::vector<char> grounded_mask;
+  // reachability sweep entirely. Severed nodes depend on the operator and
+  // attachments only, so one mask serves every map.
   const std::size_t floating =
-      mesh.perturbed() ? ground_floating_nodes(a, rhs, vrs, grounded_mask) : 0;
+      mesh.perturbed() ? ground_floating_nodes(state.a, vrs,
+                                               state.grounded_mask)
+                       : 0;
 
-  const CgOptions opts =
-      make_cg_options(mesh, symbolic, hierarchy, options, span.context());
-  thread_local CgWorkspace workspace;
-  CgResult cg = solve_cg(a, rhs, opts, workspace);
-  VPD_CHECK_NUMERIC(cg.converged, "IR-drop CG did not converge: residual ",
-                    cg.residual_norm, " after ", cg.iterations,
-                    " iterations");
+  const MgSymbolic grid(mesh.nx(), mesh.ny());
+  CgOptions opts;
+  opts.relative_tolerance = options.relative_tolerance;
+  opts.preconditioner = options.preconditioner;
+  opts.mg_symbolic = &grid;
+  opts.trace = span.context();
+  if (options.warm_start_voltage) {
+    opts.x0.assign(mesh.node_count(), *options.warm_start_voltage);
+  }
+
+  std::vector<IrDropResult> results;
+  results.reserve(sink_maps.size());
+  std::size_t total_iterations = 0;
+  for (const Vector& sinks : sink_maps) {
+    build_rhs(mesh, vrs, sinks, floating, state.grounded_mask, state.rhs);
+    CgResult cg = solve_cg(state.a, state.rhs, opts, state.workspace);
+    VPD_CHECK_NUMERIC(cg.converged, "IR-drop CG did not converge: residual ",
+                      cg.residual_norm, " after ", cg.iterations,
+                      " iterations");
+    total_iterations += cg.iterations;
+    results.push_back(extract_result(mesh, vrs, std::move(cg), floating,
+                                     state.grounded_mask));
+  }
 
   if (span.active()) {
     span.set_arg("nodes", double(mesh.node_count()));
     span.set_arg("vrs", double(vrs.size()));
-    span.set_arg("iterations", double(cg.iterations));
+    if (batch) span.set_arg("maps", double(sink_maps.size()));
+    span.set_arg("iterations", double(total_iterations));
   }
-
-  return extract_result(mesh, vrs, std::move(cg), floating, grounded_mask);
+  return results;
 }
 
 }  // namespace
@@ -203,86 +219,26 @@ IrDropResult solve_irdrop(const GridMesh& mesh,
                           const Vector& sink_currents,
                           const IrDropOptions& options) {
   const CsrMatrix laplacian(mesh.laplacian());
-  if (options.preconditioner == CgPreconditioner::kMultigrid) {
-    // No cached hierarchy to borrow on this path; build one for the solve.
-    const MgSymbolic hierarchy(mesh.nx(), mesh.ny());
-    return solve_assembled(mesh, laplacian, nullptr, &hierarchy, vrs,
-                           sink_currents, options);
-  }
-  return solve_assembled(mesh, laplacian, nullptr, nullptr, vrs,
-                         sink_currents, options);
+  return std::move(solve_maps(mesh, laplacian, vrs, {&sink_currents, 1},
+                              options, false)
+                       .front());
 }
 
 IrDropResult solve_irdrop(const AssembledMesh& assembled,
                           const std::vector<VrAttachment>& vrs,
                           const Vector& sink_currents,
                           const IrDropOptions& options) {
-  return solve_assembled(assembled.mesh, assembled.laplacian,
-                         &assembled.ic_symbolic, &assembled.mg_symbolic, vrs,
-                         sink_currents, options);
+  return std::move(solve_maps(assembled.mesh, assembled.laplacian, vrs,
+                              {&sink_currents, 1}, options, false)
+                       .front());
 }
 
 std::vector<IrDropResult> solve_irdrop_batch(
     const AssembledMesh& assembled, const std::vector<VrAttachment>& vrs,
     const std::vector<Vector>& sink_maps, const IrDropOptions& options) {
-  VPD_REQUIRE(!vrs.empty(), "need at least one VR attachment");
   VPD_REQUIRE(!sink_maps.empty(), "need at least one sink map");
-  VPD_REQUIRE(options.relative_tolerance > 0.0,
-              "relative tolerance must be positive, got ",
-              options.relative_tolerance);
-  const GridMesh& mesh = assembled.mesh;
-
-  const obs::StageTimer stage_timer(obs::Work::kSolveNanoseconds);
-  obs::Span span("irdrop.solve_batch", options.trace);
-
-  // One stamped operator for the whole batch; per-map right-hand sides.
-  thread_local CsrMatrix a;
-  thread_local std::vector<Vector> rhs_set;
-  a = assembled.laplacian;
-  rhs_set.resize(sink_maps.size());
-  for (std::size_t j = 0; j < sink_maps.size(); ++j) {
-    build_sink_rhs(mesh, sink_maps[j], rhs_set[j]);
-    stamp_vr_shunts(mesh, vrs, j == 0 ? &a : nullptr, rhs_set[j]);
-  }
-
-  // Severed nodes depend on the operator and attachments only, so the
-  // reachability sweep runs once and its mask applies to every map.
-  thread_local std::vector<char> grounded_mask;
-  std::size_t floating = 0;
-  if (mesh.perturbed()) {
-    floating = ground_floating_nodes(a, rhs_set[0], vrs, grounded_mask);
-    if (floating > 0) {
-      for (std::size_t j = 1; j < rhs_set.size(); ++j)
-        for (std::size_t i = 0; i < grounded_mask.size(); ++i)
-          if (grounded_mask[i]) rhs_set[j][i] = 0.0;
-    }
-  }
-
-  const CgOptions opts =
-      make_cg_options(mesh, &assembled.ic_symbolic, &assembled.mg_symbolic,
-                      options, span.context());
-  thread_local CgWorkspace workspace;
-  std::vector<CgResult> solved = solve_cg_batch(a, rhs_set, opts, workspace);
-
-  std::vector<IrDropResult> results;
-  results.reserve(solved.size());
-  std::size_t total_iterations = 0;
-  for (CgResult& cg : solved) {
-    VPD_CHECK_NUMERIC(cg.converged, "IR-drop CG did not converge: residual ",
-                      cg.residual_norm, " after ", cg.iterations,
-                      " iterations");
-    total_iterations += cg.iterations;
-    results.push_back(
-        extract_result(mesh, vrs, std::move(cg), floating, grounded_mask));
-  }
-
-  if (span.active()) {
-    span.set_arg("nodes", double(mesh.node_count()));
-    span.set_arg("vrs", double(vrs.size()));
-    span.set_arg("maps", double(sink_maps.size()));
-    span.set_arg("iterations", double(total_iterations));
-  }
-  return results;
+  return solve_maps(assembled.mesh, assembled.laplacian, vrs, sink_maps,
+                    options, true);
 }
 
 Vector uniform_sinks(const GridMesh& mesh, Current total) {

@@ -55,10 +55,10 @@ struct IrDropOptions {
   std::optional<double> warm_start_voltage;
   /// Preconditioner for the CG solve. IC(0) (the default) cuts mesh
   /// iteration counts several-fold over Jacobi; kMultigrid makes the
-  /// count near-independent of mesh size (the hierarchy comes from the
-  /// AssembledMesh, or is built on the fly for the GridMesh overload).
-  /// The factorization/hierarchy setup is reused automatically when the
-  /// same stamped operator is solved again through the same workspace.
+  /// count near-independent of mesh size. Each thread solves through one
+  /// workspace: the IC pattern or multigrid hierarchy is built once per
+  /// thread and mesh pattern or grid, and the factorization is reused
+  /// when the same stamped operator is solved again on that thread.
   CgPreconditioner preconditioner{CgPreconditioner::kIncompleteCholesky};
   /// Parent span for the solve's "irdrop.solve" trace span. Observability
   /// plumbing only; never read by the numerics.
@@ -85,9 +85,9 @@ IrDropResult solve_irdrop(const AssembledMesh& assembled,
 /// Solves one stamped operator (mesh + VR shunts) against many sink maps
 /// — the sweep/fault/optimizer inner loop where only the load pattern
 /// varies. The operator is stamped once and the right-hand sides solve in
-/// sequence through one workspace, so the factorization is reused; each
-/// result is bit-identical to a solve_irdrop call with the same inputs.
-/// Throws like solve_irdrop; sink_maps must be non-empty.
+/// sequence through the thread's workspace, so the factorization is
+/// reused; each result is bit-identical to a solve_irdrop call with the
+/// same inputs. Throws like solve_irdrop; sink_maps must be non-empty.
 std::vector<IrDropResult> solve_irdrop_batch(
     const AssembledMesh& assembled, const std::vector<VrAttachment>& vrs,
     const std::vector<Vector>& sink_maps, const IrDropOptions& options = {});

@@ -5,10 +5,10 @@
 // sort and CSR compilation — is identical for every point on the same
 // mesh. The cache shares one immutable AssembledMesh per key; solves copy
 // its value array and stamp their shunts via CsrMatrix::add_to_entry.
-// The symbolic analyses (IC pattern, multigrid hierarchy) depend only on
-// the sparsity pattern, which a conductance perturbation never changes,
-// so the cache builds them once per grid and every key on that grid,
-// nominal or perturbed, shares them.
+// The cache builds no symbolic analysis: the IC pattern and the multigrid
+// hierarchy belong to the preconditioner that factors the stamped
+// operator (see CgWorkspace), which builds each once per thread and
+// pattern or grid.
 //
 // Thread-safe: each key is built exactly once (misses == distinct keys
 // regardless of scheduling), by the getter that missed, outside the
@@ -29,26 +29,26 @@
 
 namespace vpd {
 
-/// An immutable, shareable mesh with its compiled Laplacian (no shunts),
-/// the symbolic lower-triangle pattern for IC(0)/SSOR factorizations, and
-/// the geometric multigrid hierarchy for kMultigrid solves of the stamped
-/// operator. VR shunt stamps only touch existing diagonal entries, so one
-/// pattern and one hierarchy serve every solve on this mesh; both are
-/// shared handles, and a MeshSolveCache hands the same analysis to every
-/// mesh on one grid.
+/// An immutable, shareable mesh with its compiled Laplacian (no shunts).
+/// VR shunt stamps only touch existing diagonal entries, so every solve on
+/// this mesh has the Laplacian's sparsity pattern.
 struct AssembledMesh {
   GridMesh mesh;
   CsrMatrix laplacian;
+  /// Always empty; the IC pattern is built by the preconditioner. Kept
+  /// only because perfbench's layer probes pass it to solve_cg; remove it
+  /// with their next change.
   IcSymbolic ic_symbolic;
+  /// The mesh's grid (nx, ny), which CgOptions::mg_symbolic needs for a
+  /// kMultigrid solve of the stamped operator.
   MgSymbolic mg_symbolic;
 };
 
-/// Builds the AssembledMesh for the given geometry with its own symbolic
-/// analyses. A cache miss compiles the same Laplacian and takes the
-/// analyses of its grid instead, which are identical to these, so cached
-/// and uncached solves are bit-identical. The perturbation overload
-/// applies a conductance perturbation; an empty perturbation is
-/// bit-identical to the plain overload.
+/// Builds the AssembledMesh for the given geometry; a MeshSolveCache miss
+/// builds its entry with this same routine, so cached and uncached solves
+/// are bit-identical. The perturbation overload applies a conductance
+/// perturbation; an empty perturbation is bit-identical to the plain
+/// overload.
 std::shared_ptr<const AssembledMesh> assemble_mesh(Length width,
                                                    Length height,
                                                    std::size_t nx,
@@ -95,10 +95,8 @@ class MeshSolveCache {
   Stats stats() const;
   /// Keys held, those still being built included.
   std::size_t size() const;
-  /// Grid analyses held: one per distinct grid pattern the keys use.
-  std::size_t analyses() const;
-  /// Drops every key, every grid analysis and the stats. A build in
-  /// flight still completes for its getters but is not kept.
+  /// Drops every key and the stats. A build in flight still completes for
+  /// its getters but is not kept.
   void clear();
 
  private:
@@ -111,34 +109,17 @@ class MeshSolveCache {
     std::uint64_t perturbation_digest;
     bool operator<(const Key& o) const;
   };
-  /// A grid analysis is keyed by the Laplacian's structure digest, so it
-  /// is only ever reused for the pattern it was built from.
-  struct GridKey {
-    std::size_t nx;
-    std::size_t ny;
-    std::uint64_t structure_digest;
-    bool operator<(const GridKey& o) const;
-  };
-  struct GridAnalysis {
-    IcSymbolic ic;
-    MgSymbolic mg;
-  };
-  /// A value built once, outside the mutex: the getter that misses claims
-  /// the slot and builds; getters arriving meanwhile wait on `value`.
-  /// `build` names the claiming call, so a failed build removes its own
-  /// slot and never one a later getter claimed after clear().
-  template <class T>
+  /// An entry built once, outside the mutex: the getter that misses
+  /// claims the slot and builds; getters arriving meanwhile wait on
+  /// `value`. `build` names the claiming call, so a failed build removes
+  /// its own slot and never one a later getter claimed after clear().
   struct Slot {
-    std::shared_future<T> value;
+    std::shared_future<std::shared_ptr<const AssembledMesh>> value;
     std::uint64_t build{0};
   };
-  template <class K, class T, class Lookup, class Build>
-  T get_once(std::map<K, Slot<T>>& slots, const K& key, Lookup lookup,
-             Build build);
 
   mutable std::mutex mutex_;
-  std::map<Key, Slot<std::shared_ptr<const AssembledMesh>>> entries_;
-  std::map<GridKey, Slot<GridAnalysis>> grids_;
+  std::map<Key, Slot> entries_;
   std::uint64_t builds_{0};
   Stats stats_;
 };

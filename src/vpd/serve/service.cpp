@@ -276,9 +276,7 @@ TransientServiceResponse EvaluationService::run_transient(
     // Campaign DC sweeps share the service's mesh cache, so repeated
     // campaigns over one geometry reuse assembled operators like the
     // point-evaluation path does.
-    if (config.sweep.use_mesh_cache && config.sweep.cache == nullptr) {
-      config.sweep.cache = &mesh_cache_;
-    }
+    if (config.sweep.cache == nullptr) config.sweep.cache = &mesh_cache_;
     const DroopCampaignRunner runner(request.spec, config);
     auto report = std::make_shared<DroopCampaignReport>(
         runner.run(request.architecture, request.topology, request.tech,
@@ -325,9 +323,7 @@ OptimizeServiceResponse EvaluationService::run_optimize(
     // Optimizer evaluation batches and survivability campaigns share the
     // service's mesh cache, so repeated runs over one geometry family
     // reuse assembled operators like the point-evaluation path does.
-    if (config.sweep.use_mesh_cache && config.sweep.cache == nullptr) {
-      config.sweep.cache = &mesh_cache_;
-    }
+    if (config.sweep.cache == nullptr) config.sweep.cache = &mesh_cache_;
     const opt::DesignOptimizer optimizer(request.spec, request.space,
                                          std::move(config));
     auto report = std::make_shared<opt::OptimizeReport>(optimizer.run());

@@ -61,10 +61,8 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
 
   // Whichever cache the run uses lives at least as long as the workers.
   MeshSolveCache private_cache;
-  MeshSolveCache* cache = nullptr;
-  if (config_.use_mesh_cache) {
-    cache = config_.cache != nullptr ? config_.cache : &private_cache;
-  }
+  MeshSolveCache* const cache =
+      config_.cache != nullptr ? config_.cache : &private_cache;
 
   SweepReport report;
   report.outcomes.resize(points.size());

@@ -62,12 +62,9 @@ struct SweepConfig {
   /// value of 1 runs the points inline on the calling thread (the serial
   /// reference path — bit-identical to any parallel run).
   std::size_t threads{0};
-  /// Share assembled mesh operators across points. Off reproduces the
-  /// assemble-per-call behaviour (still bit-identical, just slower).
-  bool use_mesh_cache{true};
-  /// External cache to share across multiple run() calls; nullptr makes
-  /// the runner use one private cache per run(). Ignored when
-  /// use_mesh_cache is false. Must outlive the runner's run() calls.
+  /// Mesh cache the points share assembled operators through, also across
+  /// run() calls; nullptr makes the runner use one private cache per
+  /// run(). Must outlive the runner's run() calls.
   MeshSolveCache* cache{nullptr};
   /// Route the points through the batch evaluation engine (core/batch.hpp):
   /// same-operator points solve their distinct sink vectors against one

@@ -12,12 +12,22 @@ ThreadPool::ThreadPool(std::size_t threads) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A worker failed to start. The destructor will not run, and
+    // destroying a joinable std::thread terminates, so stop the workers
+    // already started before the error leaves.
+    stop();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop(); }
+
+void ThreadPool::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;

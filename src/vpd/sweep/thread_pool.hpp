@@ -27,7 +27,8 @@ namespace vpd {
 class ThreadPool {
  public:
   /// Spawns `threads` workers; 0 picks std::thread::hardware_concurrency()
-  /// (at least one). The pool is fixed-size for its lifetime.
+  /// (at least one). The pool is fixed-size for its lifetime. If a worker
+  /// fails to start, joins the ones already started and rethrows.
   explicit ThreadPool(std::size_t threads = 0);
 
   /// Drains the queue (pending tasks still run), then joins all workers.
@@ -57,6 +58,8 @@ class ThreadPool {
   };
 
   void worker_loop();
+  /// Lets the workers drain the queue and exit, then joins them.
+  void stop();
 
   std::mutex mutex_;
   std::condition_variable task_ready_;   // workers wait for work/shutdown

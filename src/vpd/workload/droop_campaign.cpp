@@ -449,9 +449,7 @@ DroopCampaignReport DroopCampaignRunner::run(
 
   MeshSolveCache campaign_cache;
   SweepConfig sweep_config = config_.sweep;
-  if (sweep_config.use_mesh_cache && sweep_config.cache == nullptr) {
-    sweep_config.cache = &campaign_cache;
-  }
+  if (sweep_config.cache == nullptr) sweep_config.cache = &campaign_cache;
   const SweepRunner runner(spec_, sweep_config);
 
   // Nominal probe: learns the deployment and the pre-fault reduced model.

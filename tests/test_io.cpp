@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "vpd/common/error.hpp"
@@ -544,6 +545,31 @@ TEST(Schema, TransientRequestRoundTripsAndKeyIsOrderBlind) {
           R"({"cmd":"transient","id":7,"config":{"threads":2,"tile_grid":1},"topology":"DSCH","architecture":"A1"})"));
   EXPECT_EQ(io::canonical_transient_key(reference),
             io::canonical_transient_key(shuffled));
+}
+
+TEST(Schema, CampaignThreadsAreBoundedByTheHardwareThreads) {
+  // One request line must not make the daemon start more workers than the
+  // machine has hardware threads: the transient and optimize verbs refuse
+  // a larger "threads" count. Decoding starts no thread.
+  const unsigned cores = std::thread::hardware_concurrency();
+  if (cores == 0) GTEST_SKIP() << "hardware thread count unknown: no limit";
+  const auto transient = [](std::size_t threads) {
+    return io::transient_request_from_json(io::parse(
+        R"({"architecture":"A1","topology":"DSCH","config":{"tile_grid":1,"threads":)" +
+        std::to_string(threads) + "}}"));
+  };
+  const auto optimize = [](std::size_t threads) {
+    return io::optimize_request_from_json(io::parse(
+        R"({"cmd":"optimize","config":{"threads":)" +
+        std::to_string(threads) + "}}"));
+  };
+  for (const std::size_t threads : {std::size_t{cores} + 1,
+                                    std::size_t{1000000}}) {
+    EXPECT_THROW(transient(threads), InvalidArgument) << threads;
+    EXPECT_THROW(optimize(threads), InvalidArgument) << threads;
+  }
+  EXPECT_EQ(transient(cores).config.sweep.threads, cores);
+  EXPECT_EQ(optimize(cores).config.sweep.threads, cores);
 }
 
 TEST(Schema, TransientRequestRejectsMeshlessAndFaultedForms) {

@@ -1,9 +1,10 @@
 // MeshSolveCache: keying, hit/miss accounting, identity of shared
-// operators, one symbolic analysis per grid, concurrent getters (each key
-// built once, outside the lock; a failed build reaches every waiter), and
-// equivalence with per-call assembly (the property the sweep engine's
-// bit-identical guarantee rests on). Runs in the `solver` executable, so
-// the sanitizer jobs cover the concurrent cases.
+// operators, concurrent getters (each key built once, outside the lock; a
+// failed build reaches every waiter), equivalence with per-call assembly
+// (the property the sweep engine's bit-identical guarantee rests on), and
+// the solve_cg contract perfbench's layer probes use on an assembly. Runs
+// in the `solver` executable, so the sanitizer jobs cover the concurrent
+// cases.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "vpd/common/error.hpp"
+#include "vpd/common/multigrid.hpp"
 #include "vpd/package/irdrop.hpp"
 #include "vpd/package/mesh_cache.hpp"
 
@@ -54,18 +56,22 @@ TEST(MeshSolveCache, CachedAssemblyMatchesDirectAssembly) {
 }
 
 TEST(MeshSolveCache, AssemblyCarriesTheMultigridHierarchy) {
-  // Every assembled mesh ships a ready multigrid hierarchy sized to its
-  // grid, so kMultigrid solves through the cache never rebuild it. A
-  // 33x33 grid coarsens to at most 64 nodes in three steps, so the
-  // hierarchy must have several levels, not a degenerate single one.
+  // Every assembled mesh carries its grid, which is all a kMultigrid solve
+  // needs. A 33x33 grid coarsens to at most 64 nodes in three steps, so
+  // the hierarchy the preconditioner builds for it must have several
+  // levels, not a degenerate single one.
   MeshSolveCache cache;
   const auto assembled = cache.get(10.0_mm, 10.0_mm, 33, 33, 2e-3);
   ASSERT_FALSE(assembled->mg_symbolic.empty());
   EXPECT_EQ(assembled->mg_symbolic.rows(), assembled->mesh.node_count());
-  EXPECT_GE(assembled->mg_symbolic.level_count(), 3u);
-  // The hierarchy is usable as-is for a solve against the cached operator.
   std::vector<VrAttachment> vrs{
       {assembled->mesh.node(16, 0), 1.0_V, Resistance{1e-4}}};
+  CsrMatrix stamped = assembled->laplacian;
+  stamped.add_to_entry(vrs[0].node, vrs[0].node, 1.0 / vrs[0].series.value);
+  MgPreconditioner hierarchy;
+  hierarchy.factor(stamped, assembled->mg_symbolic);
+  EXPECT_GE(hierarchy.level_count(), 3u);
+  // The grid is usable as-is for a solve against the cached operator.
   Vector sinks(assembled->mesh.node_count(),
                50.0 / assembled->mesh.node_count());
   IrDropOptions options;
@@ -136,12 +142,8 @@ TEST(MeshSolveCache, PerturbedCachedAssemblyMatchesDirectAssembly) {
   const MeshPerturbation damage{
       EdgeScaleRegion{1.0_mm, 1.0_mm, 5.0_mm, 3.0_mm, 0.25}};
   MeshSolveCache cache;
-  // The nominal key comes first, so the perturbed key takes the grid
-  // analysis built from the nominal Laplacian; the direct assembly builds
-  // its own.
   const auto nominal = cache.get(10.0_mm, 10.0_mm, 21, 21, 2e-3);
   const auto cached = cache.get(10.0_mm, 10.0_mm, 21, 21, 2e-3, damage);
-  EXPECT_EQ(cache.analyses(), 1u);
   const auto direct = assemble_mesh(10.0_mm, 10.0_mm, 21, 21, 2e-3, damage);
   ASSERT_EQ(cached->laplacian.nonzero_count(),
             direct->laplacian.nonzero_count());
@@ -224,10 +226,8 @@ TEST(MeshSolveCache, ConcurrentGettersBuildEachKeyOnce) {
   EXPECT_EQ(cache.stats().misses, keys);
   EXPECT_EQ(cache.stats().hits, kThreads * keys - keys);
   EXPECT_EQ(cache.size(), keys);
-  EXPECT_EQ(cache.analyses(), 2u);  // the 21x21 grid and the 15x15 grid
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.analyses(), 0u);
 }
 
 TEST(MeshSolveCache, FailedBuildReachesEveryWaiterAndLeavesNoEntry) {
@@ -257,13 +257,57 @@ TEST(MeshSolveCache, FailedBuildReachesEveryWaiterAndLeavesNoEntry) {
     EXPECT_EQ(thrown.load(), 2) << "round " << round;
     EXPECT_EQ(cache.size(), 0u) << "round " << round;
   }
-  EXPECT_EQ(cache.analyses(), 0u);
   EXPECT_EQ(cache.stats().hits + cache.stats().misses,
             static_cast<std::size_t>(2 * kRounds));
   // The failure poisons nothing: a valid key still builds and hits.
   const auto mesh = cache.get(10.0_mm, 10.0_mm, 21, 21, 2e-3);
   EXPECT_EQ(mesh.get(), cache.get(10.0_mm, 10.0_mm, 21, 21, 2e-3).get());
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(MeshSolveCache, ProbeSolveContractMatchesSolveIrdrop) {
+  // perfbench's layer probes stamp a cached assembly's operator themselves
+  // and call solve_cg with the assembly's ic_symbolic (ignored) and
+  // mg_symbolic (the grid). That solve must return solve_irdrop's bits:
+  // IC on a 41x41 mesh, multigrid on a 65x65 one.
+  struct Case {
+    std::size_t nodes;
+    CgPreconditioner preconditioner;
+  };
+  MeshSolveCache cache;
+  for (const Case c : {Case{41, CgPreconditioner::kIncompleteCholesky},
+                       Case{65, CgPreconditioner::kMultigrid}}) {
+    const auto assembled = cache.get(10.0_mm, 10.0_mm, c.nodes, c.nodes, 2e-3);
+    const GridMesh& mesh = assembled->mesh;
+    const std::vector<VrAttachment> legs =
+        patch_attachment(mesh, 5.0_mm, 0.0_mm, 1.5_mm, 1.0_V,
+                         Resistance{100e-6});
+    const Vector sinks = uniform_sinks(mesh, Current{50.0});
+    IrDropOptions options;
+    options.warm_start_voltage = 1.0;
+    options.preconditioner = c.preconditioner;
+    const IrDropResult via_irdrop =
+        solve_irdrop(*assembled, legs, sinks, options);
+
+    CsrMatrix a = assembled->laplacian;
+    Vector b(mesh.node_count(), 0.0);
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = -sinks[i];
+    for (const VrAttachment& leg : legs) {
+      const double g = 1.0 / leg.series.value;
+      a.add_to_entry(leg.node, leg.node, g);
+      b[leg.node] += g * leg.source_voltage.value;
+    }
+    CgOptions cg;
+    cg.relative_tolerance = options.relative_tolerance;
+    cg.preconditioner = options.preconditioner;
+    cg.ic_symbolic = &assembled->ic_symbolic;
+    cg.mg_symbolic = &assembled->mg_symbolic;
+    cg.x0.assign(mesh.node_count(), *options.warm_start_voltage);
+    CgWorkspace workspace;
+    const CgResult via_cg = solve_cg(a, b, cg, workspace);
+    EXPECT_EQ(via_cg.x, via_irdrop.node_voltages) << c.nodes;
+    EXPECT_EQ(via_cg.iterations, via_irdrop.cg_iterations) << c.nodes;
+  }
 }
 
 }  // namespace

@@ -288,6 +288,56 @@ TEST(ResponseQueue, SinkFailureMutesEmissionButStillConsumesResolvers) {
 
 // --- LineSession verbs -----------------------------------------------------
 
+// --- Line framing ------------------------------------------------------------
+
+/// Seconds read_line takes to deliver one `bytes`-long line written into a
+/// pipe by another thread; best of 3.
+double best_read_line_seconds(std::size_t bytes) {
+  const std::string payload = std::string(bytes, 'x') + "\n";
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    int fds[2];
+    if (::pipe(fds) != 0) {
+      ADD_FAILURE() << "pipe() failed";
+      return 0.0;
+    }
+    std::thread writer([&payload, fd = fds[1]] {
+      std::size_t done = 0;
+      while (done < payload.size()) {
+        const ssize_t n =
+            ::write(fd, payload.data() + done, payload.size() - done);
+        if (n <= 0) break;
+        done += static_cast<std::size_t>(n);
+      }
+      ::close(fd);
+    });
+    net::Connection reader(fds[0], -1);
+    std::string line;
+    const auto start = std::chrono::steady_clock::now();
+    const bool read = reader.read_line(&line);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    writer.join();
+    EXPECT_TRUE(read);
+    EXPECT_EQ(line.size(), bytes);
+    if (rep == 0 || seconds < best) best = seconds;
+  }
+  return best;
+}
+
+TEST(NetConnection, ReadLineTimeIsLinearInTheLineLength) {
+  // Each read appends at most 4 KiB. Searching the whole buffered line for
+  // '\n' again after every read costs ~N^2 / 8 KiB comparisons, so 8x the
+  // bytes would take ~64x the time (measured ~100x); resuming the search
+  // where it stopped takes ~8x.
+  const double small = best_read_line_seconds(std::size_t{2} << 20);
+  const double large = best_read_line_seconds(std::size_t{16} << 20);
+  ASSERT_GT(small, 0.0);
+  EXPECT_LT(large / small, 24.0)
+      << "2 MiB line: " << small << " s, 16 MiB line: " << large << " s";
+}
+
 TEST(LineSession, ShutdownVerbDrainsAndEmitsFinalMetrics) {
   serve::ServiceConfig config;
   config.threads = 2;

@@ -10,11 +10,13 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "vpd/common/error.hpp"
 #include "vpd/common/matrix.hpp"
+#include "vpd/common/multigrid.hpp"
 #include "vpd/common/rng.hpp"
 #include "vpd/common/sparse.hpp"
 #include "vpd/obs/trace.hpp"
@@ -171,28 +173,26 @@ TEST(SolverCore, JacobiAndIcConvergeToTheSameSolution) {
   EXPECT_LT(xi.iterations, xj.iterations);
 }
 
-TEST(SolverCore, SharedSymbolicPatternIsBitIdenticalToOwned) {
-  Rng rng(7);
-  const CsrMatrix a = random_spd_laplacian(rng, 9, 8, 6);
-  const Vector b = random_vector(rng, a.rows());
-  CgOptions options;
-  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
-  const CgResult owned = solve_cg(a, b, options);
-  const IcSymbolic symbolic(a);
-  EXPECT_GT(symbolic.entry_count(), 0u);
-  EXPECT_EQ(symbolic.rows(), a.rows());
-  options.ic_symbolic = &symbolic;
-  const CgResult shared = solve_cg(a, b, options);
-  EXPECT_EQ(owned.iterations, shared.iterations);
-  EXPECT_EQ(owned.residual_norm, shared.residual_norm);
-  EXPECT_EQ(owned.x, shared.x);
-}
+TEST(SolverCore, AlternatingPatternsRebuildTheAnalysisBitIdentically) {
+  // One workspace alternates matrix structures. Each preconditioner keeps
+  // its symbolic analysis only while the pattern (IC) or the grid
+  // (multigrid) stays the same: a kept analysis of the right size mapped
+  // onto another structure would factor the wrong entries. So every solve
+  // must be bit-identical to a fresh workspace's.
+  const auto expect_fresh_bits = [](const CsrMatrix& a, const Vector& b,
+                                    const CgOptions& options, CgWorkspace& ws,
+                                    const std::string& what) {
+    const CgResult kept = solve_cg(a, b, options, ws);
+    CgWorkspace fresh;
+    const CgResult own = solve_cg(a, b, options, fresh);
+    ASSERT_TRUE(kept.converged) << what;
+    EXPECT_EQ(kept.x, own.x) << what;
+    EXPECT_EQ(kept.iterations, own.iterations) << what;
+    EXPECT_EQ(kept.residual_norm, own.residual_norm) << what;
+  };
 
-TEST(SolverCore, RejectsSharedPatternOfAnotherMatrix) {
-  // A 64x64 tridiagonal matrix and an 8x8 five-point Laplacian have the
-  // same size but different patterns. The Laplacian's IC pattern maps its
-  // slots onto value indices the tridiagonal matrix does not have, so it
-  // must be rejected, never factored.
+  // IC: a 64x64 tridiagonal matrix and an 8x8 five-point Laplacian have
+  // the same size but different patterns.
   TripletList tridiagonal(64, 64);
   for (std::size_t i = 0; i < 64; ++i) {
     tridiagonal.add(i, i, 4.0);
@@ -201,25 +201,51 @@ TEST(SolverCore, RejectsSharedPatternOfAnotherMatrix) {
       tridiagonal.add(i + 1, i, -1.0);
     }
   }
-  const CsrMatrix a(tridiagonal);
+  const CsrMatrix tri(tridiagonal);
   Rng rng(79);
-  const IcSymbolic other(random_spd_laplacian(rng, 8, 8, 2));
-  ASSERT_EQ(other.rows(), a.rows());
-  const Vector b(a.rows(), 1.0);
+  const CsrMatrix lap = random_spd_laplacian(rng, 8, 8, 2);
+  ASSERT_EQ(lap.rows(), tri.rows());
+  ASSERT_NE(lap.structure_digest(), tri.structure_digest());
+  CgOptions ic;
+  ic.preconditioner = CgPreconditioner::kIncompleteCholesky;
+  CgWorkspace ws;
+  int step = 0;
+  for (const CsrMatrix* a : {&tri, &lap, &tri}) {
+    expect_fresh_bits(*a, random_vector(rng, a->rows()), ic, ws,
+                      "IC step " + std::to_string(++step));
+  }
 
-  IcPreconditioner precond;
-  EXPECT_THROW(precond.factor(a, &other), InvalidArgument);
-  CgOptions options;
-  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
-  options.ic_symbolic = &other;
-  EXPECT_THROW(solve_cg(a, b, options), InvalidArgument);
+  // Multigrid: grids of other shapes, two of them with the same node
+  // count (16x15 and 15x16), then the first grid again.
+  struct Grid {
+    std::size_t nx;
+    std::size_t ny;
+  };
+  for (const Grid g : {Grid{17, 17}, Grid{16, 15}, Grid{15, 16},
+                       Grid{17, 17}}) {
+    const CsrMatrix a = random_spd_laplacian(rng, g.nx, g.ny, 4);
+    const MgSymbolic grid(g.nx, g.ny);
+    CgOptions mg;
+    mg.preconditioner = CgPreconditioner::kMultigrid;
+    mg.mg_symbolic = &grid;
+    expect_fresh_bits(a, random_vector(rng, a.rows()), mg, ws,
+                      "multigrid " + std::to_string(g.nx) + "x" +
+                          std::to_string(g.ny));
+  }
 
-  // Positive control: the matrix's own pattern is accepted.
-  const IcSymbolic own(a);
-  precond.factor(a, &own);
-  EXPECT_FALSE(precond.ssor_fallback());
-  options.ic_symbolic = &own;
-  EXPECT_TRUE(solve_cg(a, b, options).converged);
+  // Multigrid on one grid, alternating a 5-point and a 9-point operator:
+  // the kept hierarchy serves both, the fine pattern follows the matrix.
+  const MgSymbolic grid(9, 9);
+  CgOptions mg;
+  mg.preconditioner = CgPreconditioner::kMultigrid;
+  mg.mg_symbolic = &grid;
+  const CsrMatrix five = random_spd_laplacian(rng, 9, 9, 3);
+  const CsrMatrix nine = random_nine_point_laplacian(rng, 9, 9, 3);
+  step = 0;
+  for (const CsrMatrix* a : {&five, &nine, &five}) {
+    expect_fresh_bits(*a, random_vector(rng, a->rows()), mg, ws,
+                      "9x9 step " + std::to_string(++step));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -313,8 +339,8 @@ TEST(SolverCore, BatchSolveSharesOneFactorizationBitIdentically) {
   CgWorkspace ws;
   obs::WorkAccount account;
   const obs::WorkAccount::Scope scope(&account);
-  const std::vector<CgResult> batch = solve_cg_batch(a, rhs, options, ws);
-  ASSERT_EQ(batch.size(), rhs.size());
+  std::vector<CgResult> batch;
+  for (const Vector& b : rhs) batch.push_back(solve_cg(a, b, options, ws));
   const SolverCounters counted = solver_counters(account);
   EXPECT_EQ(counted.cg_solves, rhs.size());
   EXPECT_EQ(counted.precond_factorizations, 1u);
@@ -583,12 +609,14 @@ TEST(Multigrid, MatchesDenseReferenceOnNinePointLaplacians) {
     const Vector b = random_vector(rng, a.rows());
     const Vector reference = dense_cholesky_solve(a, b);
 
-    const MgSymbolic hierarchy(g.nx, g.ny);
+    const MgSymbolic grid(g.nx, g.ny);
+    MgPreconditioner hierarchy;
+    hierarchy.factor(a, grid);
     ASSERT_GE(hierarchy.level_count(), 2u);
     CgOptions options;
     options.relative_tolerance = 1e-13;
     options.preconditioner = CgPreconditioner::kMultigrid;
-    options.mg_symbolic = &hierarchy;
+    options.mg_symbolic = &grid;
     const CgResult result = solve_cg(a, b, options);
     ASSERT_TRUE(result.converged) << g.nx << "x" << g.ny;
     for (std::size_t i = 0; i < reference.size(); ++i)
@@ -762,9 +790,9 @@ TEST(Multigrid, SolvesSeveredMeshLikeIc) {
 // ---------------------------------------------------------------------------
 
 TEST(SolverCore, BatchIsBitIdenticalToStandaloneLoopWithMatchingCounters) {
-  // The header promises solve_cg_batch results are bit-identical to a
-  // loop of standalone solve_cg calls, and the work account opened around
-  // the batch must agree with the per-result iteration counts.
+  // Right-hand sides solved in sequence through one workspace are
+  // bit-identical to standalone solve_cg calls, and the work account
+  // opened around the loop agrees with the per-result iteration counts.
   Rng rng(61);
   const CsrMatrix a = random_spd_laplacian(rng, 9, 10, 5);
   std::vector<Vector> rhs;
@@ -775,7 +803,8 @@ TEST(SolverCore, BatchIsBitIdenticalToStandaloneLoopWithMatchingCounters) {
   obs::WorkAccount account;
   const obs::WorkAccount::Scope scope(&account);
   CgWorkspace ws;
-  const std::vector<CgResult> batch = solve_cg_batch(a, rhs, options, ws);
+  std::vector<CgResult> batch;
+  for (const Vector& b : rhs) batch.push_back(solve_cg(a, b, options, ws));
   const SolverCounters delta = solver_counters(account);
 
   std::size_t total_iterations = 0;
@@ -883,11 +912,20 @@ TEST(IrDropBatch, IsBitIdenticalToRepeatedSolves) {
 }
 
 TEST(IrDropBatch, AssembledMeshCachesTheHierarchy) {
+  // The assembly carries its grid; the preconditioner builds a multi-level
+  // hierarchy for it from the stamped operator.
   const auto assembled = assemble_mesh(Length{10e-3}, Length{10e-3}, 33, 33,
                                        2e-3);
+  EXPECT_TRUE(assembled->ic_symbolic.empty());
   EXPECT_FALSE(assembled->mg_symbolic.empty());
+  EXPECT_EQ(assembled->mg_symbolic.nx(), 33u);
+  EXPECT_EQ(assembled->mg_symbolic.ny(), 33u);
   EXPECT_EQ(assembled->mg_symbolic.rows(), assembled->mesh.node_count());
-  EXPECT_GT(assembled->mg_symbolic.level_count(), 1u);
+  CsrMatrix stamped = assembled->laplacian;
+  stamped.add_to_entry(0, 0, 1e4);
+  MgPreconditioner hierarchy;
+  hierarchy.factor(stamped, assembled->mg_symbolic);
+  EXPECT_GT(hierarchy.level_count(), 1u);
 }
 
 }  // namespace

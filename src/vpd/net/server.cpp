@@ -103,6 +103,7 @@ void NdjsonServer::handle_connection(Connection connection) {
           connection.write_line(line);
           lines_out_.add(1);
         });
+    std::string refused;  // why the stream's framing was lost, if it was
     try {
       std::string line;
       while (connection.read_line(&line)) {
@@ -116,11 +117,23 @@ void NdjsonServer::handle_connection(Connection connection) {
         }
         if (draining_.load()) break;
       }
+    } catch (const LineTooLong& e) {
+      refused = e.what();
     } catch (const IoError&) {
       // Peer went away mid-read; the drain below still consumes every
       // accepted line's result (the session mutes its sink on failure).
     }
     session->drain();  // every accepted line still gets its response
+    if (!refused.empty()) {
+      // The oversized line is no request: one error line after the
+      // accepted lines' responses, then the connection closes.
+      try {
+        connection.write_line(io::dump(error_body(refused)));
+        lines_out_.add(1);
+      } catch (const IoError&) {
+        // The client vanished first; nothing to tell it.
+      }
+    }
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);

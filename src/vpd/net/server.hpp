@@ -5,7 +5,10 @@
 // reject-not-block backpressure. A {"cmd":"shutdown"} from any client —
 // or request_shutdown() from the embedding process — drains gracefully:
 // the listener closes, every connection stops reading, every already-fed
-// line still gets its response, then serve() returns.
+// line still gets its response, then serve() returns. A line longer than
+// Connection::kMaxLineBytes is refused: the connection's accepted lines
+// get their responses, then one {"status":"error"} line naming the limit,
+// then the connection closes; other connections are unaffected.
 #pragma once
 
 #include <atomic>

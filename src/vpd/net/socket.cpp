@@ -108,6 +108,14 @@ Connection& Connection::operator=(Connection&& other) noexcept {
 
 bool Connection::read_line(std::string* line) {
   line->clear();
+  const auto refuse_longer_than_limit = [this](std::size_t bytes) {
+    if (bytes <= kMaxLineBytes) return;
+    buffer_.clear();
+    buffer_.shrink_to_fit();
+    buffer_pos_ = 0;
+    throw LineTooLong("NDJSON line longer than " +
+                      std::to_string(kMaxLineBytes) + " bytes (64 MiB)");
+  };
   // The buffer before `scanned` holds no '\n': each search resumes where
   // the last one stopped, so a long line is scanned once, not once per
   // read.
@@ -116,6 +124,7 @@ bool Connection::read_line(std::string* line) {
     // Serve from the buffered tail first.
     const std::size_t newline = buffer_.find('\n', scanned);
     if (newline != std::string::npos) {
+      refuse_longer_than_limit(newline - buffer_pos_);
       line->assign(buffer_, buffer_pos_, newline - buffer_pos_);
       buffer_pos_ = newline + 1;
       if (buffer_pos_ == buffer_.size()) {
@@ -132,6 +141,7 @@ bool Connection::read_line(std::string* line) {
     buffer_.erase(0, buffer_pos_);
     buffer_pos_ = 0;
     scanned = buffer_.size();
+    refuse_longer_than_limit(buffer_.size());
     char chunk[4096];
     const ssize_t n = ::read(read_fd_, chunk, sizeof(chunk));
     if (n < 0) {
@@ -145,6 +155,7 @@ bool Connection::read_line(std::string* line) {
   }
   // EOF: deliver an unterminated trailing line if one is buffered.
   if (buffer_pos_ < buffer_.size()) {
+    refuse_longer_than_limit(buffer_.size() - buffer_pos_);
     line->assign(buffer_, buffer_pos_, buffer_.size() - buffer_pos_);
     buffer_.clear();
     buffer_pos_ = 0;

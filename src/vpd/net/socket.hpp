@@ -31,6 +31,14 @@ class IoError : public Error {
   explicit IoError(const std::string& what) : Error(what) {}
 };
 
+/// A line longer than Connection::kMaxLineBytes. read_line throws it
+/// instead of buffering more of the line and drops what it holds; the
+/// stream's framing is lost, so the caller should close the connection.
+class LineTooLong : public IoError {
+ public:
+  using IoError::IoError;
+};
+
 /// Parsed listener/connect address.
 ///   unix:/run/vpd/shard0.sock   Unix-domain stream socket
 ///   tcp:127.0.0.1:7070          TCP on a loopback address (port 0 asks
@@ -70,9 +78,14 @@ class Connection {
   bool valid() const { return read_fd_ >= 0 || write_fd_ >= 0; }
   int read_fd() const { return read_fd_; }
 
+  /// The longest line read_line delivers, terminator excluded: 64 MiB.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
+
   /// Reads the next '\n'-terminated line (terminator stripped, CR
   /// trimmed). Returns false on clean EOF; a trailing unterminated line
-  /// is still delivered. Throws IoError on transport errors.
+  /// is still delivered. Throws IoError on transport errors, and
+  /// LineTooLong once a line exceeds kMaxLineBytes — before it buffers
+  /// more than one further read (4 KiB) past the limit.
   bool read_line(std::string* line);
   /// Writes `line` plus '\n' fully. Throws IoError if the peer is gone.
   void write_line(std::string_view line);

@@ -168,7 +168,16 @@ std::vector<IrDropResult> solve_maps(const GridMesh& mesh,
                  options.trace);
 
   thread_local SolveState state;
-  state.a = base;
+  // The thread's operator usually already has the base's structure (the
+  // last solve was on the same grid): then only the values are copied.
+  if (state.a.rows() == base.rows() &&
+      state.a.structure_digest() == base.structure_digest() &&
+      state.a.nonzero_count() == base.nonzero_count()) {
+    std::copy(base.values().begin(), base.values().end(),
+              state.a.values_mut().begin());
+  } else {
+    state.a = base;
+  }
   stamp_vr_shunts(mesh, vrs, state.a);
   // Only a perturbed mesh can sever nodes (nominal grids are connected and
   // every edge conductance is positive), so the nominal path skips the

@@ -139,17 +139,24 @@ Power GridMesh::edge_loss(const Vector& node_voltages) const {
   VPD_REQUIRE(node_voltages.size() == node_count(),
               "solution has ", node_voltages.size(), " entries, mesh has ",
               node_count(), " nodes");
+  // One serial sum in the order laplacian() stamps the edges: node by
+  // node, its x edge before its y edge, each conductance as
+  // edge_conductance_*_at() computes it, without the per-edge bounds checks.
+  const double* v = node_voltages.data();
   double loss = 0.0;
   for (std::size_t iy = 0; iy < ny_; ++iy) {
     for (std::size_t ix = 0; ix < nx_; ++ix) {
-      const std::size_t a = node(ix, iy);
+      const std::size_t a = iy * nx_ + ix;
       if (ix + 1 < nx_) {
-        const double dv = node_voltages[a] - node_voltages[node(ix + 1, iy)];
-        loss += dv * dv * edge_conductance_x_at(ix, iy);
+        const double dv = v[a] - v[a + 1];
+        const double g =
+            scale_x_.empty() ? gx_ : gx_ * scale_x_[iy * (nx_ - 1) + ix];
+        loss += dv * dv * g;
       }
       if (iy + 1 < ny_) {
-        const double dv = node_voltages[a] - node_voltages[node(ix, iy + 1)];
-        loss += dv * dv * edge_conductance_y_at(ix, iy);
+        const double dv = v[a] - v[a + nx_];
+        const double g = scale_y_.empty() ? gy_ : gy_ * scale_y_[a];
+        loss += dv * dv * g;
       }
     }
   }

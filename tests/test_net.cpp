@@ -6,6 +6,7 @@
 // graceful drain).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "vpd/io/json.hpp"
@@ -338,6 +340,46 @@ TEST(NetConnection, ReadLineTimeIsLinearInTheLineLength) {
       << "2 MiB line: " << small << " s, 16 MiB line: " << large << " s";
 }
 
+TEST(NetConnection, ReadLineRefusesALineLongerThanTheLimit) {
+  // One unterminated line 64 KiB past the limit, through a pipe. read_line
+  // must throw LineTooLong, naming the limit, having consumed more than
+  // the limit but at most one 4 KiB read past it: every byte it consumed
+  // was buffered (the line has no '\n'), the rest is still in the pipe.
+  constexpr std::size_t limit = net::Connection::kMaxLineBytes;
+  const std::size_t total = limit + (std::size_t{64} << 10);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::thread writer([fd = fds[1], total] {
+    const std::string chunk(1000, 'x');  // reads never align with writes
+    std::size_t done = 0;
+    while (done < total) {
+      const ssize_t n =
+          ::write(fd, chunk.data(), std::min(chunk.size(), total - done));
+      if (n <= 0) break;
+      done += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
+  net::Connection reader(fds[0], -1);
+  std::string line;
+  try {
+    reader.read_line(&line);
+    ADD_FAILURE() << "read_line delivered a " << line.size() << "-byte line";
+  } catch (const net::LineTooLong& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(limit)),
+              std::string::npos)
+        << e.what();
+  }
+  std::size_t left = 0;
+  char rest[1 << 16];
+  for (ssize_t n; (n = ::read(fds[0], rest, sizeof(rest))) > 0;)
+    left += static_cast<std::size_t>(n);
+  writer.join();
+  const std::size_t consumed = total - left;
+  EXPECT_GT(consumed, limit);
+  EXPECT_LE(consumed, limit + 4096);
+}
+
 TEST(LineSession, ShutdownVerbDrainsAndEmitsFinalMetrics) {
   serve::ServiceConfig config;
   config.threads = 2;
@@ -576,6 +618,54 @@ TEST_F(NetServerTest, ShutdownVerbDrainsWithZeroLoss) {
   // The client-initiated shutdown takes the whole server down.
   serve_thread_.join();
   EXPECT_TRUE(server_->draining());
+}
+
+TEST_F(NetServerTest, OversizedLineIsAnsweredAndClosedAndOthersAreServed) {
+  serve::ServiceConfig config;
+  config.threads = 1;
+  start_server(config);
+
+  // An accepted request, then one unterminated line past the limit,
+  // streamed until the server stops reading or the line is sent.
+  net::Connection conn = connect();
+  conn.write_line("{\"id\":1,\"cmd\":\"metrics\"}");
+  std::thread writer([fd = conn.read_fd()] {
+    const std::string chunk(4096, 'x');
+    for (std::size_t sent = 0;
+         sent < net::Connection::kMaxLineBytes + (std::size_t{64} << 10);) {
+      const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+      if (n <= 0) return;  // the server closed the connection
+      sent += static_cast<std::size_t>(n);
+    }
+    ::shutdown(fd, SHUT_WR);
+  });
+  std::vector<std::string> replies;
+  std::string line;
+  try {
+    while (conn.read_line(&line)) replies.push_back(line);
+  } catch (const net::IoError&) {
+    // A reset after the last line: the server closed with input unread.
+  }
+  writer.join();
+  conn.close();
+  // The accepted request's response, the refusal naming the limit, then
+  // the server closed the connection.
+  ASSERT_EQ(replies.size(), 2u);
+  io::Value reply = io::parse(replies[0]);
+  EXPECT_EQ(reply.find("id")->as_number(), 1.0);
+  EXPECT_EQ(reply.find("status")->as_string(), "ok");
+  reply = io::parse(replies[1]);
+  EXPECT_EQ(reply.find("status")->as_string(), "error");
+  EXPECT_NE(reply.find("error")->as_string().find(
+                std::to_string(net::Connection::kMaxLineBytes)),
+            std::string::npos)
+      << replies[1];
+
+  net::Connection second = connect();
+  second.write_line("{\"id\":2,\"cmd\":\"metrics\"}");
+  ASSERT_TRUE(second.read_line(&line));
+  EXPECT_EQ(io::parse(line).find("status")->as_string(), "ok");
+  second.close();
 }
 
 TEST(NetServerTcp, LoopbackRoundTrip) {

@@ -7,7 +7,10 @@
 // singular operator). Runs in its own ctest executable labelled `solver`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstddef>
 #include <limits>
 #include <string>
@@ -783,6 +786,352 @@ TEST(Multigrid, SolvesSeveredMeshLikeIc) {
   ASSERT_EQ(mg_result.node_voltages.size(), ic_result.node_voltages.size());
   for (std::size_t i = 0; i < ic_result.node_voltages.size(); ++i)
     EXPECT_NEAR(mg_result.node_voltages[i], ic_result.node_voltages[i], 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Multigrid stencil form against the CSR reference it replaced
+// ---------------------------------------------------------------------------
+
+/// The CSR V(1,1)-cycle and Galerkin product MgPreconditioner ran before
+/// its levels became grid stencils: prolongation and restriction as CSR
+/// matrices, coarse operators on a symbolic Galerkin pattern scattered into
+/// a dense row accumulator, every row summed in ascending column order.
+/// The stencil form must reproduce it bit for bit.
+class CsrMultigridReference {
+ public:
+  void factor(const CsrMatrix& a, std::size_t nx, std::size_t ny) {
+    build(nx, ny);
+    Level& fine = levels_.front();
+    fine.a_offsets.assign(a.row_offsets().begin(), a.row_offsets().end());
+    fine.a_cols.assign(a.col_indices().begin(), a.col_indices().end());
+    fine.a_vals = a.values();
+    std::vector<double> acc;
+    for (std::size_t l = 0; l + 1 < levels_.size(); ++l) {
+      const Level& level = levels_[l];
+      Level& coarse = levels_[l + 1];
+      coarse.a_vals.resize(coarse.a_cols.size());
+      acc.assign(coarse.n, 0.0);
+      for (std::size_t I = 0; I < coarse.n; ++I) {
+        for (std::size_t t = level.r_offsets[I]; t < level.r_offsets[I + 1];
+             ++t) {
+          const std::size_t i = level.r_rows[t];
+          const double w_i = level.r_vals[t];
+          for (std::size_t k = level.a_offsets[i]; k < level.a_offsets[i + 1];
+               ++k) {
+            const double contrib = w_i * level.a_vals[k];
+            const std::size_t j = level.a_cols[k];
+            for (std::size_t q = level.p_offsets[j];
+                 q < level.p_offsets[j + 1]; ++q)
+              acc[level.p_cols[q]] += contrib * level.p_vals[q];
+          }
+        }
+        for (std::size_t s = coarse.a_offsets[I];
+             s < coarse.a_offsets[I + 1]; ++s) {
+          coarse.a_vals[s] = acc[coarse.a_cols[s]];
+          acc[coarse.a_cols[s]] = 0.0;
+        }
+      }
+    }
+    for (Level& level : levels_) {
+      level.inv_diag.assign(level.n, 0.0);
+      for (std::size_t r = 0; r < level.n; ++r)
+        for (std::size_t k = level.a_offsets[r]; k < level.a_offsets[r + 1];
+             ++k)
+          if (level.a_cols[k] == r) level.inv_diag[r] = 1.0 / level.a_vals[k];
+    }
+    const Level& bottom = levels_.back();
+    const std::size_t n = bottom.n;
+    chol_.assign(n * n, 0.0);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t k = bottom.a_offsets[r]; k < bottom.a_offsets[r + 1];
+           ++k)
+        chol_[r * n + bottom.a_cols[k]] = bottom.a_vals[k];
+    for (std::size_t j = 0; j < n; ++j) {
+      double d = chol_[j * n + j];
+      for (std::size_t k = 0; k < j; ++k) d -= chol_[j * n + k] * chol_[j * n + k];
+      const double l_jj = std::sqrt(d);
+      chol_[j * n + j] = l_jj;
+      for (std::size_t i = j + 1; i < n; ++i) {
+        double s = chol_[i * n + j];
+        for (std::size_t k = 0; k < j; ++k)
+          s -= chol_[i * n + k] * chol_[j * n + k];
+        chol_[i * n + j] = s / l_jj;
+      }
+    }
+  }
+
+  Vector apply(const Vector& r) {
+    levels_.front().rhs = r;
+    cycle(0);
+    return levels_.front().x;
+  }
+
+ private:
+  struct Level {
+    std::size_t n{0};
+    std::vector<std::size_t> p_offsets, p_cols, r_offsets, r_rows;
+    std::vector<double> p_vals, r_vals;
+    std::vector<std::size_t> a_offsets, a_cols;
+    std::vector<double> a_vals, inv_diag;
+    Vector x, r, rhs;
+  };
+
+  void build(std::size_t nx, std::size_t ny) {
+    levels_.assign(1, {});
+    // Symbolic chain from the 5-point pattern; factor() then gives level 0
+    // the matrix's own pattern.
+    {
+      Level& fine = levels_[0];
+      fine.a_offsets.assign(nx * ny + 1, 0);
+      for (std::size_t iy = 0; iy < ny; ++iy) {
+        for (std::size_t ix = 0; ix < nx; ++ix) {
+          const std::size_t i = iy * nx + ix;
+          if (iy > 0) fine.a_cols.push_back(i - nx);
+          if (ix > 0) fine.a_cols.push_back(i - 1);
+          fine.a_cols.push_back(i);
+          if (ix + 1 < nx) fine.a_cols.push_back(i + 1);
+          if (iy + 1 < ny) fine.a_cols.push_back(i + nx);
+          fine.a_offsets[i + 1] = fine.a_cols.size();
+        }
+      }
+    }
+    struct Dim {
+      std::size_t idx[2];
+      double w[2];
+      std::size_t count;
+    };
+    const auto dim = [](std::size_t i, std::size_t coarse) {
+      if (i % 2 == 1 && i / 2 + 1 < coarse) return Dim{{i / 2, i / 2 + 1}, {0.5, 0.5}, 2};
+      return Dim{{i / 2, 0}, {1.0, 0.0}, 1};
+    };
+    for (std::size_t l = 0;; ++l) {
+      const std::size_t n = nx * ny;
+      levels_[l].n = n;
+      if (n <= MgPreconditioner::kCoarsestNodes) break;
+      const std::size_t cnx = (nx + 1) / 2;
+      const std::size_t cny = (ny + 1) / 2;
+      const std::size_t nc = cnx * cny;
+      levels_.emplace_back();
+      Level& level = levels_[l];
+      Level& coarse = levels_[l + 1];
+      level.p_offsets.assign(n + 1, 0);
+      for (std::size_t iy = 0; iy < ny; ++iy) {
+        const Dim sy = dim(iy, cny);
+        for (std::size_t ix = 0; ix < nx; ++ix) {
+          const Dim sx = dim(ix, cnx);
+          for (std::size_t a = 0; a < sy.count; ++a) {
+            for (std::size_t b = 0; b < sx.count; ++b) {
+              level.p_cols.push_back(sy.idx[a] * cnx + sx.idx[b]);
+              level.p_vals.push_back(sy.w[a] * sx.w[b]);
+            }
+          }
+          level.p_offsets[iy * nx + ix + 1] = level.p_cols.size();
+        }
+      }
+      level.r_offsets.assign(nc + 1, 0);
+      for (std::size_t c : level.p_cols) ++level.r_offsets[c + 1];
+      for (std::size_t c = 0; c < nc; ++c)
+        level.r_offsets[c + 1] += level.r_offsets[c];
+      level.r_rows.resize(level.p_cols.size());
+      level.r_vals.resize(level.p_cols.size());
+      std::vector<std::size_t> cursor(level.r_offsets.begin(),
+                                      level.r_offsets.end() - 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t k = level.p_offsets[i]; k < level.p_offsets[i + 1];
+             ++k) {
+          const std::size_t c = level.p_cols[k];
+          level.r_rows[cursor[c]] = i;
+          level.r_vals[cursor[c]] = level.p_vals[k];
+          ++cursor[c];
+        }
+      }
+      coarse.a_offsets.assign(nc + 1, 0);
+      std::vector<std::size_t> marker(nc, 0);
+      std::vector<std::size_t> scratch;
+      for (std::size_t I = 0; I < nc; ++I) {
+        scratch.clear();
+        for (std::size_t t = level.r_offsets[I]; t < level.r_offsets[I + 1];
+             ++t) {
+          const std::size_t i = level.r_rows[t];
+          for (std::size_t k = level.a_offsets[i]; k < level.a_offsets[i + 1];
+               ++k) {
+            const std::size_t j = level.a_cols[k];
+            for (std::size_t q = level.p_offsets[j];
+                 q < level.p_offsets[j + 1]; ++q) {
+              const std::size_t J = level.p_cols[q];
+              if (marker[J] != I + 1) {
+                marker[J] = I + 1;
+                scratch.push_back(J);
+              }
+            }
+          }
+        }
+        std::sort(scratch.begin(), scratch.end());
+        coarse.a_cols.insert(coarse.a_cols.end(), scratch.begin(),
+                             scratch.end());
+        coarse.a_offsets[I + 1] = coarse.a_cols.size();
+      }
+      nx = cnx;
+      ny = cny;
+    }
+  }
+
+  void cycle(std::size_t l) {
+    Level& level = levels_[l];
+    const std::size_t n = level.n;
+    if (l + 1 == levels_.size()) {
+      level.x = level.rhs;
+      for (std::size_t i = 0; i < n; ++i) {
+        double s = level.x[i];
+        for (std::size_t k = 0; k < i; ++k) s -= chol_[i * n + k] * level.x[k];
+        level.x[i] = s / chol_[i * n + i];
+      }
+      for (std::size_t i = n; i-- > 0;) {
+        double s = level.x[i];
+        for (std::size_t k = i + 1; k < n; ++k)
+          s -= chol_[k * n + i] * level.x[k];
+        level.x[i] = s / chol_[i * n + i];
+      }
+      return;
+    }
+    const double omega = MgPreconditioner::kJacobiDamping;
+    level.x.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+      level.x[i] = omega * level.inv_diag[i] * level.rhs[i];
+    const auto residual = [&] {
+      level.r.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        double s = 0.0;
+        for (std::size_t k = level.a_offsets[i]; k < level.a_offsets[i + 1];
+             ++k)
+          s += level.a_vals[k] * level.x[level.a_cols[k]];
+        level.r[i] = level.rhs[i] - s;
+      }
+    };
+    residual();
+    Level& coarse = levels_[l + 1];
+    coarse.rhs.resize(coarse.n);
+    for (std::size_t I = 0; I < coarse.n; ++I) {
+      double s = 0.0;
+      for (std::size_t t = level.r_offsets[I]; t < level.r_offsets[I + 1]; ++t)
+        s += level.r_vals[t] * level.r[level.r_rows[t]];
+      coarse.rhs[I] = s;
+    }
+    cycle(l + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = 0.0;
+      for (std::size_t k = level.p_offsets[i]; k < level.p_offsets[i + 1]; ++k)
+        s += level.p_vals[k] * coarse.x[level.p_cols[k]];
+      level.x[i] += s;
+    }
+    residual();
+    for (std::size_t i = 0; i < n; ++i)
+      level.x[i] += omega * level.inv_diag[i] * level.r[i];
+  }
+
+  std::vector<Level> levels_;
+  std::vector<double> chol_;
+};
+
+/// The first entry whose bits differ, or -1 when a and b are bit-identical
+/// (so -0.0 against +0.0 counts as a difference).
+std::ptrdiff_t first_bit_difference(const Vector& a, const Vector& b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i]))
+      return static_cast<std::ptrdiff_t>(i);
+  return -1;
+}
+
+/// A mesh Laplacian with a severed region, the irdrop way: cut edges stay
+/// in the pattern as stored zeros, a few nodes carry shunts to ground, and
+/// every node cut off from all of them becomes an identity row.
+CsrMatrix severed_mesh_operator(Rng& rng, std::size_t nx, std::size_t ny) {
+  const Length side{10e-3};
+  // From the corner, so that 1- and 2-node-wide strips of a thin grid
+  // are cut off as well.
+  const MeshPerturbation cut{EdgeScaleRegion{Length{0.0}, Length{0.0},
+                                             Length{0.6 * side.value},
+                                             Length{0.6 * side.value}, 0.0}};
+  const GridMesh mesh(side, side, nx, ny, 2e-3, cut);
+  CsrMatrix a(mesh.laplacian());
+  const std::size_t n = a.rows();
+  std::vector<std::size_t> stack;
+  std::vector<char> reachable(n, 0);
+  for (std::size_t node : {std::size_t{0}, n - 1}) {
+    a.add_to_entry(node, node, rng.uniform(1.0, 10.0));
+    reachable[node] = 1;
+    stack.push_back(node);
+  }
+  const auto& offsets = a.row_offsets();
+  const auto& cols = a.col_indices();
+  while (!stack.empty()) {
+    const std::size_t u = stack.back();
+    stack.pop_back();
+    for (std::size_t k = offsets[u]; k < offsets[u + 1]; ++k) {
+      const std::size_t v = cols[k];
+      if (v != u && a.values()[k] != 0.0 && !reachable[v]) {
+        reachable[v] = 1;
+        stack.push_back(v);
+      }
+    }
+  }
+  std::size_t grounded = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (reachable[r]) continue;
+    for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
+      a.values_mut()[k] = cols[k] == r ? 1.0 : 0.0;
+    ++grounded;
+  }
+  EXPECT_GT(grounded, 0u) << nx << "x" << ny << " grounds no node";
+  return a;
+}
+
+TEST(Multigrid, StencilCycleIsBitIdenticalToTheCsrReference) {
+  // 2x200 and 200x2 coarsen to 1-wide levels, 3x100 runs a 2-wide level
+  // inside the cycle, and the even dimensions reach the boundary-clamped
+  // transfers the 2^k+1 meshes never do. Each operator is checked on two
+  // right-hand sides, then again after a value-only refactor.
+  struct Grid {
+    std::size_t nx;
+    std::size_t ny;
+  };
+  const Grid grids[] = {{2, 200},  {200, 2},  {3, 100}, {8, 9},  {9, 9},
+                        {10, 7},   {16, 15},  {15, 16}, {17, 17}, {65, 65}};
+  enum class Kind { kFivePoint, kNinePoint, kSevered };
+  std::uint64_t seed = 100;
+  for (const Grid g : grids) {
+    for (const Kind kind : {Kind::kFivePoint, Kind::kNinePoint, Kind::kSevered}) {
+      Rng rng(++seed);
+      CsrMatrix a = kind == Kind::kFivePoint
+                        ? random_spd_laplacian(rng, g.nx, g.ny, 4)
+                        : kind == Kind::kNinePoint
+                              ? random_nine_point_laplacian(rng, g.nx, g.ny, 4)
+                              : severed_mesh_operator(rng, g.nx, g.ny);
+      const MgSymbolic grid(g.nx, g.ny);
+      MgPreconditioner stencil;
+      CsrMultigridReference reference;
+      for (int refactor = 0; refactor < 2; ++refactor) {
+        if (refactor == 1) {
+          // Same pattern, new values: every stored entry of the diagonal
+          // grows, so the operator stays SPD.
+          for (std::size_t r = 0; r < a.rows(); ++r)
+            a.add_to_entry(r, r, rng.uniform(0.0, 0.5));
+        }
+        stencil.factor(a, grid);
+        reference.factor(a, g.nx, g.ny);
+        for (int rhs = 0; rhs < 2; ++rhs) {
+          const Vector r = random_vector(rng, a.rows());
+          Vector z;
+          stencil.apply(r, z);
+          const Vector expected = reference.apply(r);
+          EXPECT_EQ(first_bit_difference(z, expected), -1)
+              << g.nx << "x" << g.ny << " operator " << static_cast<int>(kind)
+              << " refactor " << refactor << " rhs " << rhs;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

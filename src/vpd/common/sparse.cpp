@@ -217,7 +217,7 @@ namespace {
 constexpr std::size_t kNoSource = static_cast<std::size_t>(-1);
 }  // namespace
 
-IcSymbolic::IcSymbolic(const CsrMatrix& a, unsigned fill_level) {
+IcSymbolic::IcSymbolic(const CsrMatrix& a) {
   VPD_REQUIRE(a.rows() == a.cols(),
               "IC pattern requires a square matrix, got ", a.rows(), "x",
               a.cols());
@@ -231,7 +231,7 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a, unsigned fill_level) {
   // starts from A's lower pattern at level 0, then each eliminated column
   // k < i contributes candidate fill (i, j) for every known entry (j, k)
   // with k < j < i, at level lev(i,k) + lev(j,k) + 1; candidates within
-  // fill_level join the pattern. Columns are processed in ascending order,
+  // kFillLevel join the pattern. Columns are processed in ascending order,
   // so a level is final by the time its column is eliminated.
   constexpr unsigned kInf = ~0u;
   std::vector<unsigned> level(n, kInf);
@@ -253,19 +253,17 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a, unsigned fill_level) {
     VPD_REQUIRE(diag_present,
                 "IC requires a structurally present diagonal; row ", i,
                 " has none");
-    if (fill_level > 0) {
-      for (std::size_t idx = 0; idx < row.size(); ++idx) {
-        const std::size_t k = row[idx];
-        if (k >= i) break;
-        const unsigned lev_ik = level[k];
-        for (const auto& [j, lev_jk] : colup[k]) {
-          if (j >= i) break;
-          const unsigned candidate = lev_ik + lev_jk + 1;
-          if (candidate > fill_level || level[j] <= candidate) continue;
-          if (level[j] == kInf)  // new fill; j > k so it lands after idx
-            row.insert(std::lower_bound(row.begin(), row.end(), j), j);
-          level[j] = candidate;
-        }
+    for (std::size_t idx = 0; idx < row.size(); ++idx) {
+      const std::size_t k = row[idx];
+      if (k >= i) break;
+      const unsigned lev_ik = level[k];
+      for (const auto& [j, lev_jk] : colup[k]) {
+        if (j >= i) break;
+        const unsigned candidate = lev_ik + lev_jk + 1;
+        if (candidate > kFillLevel || level[j] <= candidate) continue;
+        if (level[j] == kInf)  // new fill; j > k so it lands after idx
+          row.insert(std::lower_bound(row.begin(), row.end(), j), j);
+        level[j] = candidate;
       }
     }
     for (std::size_t c : row) {

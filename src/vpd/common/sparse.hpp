@@ -137,11 +137,13 @@ enum class CgPreconditioner {
   /// M = diag(A). Cheapest setup; the right choice for one-off solves on
   /// small or well-conditioned systems.
   kJacobi,
-  /// M = L L^T from a modified IC(0) factorization (no fill beyond A's
-  /// lower triangle; dropped fill compensated into the diagonal, which
-  /// improves the conditioning *order* on mesh Laplacians, not just the
-  /// constant). Cuts mesh-solve iteration counts by ~3-5x over Jacobi for
-  /// ~1 extra SpMV-equivalent per application. Falls back to SSOR
+  /// M = L L^T from a modified incomplete Cholesky factorization with
+  /// level-1 fill, MIC(1) (IcSymbolic's pattern: A's lower triangle plus
+  /// the entries one eliminated neighbour away; dropped fill compensated
+  /// into the diagonal, which improves the conditioning *order* on mesh
+  /// Laplacians, not just the constant). The wire name stays "ic0". Cuts
+  /// mesh-solve iteration counts by ~3-5x over Jacobi for ~1 extra
+  /// SpMV-equivalent per application. Falls back to SSOR
   /// (M = (D+L) D^{-1} (D+L)^T, always SPD for SPD A) if a pivot loses
   /// positivity, so the preconditioned system stays SPD unconditionally.
   kIncompleteCholesky,
@@ -167,18 +169,17 @@ const char* to_string(CgPreconditioner preconditioner);
 /// whose VR shunt stamps only touch existing diagonal entries).
 class IcSymbolic {
  public:
-  /// Default fill level: level-1 fill (entries reachable through one
-  /// eliminated neighbor join the pattern). On 5-point mesh stencils this
-  /// costs ~2 extra entries per lower row and cuts CG iterations by
+  /// Fill level of the pattern: level-1 fill (entries reachable through
+  /// one eliminated neighbor join the pattern). On 5-point mesh stencils
+  /// this costs ~2 extra entries per lower row and cuts CG iterations by
   /// another ~30-40% over the no-fill pattern.
-  static constexpr unsigned kDefaultFillLevel = 1;
+  static constexpr unsigned kFillLevel = 1;
 
   IcSymbolic() = default;
   /// Builds the pattern from `a` (must be square with every diagonal entry
   /// structurally present): A's lower triangle plus fill entries up to
-  /// `fill_level` (0 = A's pattern only, the classic IC(0) pattern).
-  explicit IcSymbolic(const CsrMatrix& a,
-                      unsigned fill_level = kDefaultFillLevel);
+  /// kFillLevel.
+  explicit IcSymbolic(const CsrMatrix& a);
 
   bool empty() const { return analysis_.offsets.empty(); }
 

@@ -1,6 +1,7 @@
 #include "vpd/io/schema.hpp"
 
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -66,6 +67,23 @@ std::size_t index_or(FieldReader& r, std::string_view key,
                      std::size_t fallback) {
   const Value* v = r.get(key);
   return v != nullptr ? as_index(*v, "field") : fallback;
+}
+
+/// as_index() for the fields stored as `unsigned`: a larger value is
+/// refused by name instead of wrapping to a small count.
+unsigned as_count(const Value& v, const char* what) {
+  const std::size_t n = as_index(v, what);
+  if (n > std::numeric_limits<unsigned>::max()) {
+    throw InvalidArgument(detail::concat(
+        what, ": at most ", std::numeric_limits<unsigned>::max(), ", got ",
+        n));
+  }
+  return static_cast<unsigned>(n);
+}
+
+unsigned count_or(FieldReader& r, const char* key, unsigned fallback) {
+  const Value* v = r.get(key);
+  return v != nullptr ? as_count(*v, key) : fallback;
 }
 
 /// A campaign's "threads" field. Refused above the machine's hardware
@@ -398,10 +416,10 @@ EvaluationOptions evaluation_options_from_json(const Value& v) {
       r, "below_die_area_fraction", options.below_die_area_fraction);
   options.allow_extrapolation =
       bool_or(r, "allow_extrapolation", options.allow_extrapolation);
-  options.fixed_final_stage_vrs = static_cast<unsigned>(
-      index_or(r, "fixed_final_stage_vrs", options.fixed_final_stage_vrs));
-  options.max_periphery_rings = static_cast<unsigned>(
-      index_or(r, "max_periphery_rings", options.max_periphery_rings));
+  options.fixed_final_stage_vrs =
+      count_or(r, "fixed_final_stage_vrs", options.fixed_final_stage_vrs);
+  options.max_periphery_rings =
+      count_or(r, "max_periphery_rings", options.max_periphery_rings);
   options.irdrop_relative_tolerance = number_or(
       r, "irdrop_relative_tolerance", options.irdrop_relative_tolerance);
   options.cg_warm_start = bool_or(r, "cg_warm_start", options.cg_warm_start);
@@ -862,8 +880,8 @@ Value to_json(const opt::CountRange& range) {
 opt::CountRange count_range_from_json(const Value& v) {
   FieldReader r(v, "count range");
   opt::CountRange range;
-  range.lo = static_cast<unsigned>(as_index(r.require("lo"), "count range"));
-  range.hi = static_cast<unsigned>(as_index(r.require("hi"), "count range"));
+  range.lo = as_count(r.require("lo"), "count range");
+  range.hi = as_count(r.require("hi"), "count range");
   return range;
 }
 
@@ -953,10 +971,9 @@ opt::DesignPoint design_point_from_json(const Value& v) {
   if (const Value* tech = r.get("tech")) {
     point.tech = technology_from_json(*tech);
   }
-  point.vr_count = static_cast<unsigned>(
-      index_or(r, "vr_count", point.vr_count));
-  point.periphery_rings = static_cast<unsigned>(
-      index_or(r, "periphery_rings", point.periphery_rings));
+  point.vr_count = count_or(r, "vr_count", point.vr_count);
+  point.periphery_rings =
+      count_or(r, "periphery_rings", point.periphery_rings);
   point.below_die_area_fraction = number_or(
       r, "below_die_area_fraction", point.below_die_area_fraction);
   point.vr_attach_series_ohms = number_or(

@@ -213,8 +213,8 @@ Value to_json(const OptimizeRequest& request);
 OptimizeRequest optimize_request_from_json(const Value& v);
 
 /// Canonical wire key of a fully-materialized optimize request (same
-/// convention as canonical_request_key). The fleet router hashes this
-/// key, so equal-seed repeats land on the same shard.
+/// convention as canonical_request_key): equal-seed repeats give equal
+/// keys.
 std::string canonical_optimize_key(const OptimizeRequest& request);
 
 // --- Results (serialize-only: responses are produced, not consumed) --------

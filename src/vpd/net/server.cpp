@@ -7,6 +7,28 @@
 namespace vpd {
 namespace net {
 
+StreamEnd serve_stream(
+    Connection& connection, LineSession& session,
+    const std::function<bool(std::string_view line)>& feed) {
+  StreamEnd end = StreamEnd::kClosed;
+  try {
+    std::string line;
+    while (connection.read_line(&line)) {
+      if (!(feed ? feed(line) : session.feed(line))) break;
+    }
+  } catch (const LineTooLong& e) {
+    // The oversized line is no request: one error line after the
+    // accepted lines' responses.
+    session.refuse(e.what());
+    end = StreamEnd::kRefused;
+  } catch (const IoError&) {
+    // Peer went away mid-read; the drain below still consumes every
+    // accepted line's result (the session mutes its sink on failure).
+  }
+  session.drain();  // every accepted line still gets its response
+  return end;
+}
+
 NdjsonServer::NdjsonServer(const Endpoint& endpoint, SessionFactory factory,
                            obs::Registry& registry, ServerOptions options)
     : listener_(endpoint, options.backlog),
@@ -98,42 +120,21 @@ void NdjsonServer::handle_connection(Connection connection) {
   {
     // Scope: the session (and its writer thread) must be destroyed
     // before the connection closes below — the writer holds the fd.
-    std::unique_ptr<Session> session =
+    std::unique_ptr<LineSession> session =
         factory_([this, &connection](const std::string& line) {
           connection.write_line(line);
           lines_out_.add(1);
         });
-    std::string refused;  // why the stream's framing was lost, if it was
-    try {
-      std::string line;
-      while (connection.read_line(&line)) {
-        lines_in_.add(1);
-        if (!session->feed(line)) {
-          // The client asked for shutdown: stop reading and take the
-          // whole server down with us (the verb is fleet-scoped by
-          // design).
-          request_shutdown();
-          break;
-        }
-        if (draining_.load()) break;
+    serve_stream(connection, *session, [&](std::string_view line) {
+      lines_in_.add(1);
+      if (!session->feed(line)) {
+        // The client asked for shutdown: stop reading and take the whole
+        // server down with us (the verb is server-scoped by design).
+        request_shutdown();
+        return false;
       }
-    } catch (const LineTooLong& e) {
-      refused = e.what();
-    } catch (const IoError&) {
-      // Peer went away mid-read; the drain below still consumes every
-      // accepted line's result (the session mutes its sink on failure).
-    }
-    session->drain();  // every accepted line still gets its response
-    if (!refused.empty()) {
-      // The oversized line is no request: one error line after the
-      // accepted lines' responses, then the connection closes.
-      try {
-        connection.write_line(io::dump(error_body(refused)));
-        lines_out_.add(1);
-      } catch (const IoError&) {
-        // The client vanished first; nothing to tell it.
-      }
-    }
+      return !draining_.load();
+    });
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);

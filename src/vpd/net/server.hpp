@@ -1,8 +1,8 @@
 // NDJSON-over-socket listener: accepts many concurrent clients and runs
-// one Session per connection on its own thread, so a single vpdd (or
-// vpd-router) process serves a whole fleet of clients with per-connection
-// read/write framing while the underlying EvaluationService applies its
-// reject-not-block backpressure. A {"cmd":"shutdown"} from any client —
+// one LineSession per connection on its own thread, so a single vpdd
+// process serves many clients with per-connection read/write framing
+// while the underlying EvaluationService applies its reject-not-block
+// backpressure. A {"cmd":"shutdown"} from any client —
 // or request_shutdown() from the embedding process — drains gracefully:
 // the listener closes, every connection stops reading, every already-fed
 // line still gets its response, then serve() returns. A line longer than
@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <list>
 #include <mutex>
 #include <thread>
@@ -24,6 +25,27 @@
 
 namespace vpd {
 namespace net {
+
+/// How serve_stream() ended.
+enum class StreamEnd {
+  /// EOF, a peer gone mid-read, an accepted shutdown verb, or `feed`
+  /// asked to stop.
+  kClosed,
+  /// A line longer than Connection::kMaxLineBytes ended the stream.
+  kRefused,
+};
+
+/// The NDJSON stream loop of vpdd on stdin and of every socket
+/// connection: reads `connection` line by line, hands each line to `feed`
+/// (session.feed() when empty) until EOF or `feed` returns false, then
+/// drains the session, so every accepted line gets its response. A line
+/// longer than Connection::kMaxLineBytes ends the stream: after the
+/// accepted lines' responses comes one {"status":"error"} line naming the
+/// limit (LineSession::refuse; the line's bytes are dropped, so it carries
+/// no id).
+StreamEnd serve_stream(
+    Connection& connection, LineSession& session,
+    const std::function<bool(std::string_view line)>& feed = {});
 
 struct ServerOptions {
   /// Concurrent client connections beyond this are answered with one
@@ -38,7 +60,7 @@ class NdjsonServer {
   /// Binds immediately (so the caller can print the resolved endpoint
   /// before serving). `registry` receives the net.* instruments —
   /// typically the service registry, so one snapshot covers transport
-  /// and evaluation. `factory` builds a Session per connection.
+  /// and evaluation. `factory` builds a LineSession per connection.
   NdjsonServer(const Endpoint& endpoint, SessionFactory factory,
                obs::Registry& registry, ServerOptions options = {});
   ~NdjsonServer();

@@ -182,6 +182,10 @@ bool LineSession::feed(std::string_view line) {
 
 void LineSession::drain() { queue_.wait_idle(); }
 
+void LineSession::refuse(const std::string& reason) {
+  queue_.push([line = io::dump(error_body(reason))] { return line; });
+}
+
 io::Value LineSession::resolve(Pending& item) {
   switch (item.kind) {
     case Pending::Kind::kBody:

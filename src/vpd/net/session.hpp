@@ -15,8 +15,8 @@
 // input line or EOF prompts a flush. A client that pipelines a request
 // and then waits gets its answer immediately; under the old
 // flush-on-input loop it would wait forever while the daemon's read
-// blocked — fatal once sessions sit behind persistent sockets or the
-// router's shard pipes, where the stream stays open between requests.
+// blocked — fatal once sessions sit behind persistent sockets, where the
+// stream stays open between requests.
 #pragma once
 
 #include <condition_variable>
@@ -48,25 +48,6 @@ struct SessionOptions {
   /// daemon's --trace flag).
   std::string default_trace_path;
 };
-
-/// One NDJSON stream. Implemented by LineSession (a vpdd process) and the
-/// router's client sessions; the socket server drives either through this
-/// interface.
-class Session {
- public:
-  virtual ~Session() = default;
-  /// Feeds one raw input line. Emits any responses whose turn has come.
-  /// Returns false once a shutdown verb has been accepted — the caller
-  /// must stop feeding and call drain().
-  virtual bool feed(std::string_view line) = 0;
-  /// Blocks until every pending response (shutdown's final line included)
-  /// has been emitted.
-  virtual void drain() = 0;
-};
-
-/// Builds a session for one accepted connection, writing responses
-/// through `sink`.
-using SessionFactory = std::function<std::unique_ptr<Session>(Sink sink)>;
 
 /// The canonical {"status":"error"} response body.
 io::Value error_body(const std::string& message);
@@ -116,13 +97,24 @@ class ResponseQueue {
   std::thread writer_;
 };
 
-class LineSession : public Session {
+/// One NDJSON stream (stdin or one socket connection) in front of an
+/// EvaluationService.
+class LineSession {
  public:
   LineSession(serve::EvaluationService& service, Sink sink,
               SessionOptions options = {});
 
-  bool feed(std::string_view line) override;
-  void drain() override;
+  /// Feeds one raw input line. Emits any responses whose turn has come.
+  /// Returns false once a shutdown verb has been accepted — the caller
+  /// must stop feeding and call drain().
+  bool feed(std::string_view line);
+  /// Blocks until every pending response (shutdown's final line included)
+  /// has been emitted.
+  void drain();
+  /// Ends a stream whose framing was lost: queues one bare
+  /// {"status":"error"} line (no id) carrying `reason` after every
+  /// response fed so far. The caller must stop feeding and call drain().
+  void refuse(const std::string& reason);
 
   bool shutdown_requested() const { return shutdown_requested_; }
   std::size_t lines_in() const { return lines_in_; }
@@ -162,6 +154,11 @@ class LineSession : public Session {
   std::size_t lines_in_{0};
   ResponseQueue queue_;  // last member: writer stops before the rest dies
 };
+
+/// Builds a session for one accepted connection, writing responses
+/// through `sink`.
+using SessionFactory =
+    std::function<std::unique_ptr<LineSession>(Sink sink)>;
 
 }  // namespace net
 }  // namespace vpd

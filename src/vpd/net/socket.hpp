@@ -5,10 +5,10 @@
 // session layer (session.hpp) speaks the protocol; this file only moves
 // framed lines. TCP is deliberately restricted to loopback addresses:
 // vpdd carries no authentication, so the only safe remote transport is a
-// fronting proxy, not a bare port (docs/sharding.md).
+// fronting proxy, not a bare port (docs/sockets.md).
 //
-// Connections also wrap plain pipe file descriptors (the router's
-// shard stdin/stdout), so one line-framing implementation serves both
+// Connections also wrap plain file descriptors (vpdd's stdin/stdout), so
+// one line-framing implementation, and one line limit, serves both
 // transports; writes probe send(MSG_NOSIGNAL) once and fall back to
 // write() for non-sockets.
 #pragma once
@@ -40,7 +40,7 @@ class LineTooLong : public IoError {
 };
 
 /// Parsed listener/connect address.
-///   unix:/run/vpd/shard0.sock   Unix-domain stream socket
+///   unix:/run/vpd/vpdd.sock     Unix-domain stream socket
 ///   tcp:127.0.0.1:7070          TCP on a loopback address (port 0 asks
 ///                               the kernel for an ephemeral port; the
 ///                               Listener reports the resolved one)
@@ -57,7 +57,7 @@ struct Endpoint {
   std::string to_string() const;
 };
 
-/// RAII stream with line framing over a socket or pipe fd pair. Reads and
+/// RAII stream with line framing over a socket or an fd pair. Reads and
 /// writes may come from different threads (the session reads while
 /// responses drain), but each direction must have a single caller.
 class Connection {
@@ -65,7 +65,8 @@ class Connection {
   Connection() = default;
   /// Takes ownership of a connected socket fd (read and write).
   explicit Connection(int fd) : read_fd_(fd), write_fd_(fd) {}
-  /// Takes ownership of a distinct fd per direction (a pipe pair).
+  /// Takes ownership of a distinct fd per direction (a pipe pair, or
+  /// stdin/stdout).
   Connection(int read_fd, int write_fd)
       : read_fd_(read_fd), write_fd_(write_fd) {}
   ~Connection() { close(); }

@@ -188,92 +188,6 @@ void Snapshot::overlay(const Snapshot& other) {
   }
 }
 
-void Snapshot::merge(const Snapshot& other) {
-  for (const auto& [name, value] : other.counters_) {
-    if (const std::uint64_t* existing = counter(name)) {
-      set_counter(name, *existing + value);
-    } else {
-      set_counter(name, value);
-    }
-  }
-  for (const auto& [name, value] : other.gauges_) {
-    if (const std::pair<double, double>* existing = gauge(name)) {
-      set_gauge(name, std::max(existing->first, value.first),
-                std::max(existing->second, value.second));
-    } else {
-      set_gauge(name, value.first, value.second);
-    }
-  }
-  for (const auto& [name, data] : other.histograms_) {
-    const HistogramData* existing = histogram(name);
-    if (existing == nullptr) {
-      set_histogram(name, data);
-      continue;
-    }
-    VPD_REQUIRE(existing->bounds == data.bounds,
-                "Snapshot::merge: histogram \"", name,
-                "\" bucket bounds differ between snapshots");
-    HistogramData merged = *existing;
-    for (std::size_t b = 0; b < merged.counts.size(); ++b) {
-      merged.counts[b] += data.counts[b];
-    }
-    // min/max only mean anything on the side that has samples.
-    if (merged.count == 0) {
-      merged.min = data.min;
-      merged.max = data.max;
-    } else if (data.count > 0) {
-      merged.min = std::min(merged.min, data.min);
-      merged.max = std::max(merged.max, data.max);
-    }
-    merged.count += data.count;
-    merged.sum += data.sum;
-    set_histogram(name, std::move(merged));
-  }
-}
-
-Snapshot snapshot_from_json(const io::Value& v) {
-  VPD_REQUIRE(v.is_object(), "telemetry snapshot must be a JSON object");
-  const io::Value* version = v.find("schema_version");
-  VPD_REQUIRE(version != nullptr,
-              "telemetry snapshot is missing schema_version");
-  VPD_REQUIRE(version->is_number() &&
-                  version->as_number() == double(kTelemetrySchemaVersion),
-              "telemetry snapshot schema_version mismatch (expected ",
-              kTelemetrySchemaVersion, ")");
-  Snapshot s;
-  if (const io::Value* counters = v.find("counters")) {
-    for (const auto& [name, value] : counters->as_object()) {
-      s.set_counter(name, static_cast<std::uint64_t>(value.as_number()));
-    }
-  }
-  if (const io::Value* gauges = v.find("gauges")) {
-    for (const auto& [name, value] : gauges->as_object()) {
-      s.set_gauge(name, value.at("value").as_number(),
-                  value.at("high_water").as_number());
-    }
-  }
-  if (const io::Value* histograms = v.find("histograms")) {
-    for (const auto& [name, value] : histograms->as_object()) {
-      HistogramData data;
-      for (const io::Value& bucket : value.at("buckets").as_array()) {
-        const io::Value& le = bucket.at("le");
-        if (!le.is_null()) data.bounds.push_back(le.as_number());
-        data.counts.push_back(
-            static_cast<std::uint64_t>(bucket.at("count").as_number()));
-      }
-      VPD_REQUIRE(data.counts.size() == data.bounds.size() + 1,
-                  "histogram \"", name,
-                  "\" must end with the null-bound overflow bucket");
-      data.count = static_cast<std::uint64_t>(value.at("count").as_number());
-      data.sum = value.at("sum").as_number();
-      data.min = value.at("min").as_number();
-      data.max = value.at("max").as_number();
-      s.set_histogram(name, std::move(data));
-    }
-  }
-  return s;
-}
-
 const std::uint64_t* Snapshot::counter(std::string_view name) const {
   return find_entry(counters_, name);
 }

@@ -119,8 +119,8 @@ std::vector<double> default_depth_bounds();
 ///                            "buckets": [{"le": bound, "count": n}, ...,
 ///                                        {"le": null, "count": n}]}, ...}}
 /// Entries keep insertion order, so dumps are deterministic for a
-/// deterministic construction order. Consumers merge subsystem snapshots
-/// (service + mesh cache + solver) into one document.
+/// deterministic construction order. Consumers overlay() subsystem
+/// snapshots (service + mesh cache + solver) into one document.
 class Snapshot {
  public:
   void set_counter(std::string name, std::uint64_t value);
@@ -129,15 +129,8 @@ class Snapshot {
   /// Copies every entry of `other` into this snapshot (same-name entries
   /// are overwritten in place). Use for layering subsystem snapshots whose
   /// names describe the same instruments (e.g. a report refreshing its own
-  /// counters); use merge() to aggregate across independent processes.
+  /// counters).
   void overlay(const Snapshot& other);
-  /// Aggregates `other` into this snapshot as an independent peer (the
-  /// fleet rule): same-name counters sum, same-name gauges take the max of
-  /// value and of high_water (a fleet's level is its busiest member's),
-  /// and same-name histograms merge exactly bucket-by-bucket — counts and
-  /// sums add, min/max combine — which requires identical bucket bounds;
-  /// mismatched bounds throw InvalidArgument rather than approximating.
-  void merge(const Snapshot& other);
 
   /// Lookup helpers (nullptr when absent), mainly for tests.
   const std::uint64_t* counter(std::string_view name) const;
@@ -156,15 +149,6 @@ class Snapshot {
   std::vector<std::pair<std::string, std::pair<double, double>>> gauges_;
   std::vector<std::pair<std::string, HistogramData>> histograms_;
 };
-
-/// Rebuilds a Snapshot from its to_json() document (the reverse wire
-/// direction: a fleet router parsing per-shard {"cmd":"metrics"} replies).
-/// The document must carry "schema_version" equal to
-/// kTelemetrySchemaVersion — a missing or mismatched version throws
-/// InvalidArgument (aggregating across telemetry schemas would silently
-/// mix shapes). Unknown members are ignored (the v2 rule); derived
-/// histogram fields (mean/p50/p90/p99) are recomputed, not trusted.
-Snapshot snapshot_from_json(const io::Value& v);
 
 /// Named-instrument registry. counter()/gauge()/histogram() find or create
 /// (first registration wins the histogram bounds) and return a reference

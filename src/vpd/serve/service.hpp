@@ -286,8 +286,8 @@ class EvaluationService {
   std::unordered_map<std::string, decltype(lru_)::iterator> lru_index_;
   std::size_t pending_{0};  // queued + executing evaluations
   ServiceMetrics counters_;  // latency fields filled lazily by metrics()
-  /// Latency accounting is bounded-memory by design (a fleet shard serves
-  /// an unbounded request stream): running min/mean/max plus the fixed
+  /// Latency accounting is bounded-memory by design (a daemon serves an
+  /// unbounded request stream): running min/mean/max plus the fixed
   /// bucket histogram, whose interpolated quantile provides p99.
   RunningStats latency_stats_;
 

@@ -11,7 +11,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,8 @@
 #include "vpd/fault/transient_scenario.hpp"
 #include "vpd/io/json.hpp"
 #include "vpd/io/schema.hpp"
+#include "vpd/net/session.hpp"
+#include "vpd/serve/service.hpp"
 #include "vpd/workload/droop_campaign.hpp"
 
 namespace vpd {
@@ -611,6 +616,34 @@ TEST(Schema, WrongTypesAndInvalidValuesAreInvalidArgument) {
   }
 }
 
+TEST(Schema, CountsBeyondTheUnsignedRangeAreRefusedNotWrapped) {
+  // Counts stored as `unsigned` decoded modulo 2^32: WireFuzz found a
+  // request for 2^53 + 1 periphery rings (or fixed final-stage VRs)
+  // answered as one for 0, and the optimizer's counts share the decode —
+  // a vr_count space of 2^32 + 36 .. 2^32 + 40 searched 36 .. 40.
+  const char* requests[] = {
+      R"({"architecture":"A2","topology":"DSCH","options":{"max_periphery_rings":9007199254740993}})",
+      R"({"architecture":"A2","topology":"DSCH","options":{"fixed_final_stage_vrs":9007199254740993}})",
+      R"({"architecture":"A2","topology":"DSCH","options":{"fixed_final_stage_vrs":4294967296}})",
+  };
+  for (const char* text : requests) {
+    EXPECT_THROW(io::evaluation_request_from_json(io::parse(text)),
+                 InvalidArgument)
+        << text;
+  }
+  EXPECT_THROW(io::optimize_request_from_json(io::parse(
+                   R"({"space":{"vr_count":{"lo":4294967332,"hi":4294967336}}})")),
+               InvalidArgument);
+  EXPECT_THROW(io::design_point_from_json(io::parse(
+                   R"({"architecture":"A3@12V","topology":"DSCH","vr_count":4294967335})")),
+               InvalidArgument);
+  // The largest unsigned count still decodes unchanged.
+  const io::EvaluationRequest largest = io::evaluation_request_from_json(
+      io::parse(
+          R"({"architecture":"A2","topology":"DSCH","options":{"max_periphery_rings":4294967295}})"));
+  EXPECT_EQ(largest.options.max_periphery_rings, 4294967295u);
+}
+
 TEST(Schema, UnknownFieldsAreIgnoredNotErrors) {
   // v2 compatibility rule: a peer may send fields this build does not
   // know; they must parse as if absent, at every nesting level.
@@ -684,6 +717,289 @@ TEST(Schema, SinkMapCallbacksAreNotSerializable) {
     return v;
   };
   EXPECT_THROW(io::to_json(options), InvalidArgument);
+}
+
+
+// ---------------------------------------------------------------------------
+// Wire fuzzing: seeded mutations of valid lines for every verb
+// ---------------------------------------------------------------------------
+
+/// Valid request lines for every verb vpdd serves, in their short
+/// hand-written forms and their full canonical forms.
+std::vector<std::string> wire_corpus() {
+  std::vector<std::string> corpus = {
+      R"({"id":1,"architecture":"A1","topology":"DSCH"})",
+      R"({"id":"a","cmd":"evaluate","architecture":"A3@12V","topology":"DSCH","spec":{"total_power":900},"options":{"mesh_nodes":21,"derating":0.65,"irdrop_preconditioner":"ic0","faults":{"dropped_sites":[0],"attach_scale":[{"site":1,"scale":2.5}]}}})",
+      R"({"id":3,"architecture":"A2","topology":"DSCH","fault_scenario":{"label":"n-2","faults":[{"kind":"vr-dropout","site":3},{"kind":"mesh-region","x":0.002,"y":0.003},{"kind":"vr-derate","site":1}]},"fault_severity":{"mesh_conductance_scale":0.2}})",
+      R"({"id":4,"cmd":"evaluate_batch","requests":[{"architecture":"A3@12V","topology":"DSCH","options":{"mesh_nodes":31}},{"architecture":"A3@12V","topology":"DSCH","options":{"mesh_nodes":31},"fault_scenario":{"faults":[{"kind":"stage2-dropout","site":0}]}}]})",
+      R"({"id":5,"cmd":"transient","architecture":"A1","topology":"DSCH","options":{"mesh_nodes":21},"config":{"tile_grid":1,"include_bursts":false,"include_ramps":false,"max_dropout_sites":1,"threads":1}})",
+      R"({"id":6,"cmd":"optimize","space":{"architectures":["A3@12V"],"topologies":["DSCH"],"vr_count":{"lo":36,"hi":40}},"config":{"population":4,"generations":1,"survivability":{"max_elites":1},"threads":1},"options":{"mesh_nodes":11}})",
+      R"({"id":7,"cmd":"metrics"})",
+      R"({"id":8,"cmd":"trace","path":"trace.json"})",
+      R"({"id":9,"cmd":"shutdown"})",
+  };
+  // Full canonical forms: every field of the request on the wire.
+  io::EvaluationRequest request;
+  request.architecture = ArchitectureKind::kA2_InterposerBelowDie;
+  request.topology = TopologyKind::kDsch;
+  request.options.mesh_nodes = 21;
+  request.options.faults.dropped_sites = {1, 4};
+  request.options.faults.derates = {{2, VrDerate{0.5, 1.5}}};
+  request.options.faults.mesh_perturbation.push_back(EdgeScaleRegion{
+      Length{2e-3}, Length{3e-3}, Length{5e-3}, Length{6e-3}, 0.1});
+  Value evaluate = io::to_json(request);
+  evaluate.set("id", 10);
+  corpus.push_back(io::dump(evaluate));
+  Value transient = io::to_json(
+      io::transient_request_from_json(io::parse(corpus[4])));
+  transient.set("cmd", "transient");
+  corpus.push_back(io::dump(transient));
+  Value optimize =
+      io::to_json(io::optimize_request_from_json(io::parse(corpus[5])));
+  optimize.set("cmd", "optimize");
+  corpus.push_back(io::dump(optimize));
+  return corpus;
+}
+
+/// One seeded mutation: a bit flip, a truncation, a span deleted or
+/// duplicated, a structural character or digit inserted, or a number
+/// replaced by an edge value.
+void mutate_wire_line(std::string& line, Rng& rng) {
+  static const char kInserts[] = "{}[]\",:0123456789";
+  static const char* const kEdgeNumbers[] = {"0", "-1", "1e308", "1e-320",
+                                             "9007199254740993"};
+  const auto pos = [&rng](std::size_t n) -> std::size_t {
+    return n == 0 ? 0 : rng.next_below(static_cast<std::uint32_t>(n));
+  };
+  switch (rng.next_below(6)) {
+    case 0:
+      if (!line.empty()) {
+        line[pos(line.size())] ^= static_cast<char>(1u << rng.next_below(8));
+      }
+      break;
+    case 1:
+      line.resize(pos(line.size() + 1));
+      break;
+    case 2:
+      line.erase(pos(line.size()), 1 + rng.next_below(16));
+      break;
+    case 3: {
+      const std::string span =
+          line.substr(pos(line.size()), 1 + rng.next_below(32));
+      line.insert(pos(line.size() + 1), span);
+      break;
+    }
+    case 4:
+      line.insert(pos(line.size() + 1), 1,
+                  kInserts[rng.next_below(sizeof(kInserts) - 1)]);
+      break;
+    default: {
+      std::size_t begin = line.find_first_of("-0123456789", pos(line.size()));
+      if (begin == std::string::npos) begin = line.find_first_of("0123456789");
+      if (begin == std::string::npos) break;
+      while (begin > 0 &&
+             std::strchr("+-.0123456789", line[begin - 1]) != nullptr) {
+        --begin;
+      }
+      std::size_t end = line.find_first_not_of("+-.0123456789eE", begin);
+      if (end == std::string::npos) end = line.size();
+      line.replace(begin, end - begin, kEdgeNumbers[rng.next_below(5)]);
+      break;
+    }
+  }
+}
+
+/// How vpdd reads one line: blank (no answer), malformed JSON or JSON the
+/// schema rejects (both answered with an error), or a valid request.
+enum class WireLine { kBlank, kMalformed, kRejected, kValid };
+
+/// A property of the wire path that a fuzzed line broke.
+class WireFault : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// One request decoded from a wire line: the JSON it came from, its
+/// re-encoding, its canonical key, and the decoder + key function again.
+struct DecodedRequest {
+  const Value* sent{nullptr};
+  Value encoded;
+  std::string key;
+  std::function<std::string(const Value&)> rekey;
+};
+
+template <typename Request>
+DecodedRequest decode_wire_request(
+    const Value& sent, Request (*from_json)(const Value&),
+    std::string (*canonical_key)(const Request&)) {
+  const Request request = from_json(sent);
+  DecodedRequest decoded;
+  decoded.sent = &sent;
+  decoded.encoded = io::to_json(request);
+  decoded.key = canonical_key(request);
+  decoded.rekey = [from_json, canonical_key](const Value& v) {
+    return canonical_key(from_json(v));
+  };
+  return decoded;
+}
+
+/// The path of the first scalar the line set on a field the decoder knows
+/// that its re-encoding does not repeat ("" when every one survives): a
+/// decoder that accepts a value must not alter it.
+std::string changed_field(const Value& sent, const Value& encoded,
+                          const std::string& path) {
+  if (sent.is_object() && encoded.is_object()) {
+    for (const auto& [name, value] : sent.as_object()) {
+      if (name == "schema_version") continue;  // v1 is answered as v2
+      if (const Value* back = encoded.find(name)) {
+        const std::string changed =
+            changed_field(value, *back, path + "." + name);
+        if (!changed.empty()) return changed;
+      }
+    }
+  } else if (sent.is_array() && encoded.is_array() &&
+             sent.size() == encoded.size()) {
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      const std::string changed =
+          changed_field(sent.as_array()[i], encoded.as_array()[i],
+                        path + "[" + std::to_string(i) + "]");
+      if (!changed.empty()) return changed;
+    }
+  } else if (sent.type() == encoded.type() && sent != encoded) {
+    return path + ": sent " + io::dump(sent) + ", decoded " +
+           io::dump(encoded);
+  }
+  return "";
+}
+
+/// vpdd's reading of one line without the work: parse, the decoder for
+/// the line's verb (a decode error or an unknown cmd rejects it), then its
+/// canonical key. Throws WireFault when an accepted request's key does not
+/// parse and decode back to itself, changes when the line is re-encoded,
+/// or the decoder altered a value the line set.
+WireLine classify_wire_line(const std::string& line) {
+  io::recover_wire_id(line);  // must never throw
+  if (line.find_first_not_of(" \t\r") == std::string::npos) {
+    return WireLine::kBlank;
+  }
+  Value doc;
+  try {
+    doc = io::parse(line);
+  } catch (const Error&) {
+    return WireLine::kMalformed;
+  }
+  std::vector<DecodedRequest> decoded;
+  try {
+    std::string cmd = "evaluate";
+    if (const Value* requested = doc.find("cmd")) cmd = requested->as_string();
+    if (cmd == "evaluate") {
+      decoded.push_back(decode_wire_request(
+          doc, io::evaluation_request_from_json, io::canonical_request_key));
+    } else if (cmd == "evaluate_batch") {
+      const Value* requests = doc.find("requests");
+      if (requests == nullptr) return WireLine::kRejected;
+      for (const Value& entry : requests->as_array()) {
+        decoded.push_back(decode_wire_request(
+            entry, io::evaluation_request_from_json,
+            io::canonical_request_key));
+      }
+    } else if (cmd == "transient") {
+      decoded.push_back(decode_wire_request(
+          doc, io::transient_request_from_json,
+          io::canonical_transient_key));
+    } else if (cmd == "optimize") {
+      decoded.push_back(decode_wire_request(
+          doc, io::optimize_request_from_json, io::canonical_optimize_key));
+    } else if (cmd == "trace") {
+      if (const Value* path = doc.find("path")) path->as_string();
+    } else if (cmd != "metrics" && cmd != "shutdown") {
+      return WireLine::kRejected;
+    }
+  } catch (const Error&) {
+    return WireLine::kRejected;
+  }
+  for (const DecodedRequest& request : decoded) {
+    if (request.rekey(io::parse(request.key)) != request.key) {
+      throw WireFault("canonical key does not round-trip: " + request.key);
+    }
+    if (request.rekey(io::parse(io::dump(*request.sent))) != request.key) {
+      throw WireFault("canonical key changes when the line is re-encoded");
+    }
+    const std::string changed =
+        changed_field(*request.sent, request.encoded, "");
+    if (!changed.empty()) throw WireFault("decoding changed " + changed);
+  }
+  return WireLine::kValid;
+}
+
+TEST(WireFuzz, MutatedLinesAreNamedErrorsOrExactRoundTrips) {
+  const std::vector<std::string> corpus = wire_corpus();
+  for (const std::string& line : corpus) {
+    ASSERT_EQ(classify_wire_line(line), WireLine::kValid) << line;
+  }
+
+  // The lines classed invalid go, in order, through one session, which
+  // must answer each with exactly one error line. Valid lines are never
+  // fed: a valid trace writes a file and a valid evaluation does work.
+  serve::ServiceConfig config;
+  config.threads = 1;
+  serve::EvaluationService service(config);
+  std::mutex mutex;
+  std::size_t answered = 0;
+  std::vector<std::string> not_errors;
+  net::LineSession session(service, [&](const std::string& response) {
+    std::lock_guard<std::mutex> lock(mutex);
+    ++answered;
+    if (response.find("\"status\":\"error\"") == std::string::npos &&
+        not_errors.size() < 5) {
+      not_errors.push_back(response);
+    }
+  });
+
+  constexpr std::size_t kCases = 100000;
+  Rng rng(0x9e3779b97f4a7c15ull, 5);
+  std::size_t tally[4] = {0, 0, 0, 0};  // per WireLine
+  std::size_t escaped = 0;
+  for (std::size_t c = 0; c < kCases && escaped < 5; ++c) {
+    std::string line = corpus[rng.next_below(
+        static_cast<std::uint32_t>(corpus.size()))];
+    for (std::uint32_t m = 1 + rng.next_below(3); m > 0; --m) {
+      mutate_wire_line(line, rng);
+    }
+    WireLine verdict = WireLine::kBlank;
+    try {
+      verdict = classify_wire_line(line);
+    } catch (const std::exception& e) {
+      // A WireFault, or an exception that is no vpd::Error.
+      ++escaped;
+      ADD_FAILURE() << "case " << c << ": " << e.what() << "\n  on: " << line;
+      continue;
+    }
+    ++tally[static_cast<int>(verdict)];
+    if (verdict != WireLine::kMalformed && verdict != WireLine::kRejected) {
+      continue;
+    }
+    ASSERT_TRUE(session.feed(line)) << line;
+  }
+  session.drain();
+  ASSERT_EQ(escaped, 0u) << "the fuzzer stopped at the failures above";
+  std::lock_guard<std::mutex> lock(mutex);
+  const std::size_t malformed = tally[static_cast<int>(WireLine::kMalformed)];
+  const std::size_t rejected = tally[static_cast<int>(WireLine::kRejected)];
+  const std::size_t valid = tally[static_cast<int>(WireLine::kValid)];
+  std::printf("wire fuzz: %zu malformed, %zu rejected, %zu valid, %zu blank\n",
+              malformed, rejected, valid,
+              tally[static_cast<int>(WireLine::kBlank)]);
+  EXPECT_EQ(answered, malformed + rejected);
+  for (const std::string& response : not_errors) {
+    ADD_FAILURE() << "an invalid line was not answered with an error: "
+                  << response;
+  }
+  // The mutations reach past the parser: a good share of the cases are
+  // well-formed JSON that the schema must judge, and some of those it
+  // accepts.
+  EXPECT_GT(rejected, kCases / 10);
+  EXPECT_GT(valid, kCases / 10);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Scale-out serving layer (ctest -L net): wire-protocol classification
-// and the key-affinity hash, the ResponseQueue ordering/completion
-// contract, LineSession verbs (shutdown drain, malformed-id recovery),
-// the NDJSON socket server under concurrent clients and saturation, and
-// the shard router's supervision (key affinity, crash errors, restarts,
-// graceful drain).
+// Socket serving layer (ctest -L net): endpoint parsing, the
+// ResponseQueue ordering/completion contract, line framing and its limit,
+// LineSession verbs (shutdown drain, malformed-id recovery), and the
+// NDJSON socket server under concurrent clients, saturation and
+// oversized lines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,8 +22,6 @@
 
 #include "vpd/io/json.hpp"
 #include "vpd/io/schema.hpp"
-#include "vpd/net/protocol.hpp"
-#include "vpd/net/router.hpp"
 #include "vpd/net/server.hpp"
 #include "vpd/net/session.hpp"
 #include "vpd/net/socket.hpp"
@@ -77,34 +74,9 @@ struct Collector {
   }
 };
 
-// --- Protocol vocabulary ---------------------------------------------------
+// --- Endpoints -------------------------------------------------------------
 
-TEST(NetProtocol, Fnv1a64MatchesReferenceVectors) {
-  // Canonical FNV-1a 64 test vectors; the hash must never change, or a
-  // restarted router would re-route keys to different shards.
-  EXPECT_EQ(net::fnv1a64(""), 14695981039346656037ull);
-  EXPECT_EQ(net::fnv1a64("a"), 12638187200555641996ull);
-  EXPECT_EQ(net::fnv1a64("foobar"), 9625390261332436968ull);
-}
-
-TEST(NetProtocol, ShardForKeyIsStableAndCoversAllShards) {
-  const std::string key = io::canonical_request_key(make_request());
-  const std::size_t shard = net::shard_for_key(key, 5);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(net::shard_for_key(key, 5), shard);
-  }
-  std::vector<std::size_t> hits(4, 0);
-  for (int i = 0; i < 1000; ++i) {
-    ++hits[net::shard_for_key("key-" + std::to_string(i), hits.size())];
-  }
-  for (std::size_t shard_hits : hits) {
-    // A fair-ish spread: FNV over distinct keys should not starve any
-    // shard (expected 250 each).
-    EXPECT_GT(shard_hits, 100u);
-  }
-}
-
-TEST(NetProtocol, EndpointParseAcceptsUnixAndLoopbackTcp) {
+TEST(NetEndpoint, EndpointParseAcceptsUnixAndLoopbackTcp) {
   const net::Endpoint unix_ep = net::Endpoint::parse("unix:/tmp/x.sock");
   EXPECT_EQ(unix_ep.kind, net::Endpoint::Kind::kUnix);
   EXPECT_EQ(unix_ep.path, "/tmp/x.sock");
@@ -116,7 +88,7 @@ TEST(NetProtocol, EndpointParseAcceptsUnixAndLoopbackTcp) {
   EXPECT_EQ(net::Endpoint::parse("tcp:127.1.2.3:0").port, 0);
 }
 
-TEST(NetProtocol, EndpointParseRejectsGarbageAndNonLoopback) {
+TEST(NetEndpoint, EndpointParseRejectsGarbageAndNonLoopback) {
   EXPECT_THROW(net::Endpoint::parse(""), Error);
   EXPECT_THROW(net::Endpoint::parse("bogus:/x"), Error);
   EXPECT_THROW(net::Endpoint::parse("unix:"), Error);
@@ -126,92 +98,6 @@ TEST(NetProtocol, EndpointParseRejectsGarbageAndNonLoopback) {
   // vpdd has no authentication, so only loopback TCP is allowed.
   EXPECT_THROW(net::Endpoint::parse("tcp:8.8.8.8:80"), Error);
   EXPECT_THROW(net::Endpoint::parse("tcp:0.0.0.0:80"), Error);
-}
-
-TEST(NetProtocol, ClassifyLineRoutesByCanonicalKey) {
-  const io::EvaluationRequest request = make_request();
-  const net::RouteInfo info = net::classify_line(request_line(request, 7));
-  EXPECT_EQ(info.verb, net::Verb::kEvaluate);
-  ASSERT_TRUE(info.key_hash.has_value());
-  // The routing key is the canonical request key — the same string the
-  // service keys coalescing and its result LRU on, which is what makes
-  // key affinity line up with per-shard caches.
-  EXPECT_EQ(*info.key_hash,
-            net::fnv1a64(io::canonical_request_key(request)));
-  EXPECT_EQ(info.id.as_number(), 7.0);
-
-  // A semantically identical line with fields in another order (and an
-  // extra ignored field) still routes to the same shard.
-  io::Value doc = io::to_json(request);
-  doc.set("id", double(8));
-  doc.set("zz_ignored", "extra");
-  const net::RouteInfo twin = net::classify_line(io::dump(doc));
-  ASSERT_TRUE(twin.key_hash.has_value());
-  EXPECT_EQ(*twin.key_hash, *info.key_hash);
-}
-
-TEST(NetProtocol, ClassifyLineRoutesOptimizeByCanonicalKey) {
-  const std::string line =
-      "{\"id\":4,\"cmd\":\"optimize\",\"space\":{"
-      "\"architectures\":[\"A3@12V\"],\"topologies\":[\"DSCH\"]},"
-      "\"config\":{\"population\":6,\"generations\":2}}";
-  const net::RouteInfo info = net::classify_line(line);
-  EXPECT_EQ(info.verb, net::Verb::kOptimize);
-  ASSERT_TRUE(info.key_hash.has_value());
-  EXPECT_EQ(*info.key_hash,
-            net::fnv1a64(io::canonical_optimize_key(
-                io::optimize_request_from_json(io::parse(line)))));
-  EXPECT_EQ(info.id.as_number(), 4.0);
-
-  // Identical request, different field order and an ignored extra field:
-  // the canonical key (and thus the shard) is the same.
-  const net::RouteInfo twin = net::classify_line(
-      "{\"zz_ignored\":true,\"config\":{\"generations\":2,"
-      "\"population\":6},\"space\":{\"topologies\":[\"DSCH\"],"
-      "\"architectures\":[\"A3@12V\"]},\"cmd\":\"optimize\",\"id\":5}");
-  ASSERT_TRUE(twin.key_hash.has_value());
-  EXPECT_EQ(*twin.key_hash, *info.key_hash);
-
-  // An invalid optimize body degrades to kUnroutable (the shard that
-  // replays the line produces the authoritative error).
-  const net::RouteInfo bad = net::classify_line(
-      "{\"cmd\":\"optimize\",\"space\":{\"vr_count\":{\"lo\":0,"
-      "\"hi\":4}}}");
-  EXPECT_EQ(bad.verb, net::Verb::kUnroutable);
-  EXPECT_FALSE(bad.key_hash.has_value());
-}
-
-TEST(NetProtocol, ClassifyLineControlVerbsCarryNoKey) {
-  EXPECT_EQ(net::classify_line("{\"cmd\":\"metrics\"}").verb,
-            net::Verb::kMetrics);
-  EXPECT_EQ(net::classify_line("{\"cmd\":\"trace\"}").verb,
-            net::Verb::kTrace);
-  EXPECT_EQ(net::classify_line("{\"cmd\":\"shutdown\"}").verb,
-            net::Verb::kShutdown);
-  EXPECT_EQ(net::classify_line("{\"cmd\":\"fleet_metrics\"}").verb,
-            net::Verb::kFleetMetrics);
-  EXPECT_EQ(net::classify_line("{\"cmd\":\"frobnicate\"}").verb,
-            net::Verb::kUnknown);
-  EXPECT_FALSE(net::classify_line("{\"cmd\":\"metrics\"}")
-                   .key_hash.has_value());
-}
-
-TEST(NetProtocol, ClassifyLineRecoversIdFromMalformedLines) {
-  const net::RouteInfo truncated =
-      net::classify_line("{\"id\":21,\"architecture\":");
-  EXPECT_EQ(truncated.verb, net::Verb::kUnroutable);
-  EXPECT_EQ(truncated.id.as_number(), 21.0);
-
-  const net::RouteInfo garbage = net::classify_line("not json at all");
-  EXPECT_EQ(garbage.verb, net::Verb::kUnroutable);
-  EXPECT_TRUE(garbage.id.is_null());
-
-  // A parseable envelope with an invalid body is unroutable too — the
-  // shard that replays it produces the authoritative error.
-  const net::RouteInfo bad_enum =
-      net::classify_line("{\"id\":3,\"architecture\":\"Z9\"}");
-  EXPECT_EQ(bad_enum.verb, net::Verb::kUnroutable);
-  EXPECT_EQ(bad_enum.id.as_number(), 3.0);
 }
 
 // --- ResponseQueue ---------------------------------------------------------
@@ -694,100 +580,6 @@ TEST(NetServerTcp, LoopbackRoundTrip) {
   conn.close();
   server->request_shutdown();
   serving.join();
-}
-
-// --- Shard router ----------------------------------------------------------
-
-namespace {
-
-/// A protocol-compliant fake shard: echoes every line back verbatim and
-/// honors {"cmd":"shutdown"} by exiting 0, so drain() semantics are
-/// testable without spawning real vpdd processes.
-net::RouterConfig echo_fleet(std::size_t shards) {
-  net::RouterConfig config;
-  config.shards = shards;
-  config.shard_command = {
-      "/bin/sh", "-c",
-      "while read -r l; do case \"$l\" in *shutdown*) exit 0;; "
-      "*) echo \"$l\";; esac; done"};
-  return config;
-}
-
-std::string forward_and_wait(net::ShardRouter& router, std::size_t shard,
-                             const std::string& line) {
-  std::promise<std::string> promise;
-  std::future<std::string> future = promise.get_future();
-  router.forward(shard, line, io::Value(), [&promise](std::string reply) {
-    promise.set_value(std::move(reply));
-  });
-  return future.get();
-}
-
-}  // namespace
-
-TEST(ShardRouter, KeyAffinityPinsEqualKeysAndSpreadsControlVerbs) {
-  obs::Registry registry;
-  net::ShardRouter router(echo_fleet(3), registry);
-
-  const net::RouteInfo info =
-      net::classify_line(request_line(make_request(), 1));
-  const std::size_t pinned = router.route(info);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(router.route(info), pinned);
-  }
-  std::set<std::size_t> covered;
-  for (int i = 0; i < 9; ++i) {
-    covered.insert(router.route(net::classify_line("{\"cmd\":\"metrics\"}")));
-  }
-  EXPECT_EQ(covered.size(), 3u);  // round-robin reaches every shard
-
-  // Forwarded lines come back verbatim, FIFO-correlated per shard.
-  EXPECT_EQ(forward_and_wait(router, pinned, "{\"probe\":1}"),
-            "{\"probe\":1}");
-  router.drain();
-}
-
-TEST(ShardRouter, DrainIsIdempotentAndRejectsLateForwards) {
-  obs::Registry registry;
-  net::ShardRouter router(echo_fleet(2), registry);
-  EXPECT_EQ(forward_and_wait(router, 0, "{\"x\":1}"), "{\"x\":1}");
-  router.drain();
-  EXPECT_TRUE(router.draining());
-  router.drain();  // second call returns the cached snapshot
-
-  const std::string late =
-      forward_and_wait(router, 1, "{\"x\":2}");
-  const io::Value reply = io::parse(late);
-  EXPECT_EQ(reply.find("status")->as_string(), "error");
-  EXPECT_NE(reply.find("error")->as_string().find("draining"),
-            std::string::npos);
-}
-
-TEST(ShardRouter, CrashedShardFailsInFlightAndRestarts) {
-  net::RouterConfig config;
-  config.shards = 1;
-  // Each incarnation accepts exactly one line, then dies without
-  // replying: every forward orphans, and the supervisor must respawn.
-  config.shard_command = {"/bin/sh", "-c", "read -r l; exit 3"};
-  config.backoff_initial_seconds = 0.01;
-  config.backoff_max_seconds = 0.05;
-  obs::Registry registry;
-  net::ShardRouter router(config, registry);
-
-  const std::string orphaned = forward_and_wait(router, 0, "{\"x\":1}");
-  const io::Value reply = io::parse(orphaned);
-  EXPECT_EQ(reply.find("status")->as_string(), "error");
-  EXPECT_NE(reply.find("error")->as_string().find("exited before replying"),
-            std::string::npos);
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (router.restarts() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(router.restarts(), 1u);
-  router.drain();  // must terminate even with a crash-looping shard
 }
 
 }  // namespace

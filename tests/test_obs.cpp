@@ -166,125 +166,6 @@ TEST(ObsSnapshot, OverlayOverwritesSameNames) {
   EXPECT_DOUBLE_EQ(a.gauge("g")->first, 1.0);
 }
 
-TEST(ObsSnapshot, MergeSumsCountersAcrossPeers) {
-  obs::Snapshot a;
-  a.set_counter("serve.requests", 7);
-  a.set_counter("only_a", 3);
-  obs::Snapshot b;
-  b.set_counter("serve.requests", 5);
-  b.set_counter("only_b", 11);
-  a.merge(b);
-  EXPECT_EQ(*a.counter("serve.requests"), 12u);
-  EXPECT_EQ(*a.counter("only_a"), 3u);
-  EXPECT_EQ(*a.counter("only_b"), 11u);
-}
-
-TEST(ObsSnapshot, MergeTakesGaugeMaxAndHighWaterMax) {
-  obs::Snapshot a;
-  a.set_gauge("serve.queue_depth", 2.0, 9.0);
-  obs::Snapshot b;
-  b.set_gauge("serve.queue_depth", 5.0, 6.0);
-  b.set_gauge("only_b", 1.0, 1.5);
-  a.merge(b);
-  ASSERT_NE(a.gauge("serve.queue_depth"), nullptr);
-  EXPECT_DOUBLE_EQ(a.gauge("serve.queue_depth")->first, 5.0);
-  EXPECT_DOUBLE_EQ(a.gauge("serve.queue_depth")->second, 9.0);
-  ASSERT_NE(a.gauge("only_b"), nullptr);
-  EXPECT_DOUBLE_EQ(a.gauge("only_b")->first, 1.0);
-}
-
-TEST(ObsSnapshot, MergeAddsHistogramsBucketwise) {
-  obs::HistogramData left({0.1, 1.0});
-  left.record(0.05);
-  left.record(0.5);
-  obs::HistogramData right({0.1, 1.0});
-  right.record(0.5);
-  right.record(5.0);
-
-  obs::Snapshot a;
-  a.set_histogram("lat", left);
-  obs::Snapshot b;
-  b.set_histogram("lat", right);
-  a.merge(b);
-
-  const obs::HistogramData* merged = a.histogram("lat");
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->count, 4u);
-  EXPECT_DOUBLE_EQ(merged->sum, 6.05);
-  EXPECT_DOUBLE_EQ(merged->min, 0.05);
-  EXPECT_DOUBLE_EQ(merged->max, 5.0);
-  // Exact bucket-wise addition: [<=0.1, <=1.0, overflow] = [1+0, 1+1, 0+1].
-  ASSERT_EQ(merged->counts.size(), 3u);
-  EXPECT_EQ(merged->counts[0], 1u);
-  EXPECT_EQ(merged->counts[1], 2u);
-  EXPECT_EQ(merged->counts[2], 1u);
-}
-
-TEST(ObsSnapshot, MergeWithEmptySideKeepsOtherSidesRange) {
-  obs::HistogramData samples({1.0});
-  samples.record(0.25);
-  obs::Snapshot a;
-  a.set_histogram("lat", obs::HistogramData({1.0}));  // no samples
-  obs::Snapshot b;
-  b.set_histogram("lat", samples);
-  a.merge(b);
-  const obs::HistogramData* merged = a.histogram("lat");
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->count, 1u);
-  EXPECT_DOUBLE_EQ(merged->min, 0.25);
-  EXPECT_DOUBLE_EQ(merged->max, 0.25);
-}
-
-TEST(ObsSnapshot, MergeRejectsMismatchedHistogramBounds) {
-  obs::Snapshot a;
-  a.set_histogram("lat", obs::HistogramData({0.1, 1.0}));
-  obs::Snapshot b;
-  b.set_histogram("lat", obs::HistogramData({0.5, 2.0}));
-  EXPECT_THROW(a.merge(b), InvalidArgument);
-}
-
-TEST(ObsSnapshot, FromJsonRoundTripsThroughTheWireShape) {
-  obs::Snapshot s;
-  s.set_counter("serve.requests", 42);
-  s.set_gauge("serve.queue_depth", 3.0, 8.0);
-  obs::HistogramData h({0.1, 1.0});
-  h.record(0.05);
-  h.record(0.7);
-  h.record(9.0);
-  s.set_histogram("serve.latency_seconds", h);
-
-  const obs::Snapshot parsed =
-      obs::snapshot_from_json(io::parse(io::dump(s.to_json())));
-  EXPECT_EQ(*parsed.counter("serve.requests"), 42u);
-  ASSERT_NE(parsed.gauge("serve.queue_depth"), nullptr);
-  EXPECT_DOUBLE_EQ(parsed.gauge("serve.queue_depth")->second, 8.0);
-  const obs::HistogramData* hist =
-      parsed.histogram("serve.latency_seconds");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, 3u);
-  EXPECT_EQ(hist->counts, h.counts);
-  EXPECT_EQ(hist->bounds, h.bounds);
-  EXPECT_DOUBLE_EQ(hist->sum, h.sum);
-  // Round-tripped snapshots serialize identically (derived quantiles are
-  // recomputed from the same buckets).
-  EXPECT_EQ(io::dump(parsed.to_json()), io::dump(s.to_json()));
-}
-
-TEST(ObsSnapshot, FromJsonRejectsSchemaVersionMismatch) {
-  obs::Snapshot s;
-  s.set_counter("x", 1);
-  io::Value wrong_version = s.to_json();
-  wrong_version.set("schema_version", obs::kTelemetrySchemaVersion + 1);
-  EXPECT_THROW(obs::snapshot_from_json(wrong_version), InvalidArgument);
-
-  io::Value missing = s.to_json();
-  io::Value stripped = io::Value::object();
-  for (const auto& [key, value] : missing.as_object()) {
-    if (key != "schema_version") stripped.set(key, value);
-  }
-  EXPECT_THROW(obs::snapshot_from_json(stripped), InvalidArgument);
-}
-
 // --- Trace spans ------------------------------------------------------------
 
 TEST(ObsTrace, DisabledSpansRecordNothing) {

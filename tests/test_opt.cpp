@@ -457,8 +457,8 @@ TEST(OptimizeSchema, ReportSerializesDeterministicPrefix) {
       opt::DesignOptimizer(paper_system(), small_space(), small_config())
           .run();
   const std::string line = io::dump(io::to_json(report));
-  // Everything before "wall_seconds" is deterministic; the smoke tests
-  // strip from there on when diffing fleet outputs.
+  // Everything before "wall_seconds" is deterministic; the socket smoke
+  // test strips from there on when diffing socket against stdin output.
   const std::size_t cut = line.find(",\"wall_seconds\"");
   ASSERT_NE(cut, std::string::npos);
   EXPECT_NE(line.find("\"front\":["), std::string::npos);

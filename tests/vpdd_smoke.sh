@@ -10,6 +10,9 @@
 # enabled, and check that every line gets an in-order, id-tagged
 # response with the expected status, that the trace file is a Chrome
 # trace-event document, and that the shutdown verb drains and exits 0.
+# Then pipe a request, a line one byte over the 64 MiB line limit and
+# another request: the first is answered, the oversized line gets one
+# error line naming the limit, and vpdd stops reading and exits 1.
 # Pure POSIX shell + grep so it runs in every CI matrix, sanitizers
 # included.
 set -eu
@@ -46,16 +49,16 @@ this line is not JSON {{{
 {"id":99,"cmd":"shutdown"}
 EOF
 
-"$VPDD" --threads 2 --metrics --trace "$trace" \
-  < "$requests" > "$responses" 2> "$workdir/metrics.json" \
-  || fail "vpdd must exit 0 after a graceful shutdown verb"
-
 fail() {
   echo "vpdd_smoke: $1" >&2
   echo "--- responses ---" >&2
   cat "$responses" >&2
   exit 1
 }
+
+"$VPDD" --threads 2 --metrics --trace "$trace" \
+  < "$requests" > "$responses" 2> "$workdir/metrics.json" \
+  || fail "vpdd must exit 0 after a graceful shutdown verb"
 
 # One response line per request, in request order.
 [ "$(wc -l < "$responses")" -eq 20 ] || fail "expected 20 response lines"
@@ -182,4 +185,24 @@ grep -q '"serve.evaluated": 7' "$workdir/metrics.json" \
 grep -q '"counters": {' "$workdir/metrics.json" \
   || fail "metrics dump should carry the unified telemetry shape"
 
-echo "vpdd_smoke: OK (20 pipelined lines: 10 requests, 1 batch, 2 malformed, 2 transient, 2 optimize, 3 control verbs, 1 shutdown)"
+# --- A stdin line over the limit --------------------------------------------
+# stdin is framed like a socket connection: the request before the
+# oversized line is answered, then one error line names the limit; the
+# request after it is never read, and vpdd exits 1.
+responses="$workdir/limit.ndjson"
+limit_status=0
+{
+  printf '%s\n' '{"id":1,"architecture":"A3@12V","topology":"DSCH","options":{"mesh_nodes":21}}'
+  head -c $((64 * 1024 * 1024 + 1)) /dev/zero | tr '\0' 'x'
+  printf '\n%s\n' '{"id":2,"architecture":"A1","topology":"DSCH"}'
+} | "$VPDD" --threads 2 > "$responses" || limit_status=$?
+[ "$limit_status" -eq 1 ] \
+  || fail "vpdd must exit 1 after an oversized stdin line (got $limit_status)"
+[ "$(wc -l < "$responses")" -eq 2 ] \
+  || fail "expected 2 response lines around the oversized stdin line"
+head -n 1 "$responses" | grep -q '^{"id":1,"status":"ok"' \
+  || fail "the request before the oversized line must be answered"
+tail -n 1 "$responses" | grep -q '^{"status":"error".*longer than 67108864 bytes' \
+  || fail "the oversized line must get one error line naming the limit"
+
+echo "vpdd_smoke: OK (20 pipelined lines: 10 requests, 1 batch, 2 malformed, 2 transient, 2 optimize, 3 control verbs, 1 shutdown; oversized stdin line refused)"

@@ -1,4 +1,4 @@
-// vpd-client — pipe stdin to a vpdd / vpd-router socket endpoint.
+// vpd-client — pipe stdin to a `vpdd --listen` socket endpoint.
 //
 //   vpd-client unix:/run/vpd.sock < requests.ndjson > responses.ndjson
 //

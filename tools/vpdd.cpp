@@ -31,14 +31,19 @@
 // it.
 //
 // A malformed or invalid request produces a {"status":"error"} response
-// line — the daemon never crashes on bad input and keeps serving. See
-// docs/serve.md for the wire protocol, docs/sharding.md for the socket
-// and fleet topology, and docs/observability.md for telemetry formats.
+// line — the daemon never crashes on bad input and keeps serving. A line
+// longer than 64 MiB (net::Connection::kMaxLineBytes) is no request: the
+// lines before it are answered, then one {"status":"error"} line names
+// the limit, and the stream ends (stdin: vpdd drains and exits 1; a
+// socket: that connection closes). See docs/serve.md for the wire
+// protocol, docs/sockets.md for the socket server, and
+// docs/observability.md for telemetry formats.
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <memory>
 #include <string>
 
@@ -132,6 +137,7 @@ int main(int argc, char** argv) {
   }
 
   serve::EvaluationService service(config);
+  bool refused = false;  // stdin mode: a line over the limit ended input
 
   if (!listen_address.empty()) {
     // Socket mode: a dying client must not kill the daemon mid-write.
@@ -154,19 +160,17 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
+    // stdin/stdout framed like a socket connection: the same line limit
+    // and the same stream loop.
+    net::Connection connection(STDIN_FILENO, STDOUT_FILENO);
     net::LineSession session(
         service,
-        [](const std::string& response) {
-          std::fputs(response.c_str(), stdout);
-          std::fputc('\n', stdout);
-          std::fflush(stdout);
+        [&connection](const std::string& response) {
+          connection.write_line(response);
         },
         session_options);
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      if (!session.feed(line)) break;  // {"cmd":"shutdown"} accepted
-    }
-    session.drain();
+    refused = net::serve_stream(connection, session) ==
+              net::StreamEnd::kRefused;
   }
 
   if (!session_options.default_trace_path.empty()) {
@@ -184,5 +188,5 @@ int main(int argc, char** argv) {
     std::fputs(dump.c_str(), stderr);
     std::fputc('\n', stderr);
   }
-  return 0;
+  return refused ? 1 : 0;
 }

@@ -44,6 +44,8 @@ std::size_t stencil_slot(std::size_t i, std::size_t ix, std::size_t nx,
 /// +-0 to a sum that started at +0.0, which changes no bit.
 template <class Level>
 void galerkin_node(const Level& f, Level& c, std::size_t cx, std::size_t cy) {
+  const std::vector<std::uint8_t>& slots = f.a.slots();
+  const double* coef = f.a.coef().data();
   double acc[9] = {};
   const auto& gy = f.gather_y[cy];
   const auto& gx = f.gather_x[cx];
@@ -53,12 +55,12 @@ void galerkin_node(const Level& f, Level& c, std::size_t cx, std::size_t cy) {
       const std::size_t fx = gx.idx[a_x];
       const double w_i = gy.w[a_y] * gx.w[a_x];
       const std::size_t i = fy * f.nx + fx;
-      for (std::size_t k = 0; k < f.slots.size(); ++k) {
-        const std::size_t slot = f.slots[k];
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        const std::size_t slot = slots[k];
         const std::size_t jy = fy + slot / 3 - 1;
         const std::size_t jx = fx + slot % 3 - 1;
         if (jy >= f.ny || jx >= f.nx) continue;  // off the grid
-        const double contrib = w_i * f.coef[k * f.n + i];
+        const double contrib = w_i * coef[k * f.n + i];
         const auto& py = f.interp_y[jy];
         const auto& px = f.interp_x[jx];
         for (std::size_t b_y = 0; b_y < py.count; ++b_y) {
@@ -71,7 +73,7 @@ void galerkin_node(const Level& f, Level& c, std::size_t cx, std::size_t cy) {
     }
   }
   for (std::size_t slot = 0; slot < 9; ++slot)
-    c.coef[slot * c.n + cy * c.nx + cx] = acc[slot];
+    c.a.coef()[slot * c.n + cy * c.nx + cx] = acc[slot];
 }
 
 /// Calls f(std::integral_constant<std::size_t, k>{}) for k = 0..N-1.
@@ -89,10 +91,10 @@ constexpr std::array<std::uint8_t, 5> kFivePointSlots{1, 3, 4, 5, 7};
 constexpr std::array<std::uint8_t, 9> kNinePointSlots{0, 1, 2, 3, 4,
                                                       5, 6, 7, 8};
 
-/// Whether a level's stored slots are exactly `Slots`.
-template <const auto& Slots, class Level>
-bool stores(const Level& level) {
-  return std::equal(level.slots.begin(), level.slots.end(), Slots.begin(),
+/// Whether a stencil's stored slots are exactly `Slots`.
+template <const auto& Slots>
+bool stores(const GridStencil& a) {
+  return std::equal(a.slots().begin(), a.slots().end(), Slots.begin(),
                     Slots.end());
 }
 
@@ -117,6 +119,8 @@ std::size_t interior_end(std::size_t d) { return d >= 3 ? (d - 3) / 2 + 1 : 1; }
 template <const auto& Slots, class Level>
 void galerkin_interior(const Level& f, Level& c, std::size_t cy,
                        std::size_t begin, std::size_t end) {
+  const double* coef = f.a.coef().data();
+  double* out = c.a.coef().data();
   for (std::size_t cx = begin; cx < end; ++cx) {
     double acc[9] = {};
     const std::size_t corner = (2 * cy - 1) * f.nx + (2 * cx - 1);
@@ -131,7 +135,7 @@ void galerkin_interior(const Level& f, Level& c, std::size_t cy,
           constexpr std::size_t kK = decltype(k)::value;
           constexpr int ey = static_cast<int>(kAy + Slots[kK] / 3) - 2;
           constexpr int ex = static_cast<int>(kAx + Slots[kK] % 3) - 2;
-          const double contrib = w_i * f.coef[kK * f.n + i];
+          const double contrib = w_i * coef[kK * f.n + i];
           unroll<tap_count(ey)>([&](auto by) {
             unroll<tap_count(ex)>([&](auto bx) {
               constexpr int jy = tap_first(ey) + int{decltype(by)::value};
@@ -144,74 +148,7 @@ void galerkin_interior(const Level& f, Level& c, std::size_t cy,
       });
     });
     for (std::size_t slot = 0; slot < 9; ++slot)
-      c.coef[slot * c.n + cy * c.nx + cx] = acc[slot];
-  }
-}
-
-/// out[i] = rhs[i] - (A x)[i] for node i = (ix, iy) from the level's
-/// stored slots: the sum starts at +0.0 and adds them in ascending order
-/// (ascending column order), skipping neighbours off the grid.
-template <class Level>
-void residual_node(const Level& level, const double* rhs, const double* x,
-                   double* out, std::size_t ix, std::size_t iy) {
-  const std::size_t i = iy * level.nx + ix;
-  double s = 0.0;
-  for (std::size_t k = 0; k < level.slots.size(); ++k) {
-    const std::size_t slot = level.slots[k];
-    const std::size_t jy = iy + slot / 3 - 1;
-    const std::size_t jx = ix + slot % 3 - 1;
-    if (jy >= level.ny || jx >= level.nx) continue;  // off the grid
-    s += level.coef[k * level.n + i] * x[jy * level.nx + jx];
-  }
-  out[i] = rhs[i] - s;
-}
-
-/// residual_node for the interior nodes [begin, end) of a level whose
-/// stored slots are `Slots`, where every neighbour lies on the grid: the
-/// same sum, unrolled.
-template <const auto& Slots, class Level>
-void residual_interior(const Level& level, const double* rhs, const double* x,
-                       double* out, std::size_t begin, std::size_t end) {
-  const double* coef = level.coef.data();
-  const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(level.nx);
-  for (std::size_t i = begin; i < end; ++i) {
-    const double* xi = x + i;
-    double s = 0.0;
-    unroll<Slots.size()>([&](auto k) {
-      constexpr std::size_t kK = decltype(k)::value;
-      constexpr std::ptrdiff_t dy = Slots[kK] / 3 - 1;
-      constexpr std::ptrdiff_t dx = Slots[kK] % 3 - 1;
-      s += coef[kK * level.n + i] * xi[dy * nx + dx];
-    });
-    out[i] = rhs[i] - s;
-  }
-}
-
-/// out = rhs - A x over a level's stencil: the interior rows of a 5- or
-/// 9-slot level run residual_interior between their two end nodes, every
-/// other node residual_node.
-template <class Level>
-void residual(const Level& level, const double* rhs, const double* x,
-              double* out) {
-  const std::size_t nx = level.nx;
-  const std::size_t ny = level.ny;
-  const bool five = stores<kFivePointSlots>(level);
-  const bool nine = stores<kNinePointSlots>(level);
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    if (iy == 0 || iy + 1 == ny || nx < 3 || !(five || nine)) {
-      for (std::size_t ix = 0; ix < nx; ++ix)
-        residual_node(level, rhs, x, out, ix, iy);
-      continue;
-    }
-    const std::size_t row = iy * nx;
-    residual_node(level, rhs, x, out, 0, iy);
-    if (five)
-      residual_interior<kFivePointSlots>(level, rhs, x, out, row + 1,
-                                         row + nx - 1);
-    else
-      residual_interior<kNinePointSlots>(level, rhs, x, out, row + 1,
-                                         row + nx - 1);
-    residual_node(level, rhs, x, out, nx - 1, iy);
+      out[slot * c.n + cy * c.nx + cx] = acc[slot];
   }
 }
 
@@ -222,10 +159,136 @@ MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) : nx_(nx), ny_(ny) {
               nx, "x", ny);
 }
 
+GridStencil::GridStencil(std::size_t nx, std::size_t ny)
+    : nx_(nx), ny_(ny), n_(nx * ny), coef_(9 * nx * ny, 0.0) {
+  for (std::uint8_t s = 0; s < 9; ++s) slots_.push_back(s);
+}
+
+bool GridStencil::assign(const CsrMatrix& a, const MgSymbolic& grid,
+                         std::pair<std::size_t, std::size_t>* escape) {
+  VPD_REQUIRE(grid.rows() == a.rows(), "stencil grid has ", grid.rows(),
+              " nodes, got ", a.rows(), " rows");
+  const std::vector<std::size_t>& offsets = a.row_offsets();
+  const std::vector<std::size_t>& cols = a.col_indices();
+  const std::vector<double>& vals = a.values();
+  if (digest_ == 0 || digest_ != a.structure_digest() || grid_ != grid) {
+    // Cleared first, so a pattern that fails the check leaves no stencil.
+    *this = GridStencil{};
+    const std::size_t nx = grid.nx();
+    const std::size_t n = grid.rows();
+    entry_slot_.resize(vals.size());
+    unsigned used = 1u << kCenterSlot;
+    std::size_t ix = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+        const std::size_t slot = stencil_slot(i, ix, nx, cols[k]);
+        if (slot >= 9) {
+          if (escape != nullptr) *escape = {i, cols[k]};
+          *this = GridStencil{};
+          return false;
+        }
+        entry_slot_[k] = static_cast<std::uint8_t>(slot);
+        used |= 1u << slot;
+      }
+      if (++ix == nx) ix = 0;
+    }
+    std::uint8_t index_of[9] = {};
+    for (std::uint8_t slot = 0; slot < 9; ++slot) {
+      if (!(used >> slot & 1u)) continue;
+      index_of[slot] = static_cast<std::uint8_t>(slots_.size());
+      slots_.push_back(slot);
+    }
+    for (std::uint8_t& slot : entry_slot_) slot = index_of[slot];
+    // Slots a row lacks stay 0 while the structure holds.
+    coef_.assign(slots_.size() * n, 0.0);
+    nx_ = nx;
+    ny_ = grid.ny();
+    n_ = n;
+    grid_ = grid;
+    digest_ = a.structure_digest();
+  }
+  for (std::size_t i = 0, k = 0; i < n_; ++i)
+    for (const std::size_t end = offsets[i + 1]; k < end; ++k)
+      coef_[entry_slot_[k] * n_ + i] = vals[k];
+  return true;
+}
+
+/// Row sums of the stencil in ascending row order: emit(i, s) receives
+/// node i's sum, its stored slots added from +0.0 in ascending order
+/// (ascending column order), neighbours off the grid skipped; row_done(b,
+/// e) follows each grid row [b, e). The interior nodes of a 5- or 9-slot
+/// stencil's inner grid rows, whose neighbours all lie on the grid, run
+/// the same sum unrolled.
+template <class Emit, class RowDone>
+void GridStencil::sweep(const double* x, Emit&& emit,
+                        RowDone&& row_done) const {
+  const std::size_t nx = nx_;
+  const std::size_t ny = ny_;
+  const std::size_t n = n_;
+  const double* coef = coef_.data();
+  const auto node = [&](std::size_t ix, std::size_t iy) {
+    const std::size_t i = iy * nx + ix;
+    double s = 0.0;
+    for (std::size_t k = 0; k < slots_.size(); ++k) {
+      const std::size_t slot = slots_[k];
+      const std::size_t jy = iy + slot / 3 - 1;
+      const std::size_t jx = ix + slot % 3 - 1;
+      if (jy >= ny || jx >= nx) continue;  // off the grid
+      s += coef[k * n + i] * x[jy * nx + jx];
+    }
+    emit(i, s);
+  };
+  const auto interior = [&]<const auto& Slots>(std::size_t begin,
+                                               std::size_t end) {
+    const std::ptrdiff_t stride = static_cast<std::ptrdiff_t>(nx);
+    for (std::size_t i = begin; i < end; ++i) {
+      const double* xi = x + i;
+      double s = 0.0;
+      unroll<Slots.size()>([&](auto k) {
+        constexpr std::size_t kK = decltype(k)::value;
+        constexpr std::ptrdiff_t dy = Slots[kK] / 3 - 1;
+        constexpr std::ptrdiff_t dx = Slots[kK] % 3 - 1;
+        s += coef[kK * n + i] * xi[dy * stride + dx];
+      });
+      emit(i, s);
+    }
+  };
+  const bool five = stores<kFivePointSlots>(*this);
+  const bool nine = stores<kNinePointSlots>(*this);
+  for (std::size_t iy = 0; iy < ny; ++iy) {
+    const std::size_t row = iy * nx;
+    if (iy == 0 || iy + 1 == ny || nx < 3 || !(five || nine)) {
+      for (std::size_t ix = 0; ix < nx; ++ix) node(ix, iy);
+    } else {
+      node(0, iy);
+      if (five)
+        interior.template operator()<kFivePointSlots>(row + 1, row + nx - 1);
+      else
+        interior.template operator()<kNinePointSlots>(row + 1, row + nx - 1);
+      node(nx - 1, iy);
+    }
+    row_done(row, row + nx);
+  }
+}
+
+double GridStencil::multiply_dot(const double* x, double* y) const {
+  double dot = 0.0;
+  sweep(x, [y](std::size_t i, double s) { y[i] = s; },
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) dot += x[i] * y[i];
+        });
+  return dot;
+}
+
+void GridStencil::residual(const double* rhs, const double* x,
+                           double* out) const {
+  sweep(x, [rhs, out](std::size_t i, double s) { out[i] = rhs[i] - s; },
+        [](std::size_t, std::size_t) {});
+}
+
 void MgPreconditioner::build_hierarchy(const MgSymbolic& grid) {
   // Cleared first, so a build that throws leaves no grid to match.
   grid_ = MgSymbolic{};
-  fine_digest_ = 0;
   levels_.clear();
 
   // Per-dimension bilinear interpolation of a fine index range onto a
@@ -271,8 +334,7 @@ void MgPreconditioner::build_hierarchy(const MgSymbolic& grid) {
     level.nx = nx;
     level.ny = ny;
     level.n = nx * ny;
-    if (levels_.size() > 1)
-      for (std::uint8_t s = 0; s < 9; ++s) level.slots.push_back(s);
+    if (levels_.size() > 1) level.a = GridStencil(nx, ny);
     if (level.n <= kCoarsestNodes) break;  // coarsest level: solved directly
     nx = coarse_dim(nx);
     ny = coarse_dim(ny);
@@ -291,48 +353,15 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& grid) {
   VPD_REQUIRE(a.rows() == a.cols(), "multigrid requires a square matrix");
   if (grid != grid_) build_hierarchy(grid);
   const std::size_t depth = levels_.size();
-  const std::vector<std::size_t>& offsets = a.row_offsets();
-  const std::vector<std::size_t>& cols = a.col_indices();
-  const std::vector<double>& vals = a.values();
 
-  // Finest operator: the matrix itself. Its pattern is checked once per
-  // structure: every entry must lie in its row node's 3x3 grid
-  // neighbourhood. Level 0 keeps the slots the pattern uses, and each
-  // entry's position among them is kept for the refactors that follow.
-  Level& fine = levels_.front();
-  if (fine_digest_ == 0 || fine_digest_ != a.structure_digest()) {
-    fine_digest_ = 0;  // recorded again once the new pattern has passed
-    const std::size_t nx = fine.nx;
-    fine_entry_slot_.resize(vals.size());
-    unsigned used = 1u << kCenterSlot;
-    std::size_t ix = 0;
-    for (std::size_t i = 0; i < fine.n; ++i) {
-      for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-        const std::size_t slot = stencil_slot(i, ix, nx, cols[k]);
-        VPD_REQUIRE(slot < 9, "matrix entry (", i, ",", cols[k],
-                    ") lies outside the 3x3 grid neighbourhood of the ",
-                    "multigrid hierarchy's ", nx, "-wide grid");
-        fine_entry_slot_[k] = static_cast<std::uint8_t>(slot);
-        used |= 1u << slot;
-      }
-      if (++ix == nx) ix = 0;
-    }
-    std::uint8_t index_of[9] = {};
-    fine.slots.clear();
-    for (std::uint8_t slot = 0; slot < 9; ++slot) {
-      if (!(used >> slot & 1u)) continue;
-      index_of[slot] = static_cast<std::uint8_t>(fine.slots.size());
-      fine.slots.push_back(slot);
-    }
-    for (std::uint8_t& slot : fine_entry_slot_) slot = index_of[slot];
-    // Slots a row lacks stay 0 while the structure holds.
-    fine.coef.assign(fine.slots.size() * fine.n, 0.0);
-    fine_digest_ = a.structure_digest();
-  }
-  // Scatter the values into the stencil.
-  for (std::size_t i = 0, k = 0; i < fine.n; ++i)
-    for (const std::size_t end = offsets[i + 1]; k < end; ++k)
-      fine.coef[fine_entry_slot_[k] * fine.n + i] = vals[k];
+  // Finest operator: the matrix itself, as a stencil. Its pattern is
+  // checked once per structure: every entry must lie in its row node's
+  // 3x3 grid neighbourhood.
+  std::pair<std::size_t, std::size_t> escape;
+  VPD_REQUIRE(levels_.front().a.assign(a, grid, &escape), "matrix entry (",
+              escape.first, ",", escape.second,
+              ") lies outside the 3x3 grid neighbourhood of the multigrid "
+              "hierarchy's ", grid.nx(), "-wide grid");
 
   // Numeric Galerkin chain, one coarse stencil row per coarse node, with
   // no symbolic pattern: a 3x3 fine neighbourhood maps into a 3x3 coarse
@@ -341,9 +370,8 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& grid) {
   for (std::size_t l = 0; l + 1 < depth; ++l) {
     const Level& f = levels_[l];
     Level& c = levels_[l + 1];
-    c.coef.resize(9 * c.n);
-    const bool five = stores<kFivePointSlots>(f);
-    const bool nine = stores<kNinePointSlots>(f);
+    const bool five = stores<kFivePointSlots>(f.a);
+    const bool nine = stores<kNinePointSlots>(f.a);
     const std::size_t x_end = interior_end(f.nx);
     const std::size_t y_end = interior_end(f.ny);
     for (std::size_t cy = 0; cy < c.ny; ++cy) {
@@ -364,10 +392,10 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& grid) {
   // and Galerkin products of SPD operators through full-column-rank P stay
   // SPD, so a non-positive pivot here means the input was not SPD.
   for (Level& level : levels_) {
+    const std::vector<std::uint8_t>& slots = level.a.slots();
     const std::size_t center = static_cast<std::size_t>(
-        std::find(level.slots.begin(), level.slots.end(), kCenterSlot) -
-        level.slots.begin());
-    const double* diag = level.coef.data() + center * level.n;
+        std::find(slots.begin(), slots.end(), kCenterSlot) - slots.begin());
+    const double* diag = level.a.coef().data() + center * level.n;
     const double* bad = std::find_if(diag, diag + level.n,
                                      [](double d) { return !(d > 0.0); });
     VPD_CHECK_NUMERIC(bad == diag + level.n, "multigrid level diagonal not "
@@ -385,13 +413,13 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& grid) {
     for (std::size_t r = 0; r < coarse_n_; ++r) {
       const std::size_t ix = r % bottom.nx;
       const std::size_t iy = r / bottom.nx;
-      for (std::size_t k = 0; k < bottom.slots.size(); ++k) {
-        const std::size_t slot = bottom.slots[k];
+      for (std::size_t k = 0; k < bottom.a.slots().size(); ++k) {
+        const std::size_t slot = bottom.a.slots()[k];
         const std::size_t jy = iy + slot / 3 - 1;
         const std::size_t jx = ix + slot % 3 - 1;
         if (jy >= bottom.ny || jx >= bottom.nx) continue;
         coarse_chol_[r * coarse_n_ + jy * bottom.nx + jx] =
-            bottom.coef[k * bottom.n + r];
+            bottom.a.coef()[k * bottom.n + r];
       }
     }
     for (std::size_t j = 0; j < coarse_n_; ++j) {
@@ -443,7 +471,7 @@ void MgPreconditioner::cycle(std::size_t l, const double* rhs, double* x) {
 
   // Residual r = rhs - A x.
   level.r.resize(n);
-  residual(level, rhs, x, level.r.data());
+  level.a.residual(rhs, x, level.r.data());
 
   // Restrict into the coarse right-hand side, rhs_c = R r: coarse node
   // (cx, cy) sums its fine nodes (fy, fx) in ascending order from +0.0,
@@ -508,7 +536,7 @@ void MgPreconditioner::cycle(std::size_t l, const double* rhs, double* x) {
   }
 
   // Post-smooth (the adjoint sweep: x += omega D^{-1} (rhs - A x)).
-  residual(level, rhs, x, level.r.data());
+  level.a.residual(rhs, x, level.r.data());
   for (std::size_t i = 0; i < n; ++i)
     x[i] += kJacobiDamping * level.inv_diag[i] * level.r[i];
 }

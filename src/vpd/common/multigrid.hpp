@@ -14,13 +14,14 @@
 // Every level's operator couples a node only to its 3x3 grid
 // neighbourhood (the fine operator by contract, each coarse one because a
 // bilinear Galerkin product keeps that footprint), so a level stores its
-// operator as the coefficient arrays of a 3x3 stencil, and the transfers
-// are per-dimension (index, weight) tables applied by grid index
-// arithmetic: the V-cycle, the Galerkin product and the hierarchy build
-// use no CSR index arrays. Every row adds its terms in ascending column
-// order from +0.0, as a CSR row loop does; such a sum never becomes
-// -0.0, so the zero a stencil slot holds where a CSR row has no entry
-// adds +-0 and changes no bit.
+// operator as a GridStencil (the coefficient arrays of a 3x3 stencil),
+// and the transfers are per-dimension (index, weight) tables applied by
+// grid index arithmetic: the V-cycle, the Galerkin product and the
+// hierarchy build use no CSR index arrays. Every row adds its terms in
+// ascending column order from +0.0, as a CSR row loop does; such a sum
+// never becomes -0.0, so the zero a stencil slot holds where a CSR row
+// has no entry adds +-0 and changes no bit. The same GridStencil is the
+// operator CG multiplies by in every grid solve (sparse.hpp).
 //
 // MgSymbolic names the grid (nx, ny) of the operator a solve hands in; it
 // is free to construct. MgPreconditioner builds the hierarchy (level
@@ -33,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "vpd/common/sparse.hpp"
@@ -59,6 +61,65 @@ class MgSymbolic {
  private:
   std::size_t nx_{0};
   std::size_t ny_{0};
+};
+
+/// An operator on a grid that couples each node only to its 3x3 grid
+/// neighbourhood, stored as the coefficient arrays of a 3x3 stencil: slot
+/// s = 3 (dy + 1) + (dx + 1) couples node (ix, iy) to node (ix + dx,
+/// iy + dy), so slots ascend with the column. slots() lists the stored
+/// slots in ascending order, and on an n-node grid coef()[k * n + i] is
+/// row i's coefficient in slots()[k]: 0 where the row holds no such entry or the
+/// neighbour lies off the grid. The products add each row's terms in
+/// ascending column order from +0.0, as a CSR row loop does; such a sum
+/// never becomes -0.0, so the zero a slot holds where a CSR row has no
+/// entry adds +-0 and changes no bit: every product is bit-identical to
+/// CsrMatrix::multiply_into on the operator it was assigned from. Interior
+/// rows of a five-slot (the 5-point cross) or nine-slot stencil run
+/// kernels unrolled at compile time, every other node a table-driven loop.
+class GridStencil {
+ public:
+  GridStencil() = default;
+  /// An nx x ny stencil storing all nine slots, every coefficient 0 (a
+  /// coarse multigrid level, whose Galerkin product writes them).
+  GridStencil(std::size_t nx, std::size_t ny);
+
+  /// Binds the stencil to `a` on `grid` (grid.rows() == a.rows()) and
+  /// scatters a's values into it. The pattern is checked once per
+  /// structure and grid: each entry's slot is recorded, so a refactor of
+  /// the same structure only scatters, and the stencil stores the slots
+  /// the pattern uses (five for a mesh operator, the diagonal always).
+  /// Returns false, leaving the stencil empty, when an entry (i, j) lies
+  /// outside node i's 3x3 grid neighbourhood (wrapping across a row end
+  /// counts as outside); `escape`, when given, then receives (i, j).
+  bool assign(const CsrMatrix& a, const MgSymbolic& grid,
+              std::pair<std::size_t, std::size_t>* escape = nullptr);
+
+  bool empty() const { return n_ == 0; }
+  const std::vector<std::uint8_t>& slots() const { return slots_; }
+  const std::vector<double>& coef() const { return coef_; }
+  std::vector<double>& coef() { return coef_; }
+
+  /// y = A x (y must not alias x), returning x . y summed in ascending
+  /// row order from +0.0 (as vpd::dot(x, y) would), each grid row's terms
+  /// added as soon as the row is computed.
+  double multiply_dot(const double* x, double* y) const;
+  /// out = rhs - A x (out must not alias x).
+  void residual(const double* rhs, const double* x, double* out) const;
+
+ private:
+  template <class Emit, class RowDone>
+  void sweep(const double* x, Emit&& emit, RowDone&& row_done) const;
+
+  std::size_t nx_{0};
+  std::size_t ny_{0};
+  std::size_t n_{0};
+  std::vector<std::uint8_t> slots_;
+  std::vector<double> coef_;
+  // The structure digest and grid the pattern was checked for (digest 0 =
+  // none), and each CSR entry's position among slots_.
+  std::uint64_t digest_{0};
+  MgSymbolic grid_;
+  std::vector<std::uint8_t> entry_slot_;
 };
 
 /// Geometric multigrid preconditioner over a grid. factor() builds the
@@ -89,6 +150,9 @@ class MgPreconditioner {
   void apply(const Vector& r, Vector& z);
 
   bool empty() const { return levels_.empty(); }
+  /// The factored operator as a stencil (level 0), which CG multiplies by
+  /// in multigrid solves. Requires a prior factor().
+  const GridStencil& fine() const { return levels_.front().a; }
   /// Grid levels of the current hierarchy, the fine grid included; 0
   /// before the first factor().
   std::size_t level_count() const { return levels_.size(); }
@@ -109,15 +173,10 @@ class MgPreconditioner {
     std::size_t nx{0};
     std::size_t ny{0};
     std::size_t n{0};  // unknowns at this level, nx * ny
-    // Operator as a 3x3 stencil: slot s = 3 (dy + 1) + (dx + 1) couples
-    // node (ix, iy) to node (ix + dx, iy + dy), so slots ascend with the
-    // column. `slots` lists the stored slots in ascending order — level 0
-    // those its pattern uses (five for a mesh operator; the diagonal
-    // always), deeper levels all nine — and coef[k * n + i] is row i's
-    // coefficient in slots[k]: 0 where the row holds no such entry or the
-    // neighbour lies off the grid. Rewritten by every factor().
-    std::vector<std::uint8_t> slots;
-    std::vector<double> coef;
+    // The level's operator: level 0 the factored matrix (the slots its
+    // pattern uses), deeper levels their Galerkin products (all nine
+    // slots). Rewritten by every factor().
+    GridStencil a;
     std::vector<double> inv_diag;  // 1 / diag(A_l), smoother scaling
     // Prolongation P from level l+1, per dimension: interp_x[ix] lists the
     // coarse columns fine column ix interpolates from, with dyadic weights
@@ -138,11 +197,6 @@ class MgPreconditioner {
   void cycle(std::size_t level, const double* rhs, double* x);
 
   MgSymbolic grid_;  // grid levels_ was built for
-  // Structure digest of the matrix whose slots level 0 holds (0 = none),
-  // and the position of each of its entries (CSR order) among level 0's
-  // stored slots: found by the pattern check, reused by every refactor.
-  std::uint64_t fine_digest_{0};
-  std::vector<std::uint8_t> fine_entry_slot_;
   std::vector<Level> levels_;
   // Dense lower-triangular Cholesky factor of the coarsest operator,
   // row-major n x n (strict upper ignored).

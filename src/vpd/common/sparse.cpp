@@ -237,10 +237,23 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a) {
   std::vector<unsigned> level(n, kInf);
   // Strict-lower entries seen so far, grouped by column: (row, level),
   // rows ascending — exactly the "upper row" of each eliminated column.
-  std::vector<std::vector<std::pair<std::size_t, unsigned>>> colup(n);
+  // Each column's entries are a list threaded through one pool (`next`
+  // indexes the pool, kEnd ends a list), so the pass allocates no
+  // per-column storage.
+  struct Upper {
+    std::size_t row;
+    unsigned level;
+    std::size_t next;
+  };
+  constexpr std::size_t kEnd = static_cast<std::size_t>(-1);
+  std::vector<Upper> upper;
+  upper.reserve(aoff[n]);
+  std::vector<std::size_t> head(n, kEnd), tail(n, kEnd);
   std::vector<std::size_t> row;  // working column list, kept sorted
 
   sym.offsets.assign(n + 1, 0);
+  sym.cols.reserve(aoff[n]);
+  sym.source.reserve(aoff[n]);
   for (std::size_t i = 0; i < n; ++i) {
     row.clear();
     bool diag_present = false;
@@ -257,9 +270,10 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a) {
       const std::size_t k = row[idx];
       if (k >= i) break;
       const unsigned lev_ik = level[k];
-      for (const auto& [j, lev_jk] : colup[k]) {
+      for (std::size_t e = head[k]; e != kEnd; e = upper[e].next) {
+        const std::size_t j = upper[e].row;
         if (j >= i) break;
-        const unsigned candidate = lev_ik + lev_jk + 1;
+        const unsigned candidate = lev_ik + upper[e].level + 1;
         if (candidate > kFillLevel || level[j] <= candidate) continue;
         if (level[j] == kInf)  // new fill; j > k so it lands after idx
           row.insert(std::lower_bound(row.begin(), row.end(), j), j);
@@ -275,7 +289,11 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a) {
       sym.source.push_back(it != end && *it == c
                                ? static_cast<std::size_t>(it - acols.begin())
                                : kNoSource);
-      if (c < i) colup[c].push_back({i, level[c]});
+      if (c < i) {
+        upper.push_back({i, level[c], kEnd});
+        (tail[c] == kEnd ? head[c] : upper[tail[c]].next) = upper.size() - 1;
+        tail[c] = upper.size() - 1;
+      }
       level[c] = kInf;
     }
     sym.offsets[i + 1] = sym.cols.size();
@@ -303,12 +321,111 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a) {
       ++cursor[c];
     }
   }
+  VPD_REQUIRE(sym.cols.size() < std::size_t{kDropped},
+              "IC pattern too large for 32-bit slot indexing");
+
+  // Update targets of the numeric sweep (IcPreconditioner::factor), in the
+  // order it applies them: a binary search of row i's strict-lower columns
+  // for j, once per pattern instead of once per factorization. Column k
+  // makes c (c - 1) / 2 updates for its c entries.
+  std::size_t updates = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t c = sym.col_offsets[k + 1] - sym.col_offsets[k];
+    if (c > 1) updates += c * (c - 1) / 2;
+  }
+  sym.update_slot.reserve(updates);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t p = sym.col_offsets[k]; p < sym.col_offsets[k + 1];
+         ++p) {
+      const std::size_t i = sym.col_rows[p];
+      const auto begin = sym.cols.begin() + static_cast<long>(sym.offsets[i]);
+      const auto end =
+          sym.cols.begin() + static_cast<long>(sym.offsets[i + 1] - 1);
+      for (std::size_t q = sym.col_offsets[k]; q < p; ++q) {
+        const auto it = std::lower_bound(begin, end, sym.col_rows[q]);
+        sym.update_slot.push_back(
+            it != end && *it == sym.col_rows[q]
+                ? static_cast<std::uint32_t>(it - sym.cols.begin())
+                : kDropped);
+      }
+    }
+  }
+
+  // Apply schedule. Rows are emitted in wavefront (topological level)
+  // order: a row's wave is one past the deepest row it reads, so
+  // consecutive loop iterations in apply() are independent and the
+  // out-of-order core overlaps them instead of serializing on the
+  // row-to-row dependency chain. Rows within a wave never read each
+  // other's output, so the schedule changes only execution order, not a
+  // single arithmetic operation — results are bit-identical to the
+  // natural-order sweep.
+  std::vector<std::uint32_t> wave(n, 0);
+  std::vector<std::size_t> order(n);
+  const auto order_by_level = [&] {
+    std::vector<std::size_t> count;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (wave[r] >= count.size()) count.resize(wave[r] + 1, 0);
+      ++count[wave[r]];
+    }
+    std::vector<std::size_t> start(count.size() + 1, 0);
+    std::partial_sum(count.begin(), count.end(), start.begin() + 1);
+    for (std::size_t r = 0; r < n; ++r) order[start[wave[r]]++] = r;
+  };
+  const auto u32 = [](std::size_t v) { return static_cast<std::uint32_t>(v); };
+
+  // Forward sweep (L, by rows): row r reads columns < r.
+  for (std::size_t r = 0; r < n; ++r) {
+    std::uint32_t lv = 0;
+    for (std::size_t k = sym.offsets[r]; k + 1 < sym.offsets[r + 1]; ++k)
+      lv = std::max(lv, wave[sym.cols[k]] + 1);
+    wave[r] = lv;
+  }
+  order_by_level();
+  const std::size_t lower = sym.col_offsets[n];
+  sym.fwd_off.reserve(n + 1);
+  sym.fwd_row.reserve(n);
+  sym.fwd_cols.reserve(lower);
+  sym.fwd_src.reserve(lower);
+  sym.fwd_off.assign(1, 0);
+  for (std::size_t r : order) {
+    sym.fwd_row.push_back(u32(r));
+    for (std::size_t k = sym.offsets[r]; k + 1 < sym.offsets[r + 1]; ++k) {
+      sym.fwd_cols.push_back(u32(sym.cols[k]));
+      sym.fwd_src.push_back(u32(k));
+    }
+    sym.fwd_off.push_back(u32(sym.fwd_cols.size()));
+  }
+
+  // Backward sweep (L^T, by rows = L by columns): row r reads rows > r.
+  wave.assign(n, 0);
+  for (std::size_t r = n; r-- > 0;) {
+    std::uint32_t lv = 0;
+    for (std::size_t p = sym.col_offsets[r]; p < sym.col_offsets[r + 1]; ++p)
+      lv = std::max(lv, wave[sym.col_rows[p]] + 1);
+    wave[r] = lv;
+  }
+  order_by_level();
+  sym.bwd_off.reserve(n + 1);
+  sym.bwd_row.reserve(n);
+  sym.bwd_cols.reserve(lower);
+  sym.bwd_src.reserve(lower);
+  sym.bwd_off.assign(1, 0);
+  for (std::size_t r : order) {
+    sym.bwd_row.push_back(u32(r));
+    for (std::size_t p = sym.col_offsets[r]; p < sym.col_offsets[r + 1];
+         ++p) {
+      sym.bwd_cols.push_back(u32(sym.col_rows[p]));
+      sym.bwd_src.push_back(u32(sym.col_slots[p]));
+    }
+    sym.bwd_off.push_back(u32(sym.bwd_cols.size()));
+  }
 }
 
 void IcPreconditioner::factor(const CsrMatrix& a) {
   // The pattern is a pure function of the structure, so a kept pattern
   // serves every matrix with the same digest; another structure of the
   // same size would map the pattern's slots onto the wrong entries.
+  factored_ = false;
   if (symbolic_.empty() ||
       symbolic_.analysis_.source_digest != a.structure_digest()) {
     symbolic_ = IcSymbolic(a);
@@ -316,9 +433,8 @@ void IcPreconditioner::factor(const CsrMatrix& a) {
   const IcSymbolic::Analysis& sym = symbolic_.analysis_;
   const std::size_t n = sym.offsets.size() - 1;
   const auto& off = sym.offsets;
-  const auto& cols = sym.cols;
 
-  values_.resize(cols.size());
+  values_.resize(sym.cols.size());
   for (std::size_t k = 0; k < values_.size(); ++k)
     values_[k] =
         sym.source[k] == kNoSource ? 0.0 : a.values()[sym.source[k]];
@@ -333,17 +449,10 @@ void IcPreconditioner::factor(const CsrMatrix& a) {
   // improves the conditioning *order* on mesh Laplacians. A relative
   // pivot floor guards near-singular operators (e.g. a Laplacian with no
   // ground shunt), where the exact last pivot is a rounding-level residue.
+  // Each update's target slot comes from the pattern's plan.
   constexpr double kPivotFloor = 1e-12;
   const auto diag_slot = [&off](std::size_t r) { return off[r + 1] - 1; };
-  // Binary search row i's strict-lower columns for j; npos when (i, j) is
-  // outside the pattern.
-  const auto find_slot = [&](std::size_t i, std::size_t j) {
-    const auto begin = cols.begin() + static_cast<long>(off[i]);
-    const auto end = cols.begin() + static_cast<long>(diag_slot(i));
-    const auto it = std::lower_bound(begin, end, j);
-    if (it == end || *it != j) return std::size_t(-1);
-    return static_cast<std::size_t>(it - cols.begin());
-  };
+  const std::uint32_t* target = sym.update_slot.data();
   for (std::size_t k = 0; k < n; ++k) {
     const double d = values_[diag_slot(k)];
     const double a_kk = a.values()[sym.source[diag_slot(k)]];
@@ -364,101 +473,29 @@ void IcPreconditioner::factor(const CsrMatrix& a) {
       const double l_ik = values_[sym.col_slots[p]];
       values_[diag_slot(i)] -= l_ik * l_ik;
       for (std::size_t q = col_begin; q < p; ++q) {
-        const std::size_t j = sym.col_rows[q];  // j < i: rows ascend
         const double update = l_ik * values_[sym.col_slots[q]];
-        const std::size_t slot = find_slot(i, j);
-        if (slot != std::size_t(-1)) {
+        const std::uint32_t slot = *target++;
+        if (slot != IcSymbolic::kDropped) {
           values_[slot] -= update;
         } else {
           values_[diag_slot(i)] -= update;
-          values_[diag_slot(j)] -= update;
+          values_[diag_slot(sym.col_rows[q])] -= update;  // rows ascend
         }
       }
     }
   }
-  finalize_apply_arrays();
+  gather_apply_values();
 }
 
-void IcPreconditioner::finalize_apply_arrays() {
+void IcPreconditioner::gather_apply_values() {
   const IcSymbolic::Analysis& sym = symbolic_.analysis_;
-  const std::size_t n = sym.offsets.size() - 1;
-  n_ = n;
-  const std::size_t lower = sym.col_offsets[n];
-  VPD_REQUIRE(sym.cols.size() < std::size_t{1} << 32,
-              "IC pattern too large for 32-bit apply indexing");
-
-  // Rows are emitted in wavefront (topological level) order: a row's level
-  // is one past the deepest row it reads, so consecutive loop iterations in
-  // apply() are independent and the out-of-order core overlaps them
-  // instead of serializing on the row-to-row dependency chain. Rows within
-  // a level never read each other's output, so the schedule changes only
-  // execution order, not a single arithmetic operation — results are
-  // bit-identical to the natural-order sweep.
-  std::vector<std::uint32_t> level(n, 0);
-  std::vector<std::size_t> order(n);
-  const auto order_by_level = [&] {
-    std::vector<std::size_t> count;
-    for (std::size_t r = 0; r < n; ++r) {
-      if (level[r] >= count.size()) count.resize(level[r] + 1, 0);
-      ++count[level[r]];
-    }
-    std::vector<std::size_t> start(count.size() + 1, 0);
-    std::partial_sum(count.begin(), count.end(), start.begin() + 1);
-    for (std::size_t r = 0; r < n; ++r) order[start[level[r]]++] = r;
-  };
-
-  // Forward sweep (L, by rows): row r reads columns < r.
-  for (std::size_t r = 0; r < n; ++r) {
-    std::uint32_t lv = 0;
-    for (std::size_t k = sym.offsets[r]; k + 1 < sym.offsets[r + 1]; ++k)
-      lv = std::max(lv, level[sym.cols[k]] + 1);
-    level[r] = lv;
-  }
-  order_by_level();
-  fwd_off_.resize(n + 1);
-  fwd_row_.resize(n);
-  fwd_cols_.resize(lower);
-  fwd_vals_.resize(lower);
-  std::size_t at = 0;
-  fwd_off_[0] = 0;
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::size_t r = order[idx];
-    fwd_row_[idx] = static_cast<std::uint32_t>(r);
-    for (std::size_t k = sym.offsets[r]; k + 1 < sym.offsets[r + 1]; ++k) {
-      fwd_cols_[at] = static_cast<std::uint32_t>(sym.cols[k]);
-      fwd_vals_[at] = values_[k];
-      ++at;
-    }
-    fwd_off_[idx + 1] = static_cast<std::uint32_t>(at);
-  }
-
-  // Backward sweep (L^T, by rows = L by columns): row r reads rows > r.
-  level.assign(n, 0);
-  for (std::size_t r = n; r-- > 0;) {
-    std::uint32_t lv = 0;
-    for (std::size_t p = sym.col_offsets[r]; p < sym.col_offsets[r + 1];
-         ++p)
-      lv = std::max(lv, level[sym.col_rows[p]] + 1);
-    level[r] = lv;
-  }
-  order_by_level();
-  bwd_off_.resize(n + 1);
-  bwd_row_.resize(n);
-  bwd_cols_.resize(lower);
-  bwd_vals_.resize(lower);
-  at = 0;
-  bwd_off_[0] = 0;
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::size_t r = order[idx];
-    bwd_row_[idx] = static_cast<std::uint32_t>(r);
-    for (std::size_t p = sym.col_offsets[r]; p < sym.col_offsets[r + 1];
-         ++p) {
-      bwd_cols_[at] = static_cast<std::uint32_t>(sym.col_rows[p]);
-      bwd_vals_[at] = values_[sym.col_slots[p]];
-      ++at;
-    }
-    bwd_off_[idx + 1] = static_cast<std::uint32_t>(at);
-  }
+  fwd_vals_.resize(sym.fwd_src.size());
+  for (std::size_t t = 0; t < fwd_vals_.size(); ++t)
+    fwd_vals_[t] = values_[sym.fwd_src[t]];
+  bwd_vals_.resize(sym.bwd_src.size());
+  for (std::size_t t = 0; t < bwd_vals_.size(); ++t)
+    bwd_vals_[t] = values_[sym.bwd_src[t]];
+  factored_ = true;
 }
 
 void IcPreconditioner::setup_ssor(const CsrMatrix& a) {
@@ -475,39 +512,54 @@ void IcPreconditioner::setup_ssor(const CsrMatrix& a) {
     inv_diag_[r] = 1.0 / a_rr;
   }
   ssor_ = true;
-  finalize_apply_arrays();
+  gather_apply_values();
 }
 
 void IcPreconditioner::apply(const Vector& r, Vector& z) const {
   VPD_REQUIRE(!empty(), "IcPreconditioner::apply before factor()");
-  const std::size_t n = n_;
+  const IcSymbolic::Analysis& sym = symbolic_.analysis_;
+  const std::size_t n = inv_diag_.size();
   VPD_REQUIRE(r.size() == n, "preconditioner apply: vector has ", r.size(),
               " entries, expected ", n);
 
+  const double* inv_diag = inv_diag_.data();
   z = r;
+  double* zv = z.data();
   // Forward solve L y = r (IC) or (D + L) y = r (SSOR): gather over the
-  // strict-lower rows, visited in wavefront order (see
-  // finalize_apply_arrays — bit-identical to the natural-order sweep).
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint32_t i = fwd_row_[idx];
-    double s = z[i];
-    for (std::uint32_t k = fwd_off_[idx]; k < fwd_off_[idx + 1]; ++k)
-      s -= fwd_vals_[k] * z[fwd_cols_[k]];
-    z[i] = s * inv_diag_[i];
+  // strict-lower rows, visited in wavefront order (see IcSymbolic —
+  // bit-identical to the natural-order sweep).
+  {
+    const std::uint32_t* off = sym.fwd_off.data();
+    const std::uint32_t* cols = sym.fwd_cols.data();
+    const std::uint32_t* rows = sym.fwd_row.data();
+    const double* vals = fwd_vals_.data();
+    for (std::size_t idx = 0; idx < n; ++idx) {
+      const std::uint32_t i = rows[idx];
+      double s = zv[i];
+      for (std::uint32_t k = off[idx]; k < off[idx + 1]; ++k)
+        s -= vals[k] * zv[cols[k]];
+      zv[i] = s * inv_diag[i];
+    }
   }
   // SSOR: M = (D+L) D^{-1} (D+L)^T, so scale by D between the sweeps.
   if (ssor_) {
-    for (std::size_t i = 0; i < n; ++i) z[i] *= diag_[i];
+    for (std::size_t i = 0; i < n; ++i) zv[i] *= diag_[i];
   }
   // Backward solve L^T z = y: row i of L^T is column i of L (rows j > i),
   // so this gathers over the transposed view — no scatter, no
   // store-to-load hazards on z.
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint32_t i = bwd_row_[idx];
-    double s = z[i];
-    for (std::uint32_t k = bwd_off_[idx]; k < bwd_off_[idx + 1]; ++k)
-      s -= bwd_vals_[k] * z[bwd_cols_[k]];
-    z[i] = s * inv_diag_[i];
+  {
+    const std::uint32_t* off = sym.bwd_off.data();
+    const std::uint32_t* cols = sym.bwd_cols.data();
+    const std::uint32_t* rows = sym.bwd_row.data();
+    const double* vals = bwd_vals_.data();
+    for (std::size_t idx = 0; idx < n; ++idx) {
+      const std::uint32_t i = rows[idx];
+      double s = zv[i];
+      for (std::uint32_t k = off[idx]; k < off[idx + 1]; ++k)
+        s -= vals[k] * zv[cols[k]];
+      zv[i] = s * inv_diag[i];
+    }
   }
 }
 
@@ -555,12 +607,12 @@ void set_solver_counters(obs::Snapshot& snapshot,
 
 void CgWorkspace::prepare(const CsrMatrix& a, const CgOptions& options) {
   const std::size_t n = a.rows();
+  const MgSymbolic* grid = options.mg_symbolic;
   if (options.preconditioner == CgPreconditioner::kMultigrid) {
-    VPD_REQUIRE(options.mg_symbolic != nullptr,
+    VPD_REQUIRE(grid != nullptr,
                 "kMultigrid requires CgOptions::mg_symbolic (the "
                 "operator's grid; see AssembledMesh::mg_symbolic)");
-    VPD_REQUIRE(options.mg_symbolic->rows() == n,
-                "multigrid grid has ", options.mg_symbolic->rows(),
+    VPD_REQUIRE(grid->rows() == n, "multigrid grid has ", grid->rows(),
                 " nodes, got a ", n, "-row matrix");
   }
   if (!key_matches(a)) {
@@ -587,21 +639,37 @@ void CgWorkspace::prepare(const CsrMatrix& a, const CgOptions& options) {
     want = FactorKind::kIncompleteCholesky;
   else if (options.preconditioner == CgPreconditioner::kMultigrid)
     want = FactorKind::kMultigrid;
-  if (want == FactorKind::kNone) return;
-  if (factored_ == want) {
+  op_ = nullptr;
+  if (want != FactorKind::kNone && factored_ == want) {
     // Value-identical operator and matching kind: reuse. Exact comparison
     // above, so reuse can never change a result bit.
     obs::count(obs::Work::kPrecondReuses);
+  } else if (want != FactorKind::kNone) {
+    if (want == FactorKind::kIncompleteCholesky) {
+      ic_.factor(a);
+    } else {
+      if (!mg_) mg_ = std::make_unique<MgPreconditioner>();
+      mg_->factor(a, *grid);
+    }
+    factored_ = want;
+    obs::count(obs::Work::kPrecondFactorizations);
+  }
+
+  // The operator form CG multiplies by: multigrid's fine level, or for
+  // the other kinds the workspace's own stencil on the given grid, which
+  // is scattered once per operator key.
+  if (want == FactorKind::kMultigrid) {
+    op_ = &mg_->fine();
     return;
   }
-  if (want == FactorKind::kIncompleteCholesky) {
-    ic_.factor(a);
-  } else {
-    if (!mg_) mg_ = std::make_unique<MgPreconditioner>();
-    mg_->factor(a, *options.mg_symbolic);
+  if (grid == nullptr || grid->rows() != n) return;
+  if (stencil_state_ == StencilState::kStale || stencil_nx_ != grid->nx()) {
+    if (!stencil_) stencil_ = std::make_unique<GridStencil>();
+    stencil_state_ = stencil_->assign(a, *grid) ? StencilState::kCurrent
+                                                : StencilState::kUnfit;
+    stencil_nx_ = grid->nx();
   }
-  factored_ = want;
-  obs::count(obs::Work::kPrecondFactorizations);
+  if (stencil_state_ == StencilState::kCurrent) op_ = stencil_.get();
 }
 
 CgResult solve_cg(const CsrMatrix& a, const Vector& b,
@@ -630,6 +698,25 @@ CgResult solve_cg(const CsrMatrix& a, const Vector& b,
     } else {
       ws.ic_.apply(r, z);
     }
+  };
+  // The operator products, from the grid stencil when prepare() chose one
+  // (bit-identical to the CSR row loops). Every sum below runs in
+  // ascending index order from +0.0, the order of vpd::dot and norm2, so
+  // fusing a reduction into the pass that produces its operand changes no
+  // bit.
+  const GridStencil* op = ws.op_;
+  const auto multiply_dot = [&](const Vector& x, Vector& y) {
+    if (op != nullptr) return op->multiply_dot(x.data(), y.data());
+    a.multiply_into(x, y);
+    return dot(x, y);
+  };
+  const auto residual = [&](const Vector& x, Vector& out) {  // b - A x
+    if (op != nullptr) {
+      op->residual(b.data(), x.data(), out.data());
+      return;
+    }
+    a.multiply_into(x, out);
+    for (std::size_t i = 0; i < n; ++i) out[i] = b[i] - out[i];
   };
   const auto finish = [&](CgResult result) {
     obs::count(obs::Work::kCgSolves);
@@ -663,6 +750,8 @@ CgResult solve_cg(const CsrMatrix& a, const Vector& b,
   Vector& z = ws.z_;
   Vector& p = ws.p_;
   Vector& ap = ws.ap_;
+  r.resize(n);
+  ap.resize(n);
   if (options.x0.empty()) {
     result.x.assign(n, 0.0);
     r = b;
@@ -670,9 +759,7 @@ CgResult solve_cg(const CsrMatrix& a, const Vector& b,
     VPD_REQUIRE(options.x0.size() == n, "warm start has ", options.x0.size(),
                 " entries, expected ", n);
     result.x = options.x0;
-    a.multiply_into(result.x, ap);
-    r.resize(n);
-    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
+    residual(result.x, r);
     const double r_norm = norm2(r);
     if (r_norm <= certified_target(result.x)) {
       result.converged = true;
@@ -685,23 +772,27 @@ CgResult solve_cg(const CsrMatrix& a, const Vector& b,
   p = z;
   double rz = dot(r, z);
 
+  double* x = result.x.data();
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    a.multiply_into(p, ap);
-    const double p_ap = dot(p, ap);
+    const double p_ap = multiply_dot(p, ap);
     VPD_CHECK_NUMERIC(p_ap > 0.0,
                       "CG breakdown: p^T A p = ", p_ap,
                       " <= 0; matrix is not positive definite");
     const double alpha = rz / p_ap;
-    axpy(alpha, p, result.x);
-    axpy(-alpha, ap, r);
+    // x += alpha p and r -= alpha A p, with ||r||^2 in the same pass.
+    double rr = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] += alpha * p[i];
+      r[i] -= alpha * ap[i];
+      rr += r[i] * r[i];
+    }
     result.iterations = iter + 1;
 
-    const double r_norm = norm2(r);
+    const double r_norm = std::sqrt(rr);
     if (r_norm <= target) {
       // The recurrence residual can drift from the true residual over many
       // iterations; only the true residual certifies convergence.
-      a.multiply_into(result.x, ap);
-      for (std::size_t i = 0; i < n; ++i) ap[i] = b[i] - ap[i];
+      residual(result.x, ap);
       const double true_norm = norm2(ap);
       if (true_norm <= certified_target(result.x)) {
         result.converged = true;
@@ -724,8 +815,7 @@ CgResult solve_cg(const CsrMatrix& a, const Vector& b,
 
   // Out of iterations before the recurrence reached the b-relative
   // trigger; the iterate may still satisfy the certified criterion.
-  a.multiply_into(result.x, ap);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
+  residual(result.x, r);
   result.residual_norm = norm2(r);
   result.converged = result.residual_norm <= certified_target(result.x);
   return finish(std::move(result));

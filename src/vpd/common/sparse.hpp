@@ -12,7 +12,10 @@
 // computed once, so keying solver state to a pattern costs one word
 // compare per solve. Each preconditioner builds its own symbolic analysis
 // (the IC fill pattern, the multigrid hierarchy) the first time it factors
-// a pattern or grid and keeps it while that stays the same.
+// a pattern or grid and keeps it while that stays the same. A solve given
+// the operator's grid multiplies by it in 3x3-stencil form (multigrid.hpp),
+// and every CG iteration fuses its reductions into the passes that
+// produce their operands, in the same summation order.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +33,7 @@ class Snapshot;
 
 class MgSymbolic;        // multigrid.hpp (which includes this header)
 class MgPreconditioner;  // multigrid.hpp
+class GridStencil;       // multigrid.hpp
 
 /// Coordinate-format accumulator. Duplicate (row, col) entries are summed
 /// when compiled to CSR — exactly the stamping pattern MNA/mesh assembly
@@ -199,7 +203,23 @@ class IcSymbolic {
     std::vector<std::size_t> col_offsets;  // rows+1
     std::vector<std::size_t> col_slots;
     std::vector<std::size_t> col_rows;
+    // The numeric sweep's update targets, one per Schur update in sweep
+    // order (column k, its entries p, then the entries q before p): the
+    // storage slot of entry (row of p, row of q), or kDropped when it lies
+    // outside the pattern and the update is compensated into both
+    // diagonals instead.
+    std::vector<std::uint32_t> update_slot;
+    // The apply sweeps' gather schedule: the forward sweep walks L by
+    // rows, the backward sweep L^T by rows (L by columns), so both are
+    // branch-free gathers. Rows are listed in wavefront (dependency-level)
+    // order — *_row names the original row per position, [*_off[p],
+    // *_off[p+1]) its entries, *_cols the column each entry reads and
+    // *_src its storage slot, which a factorization gathers the values
+    // from. 32-bit indices keep the hot arrays in L1.
+    std::vector<std::uint32_t> fwd_off, fwd_cols, fwd_row, fwd_src;
+    std::vector<std::uint32_t> bwd_off, bwd_cols, bwd_row, bwd_src;
   };
+  static constexpr std::uint32_t kDropped = ~std::uint32_t{0};
   Analysis analysis_;
 };
 
@@ -211,39 +231,32 @@ class IcPreconditioner {
   /// Factors `a`. Builds the IC pattern of a's structure the first time
   /// it sees that structure and keeps it while a.structure_digest() stays
   /// the same, so refactoring the same pattern with new values costs no
-  /// symbolic work, and a matrix of another structure (even one of the
-  /// same size) gets its own pattern.
+  /// symbolic work: a value gather, the numeric sweep over the planned
+  /// update targets, and a gather of the values into the apply schedule.
+  /// A matrix of another structure (even one of the same size) gets its
+  /// own pattern.
   void factor(const CsrMatrix& a);
 
   /// z = M^{-1} r. Requires a prior factor(); z is resized to fit.
   void apply(const Vector& r, Vector& z) const;
 
-  bool empty() const { return fwd_off_.empty(); }
+  bool empty() const { return !factored_; }
   /// True when the last factor() hit a non-positive (or relatively
   /// negligible) pivot and produced the SSOR preconditioner instead.
   bool ssor_fallback() const { return ssor_; }
 
  private:
   void setup_ssor(const CsrMatrix& a);
-  void finalize_apply_arrays();
+  void gather_apply_values();
 
   IcSymbolic symbolic_;  // pattern of the last factored structure
-  std::size_t n_{0};  // rows of the factored matrix
   std::vector<double> values_;  // L values (IC) or lower-triangle A (SSOR)
   Vector diag_;                 // L_rr (IC) or A_rr (SSOR)
   Vector inv_diag_;             // 1 / diag_
   bool ssor_{false};
-  // Compact gather form of the strict-lower triangle for apply(): the
-  // forward sweep walks L by rows, the backward sweep walks L^T by rows
-  // (i.e. L by columns, via the symbolic column view), so both sweeps are
-  // branch-free gathers. Rows are stored in wavefront (dependency-level)
-  // order — fwd_row_/bwd_row_ name the original row per slot — so the
-  // out-of-order core overlaps independent rows instead of serializing on
-  // the sweep's dependency chain; the arithmetic per row is unchanged, so
-  // results are bit-identical to a natural-order sweep. 32-bit indices
-  // keep the hot arrays in L1.
-  std::vector<std::uint32_t> fwd_off_, fwd_cols_, fwd_row_;
-  std::vector<std::uint32_t> bwd_off_, bwd_cols_, bwd_row_;
+  bool factored_{false};
+  // The strict-lower values in the order of the pattern's apply schedule
+  // (IcSymbolic::Analysis::fwd_src / bwd_src).
   std::vector<double> fwd_vals_, bwd_vals_;
 };
 
@@ -268,10 +281,13 @@ struct CgOptions {
   /// pattern itself. Kept only because perfbench's layer probes assign it;
   /// remove it with their next change.
   const IcSymbolic* ic_symbolic{nullptr};
-  /// The operator's grid for kMultigrid (see AssembledMesh::mg_symbolic);
-  /// the workspace's MgPreconditioner builds the hierarchy for it.
-  /// Required when preconditioner == kMultigrid — must be non-null with
-  /// rows() matching the matrix, or the solve throws InvalidArgument.
+  /// The operator's grid (see AssembledMesh::mg_symbolic); the workspace's
+  /// MgPreconditioner builds the hierarchy for it. Required when
+  /// preconditioner == kMultigrid — must be non-null with rows() matching
+  /// the matrix, or the solve throws InvalidArgument. Any solve given a
+  /// grid multiplies by the operator as a GridStencil (bit-identical to the
+  /// CSR product, and cheaper) unless its pattern leaves the grid's 3x3
+  /// neighbourhood; IC and Jacobi solves then use the CSR product.
   const MgSymbolic* mg_symbolic{nullptr};
   /// Parent span for the solve's trace span. Process-local observability
   /// plumbing only — never serialized, never read by the numerics.
@@ -310,6 +326,7 @@ class CgWorkspace {
   void invalidate() {
     key_valid_ = false;
     factored_ = FactorKind::kNone;
+    stencil_state_ = StencilState::kStale;
   }
 
  private:
@@ -317,6 +334,7 @@ class CgWorkspace {
                            CgWorkspace&);
 
   enum class FactorKind { kNone, kIncompleteCholesky, kMultigrid };
+  enum class StencilState { kStale, kCurrent, kUnfit };
 
   bool key_matches(const CsrMatrix& a) const;
   void capture_key(const CsrMatrix& a);
@@ -324,7 +342,8 @@ class CgWorkspace {
   /// pre-check, caches ||A||_inf and the Jacobi inverse diagonal (all
   /// skipped on an operator-key hit), and (re)factors or reuses the
   /// IC/multigrid setup as the requested preconditioner demands, counting
-  /// the factorization or reuse into the current obs::WorkAccount.
+  /// the factorization or reuse into the current obs::WorkAccount, and
+  /// picks the solve's operator form (op_).
   void prepare(const CsrMatrix& a, const CgOptions& options);
 
   Vector diag_;      // SPD pre-check scratch
@@ -334,6 +353,17 @@ class CgWorkspace {
   IcPreconditioner ic_;
   std::unique_ptr<MgPreconditioner> mg_;  // lazily constructed
   FactorKind factored_{FactorKind::kNone};  // kind the cached setup is for
+  // The operator as a grid stencil for IC and Jacobi solves given a grid
+  // (lazily constructed): scattered once per operator key and grid width
+  // (stencil_nx_; the row count fixes the height), or kUnfit when the
+  // pattern leaves the grid's 3x3 neighbourhood. Multigrid solves use the
+  // hierarchy's fine level instead.
+  std::unique_ptr<GridStencil> stencil_;
+  StencilState stencil_state_{StencilState::kStale};
+  std::size_t stencil_nx_{0};
+  // The stencil the prepared solve multiplies by, or null for the CSR
+  // product.
+  const GridStencil* op_{nullptr};
   // Operator key: structure digest + exact value copy (see class doc).
   std::uint64_t key_digest_{0};
   std::vector<double> key_values_;

@@ -107,10 +107,21 @@ Kind enum_from_json(const Value& v, const char* what, FromString candidates) {
   for (Kind kind : candidates()) {
     if (name == to_string(kind)) return kind;
   }
-  throw InvalidArgument(detail::concat("unknown ", what, " \"", name, "\""));
+  throw InvalidArgument(
+      detail::concat("unknown ", what, " ", quote_for_error(name)));
 }
 
 }  // namespace
+
+std::string quote_for_error(std::string_view s) {
+  if (s.size() <= kQuotedBytes) return detail::concat("\"", s, "\"");
+  // Cut on a UTF-8 character boundary, so the reply stays valid text.
+  std::size_t cut = kQuotedBytes;
+  while (cut > 0 && (static_cast<unsigned char>(s[cut]) & 0xC0) == 0x80)
+    --cut;
+  return detail::concat("\"", s.substr(0, cut), "...\" (", s.size(),
+                        " bytes)");
+}
 
 void check_schema_version(const Value& v, const char* what) {
   if (!v.is_object()) return;  // shape errors surface in the field reads
@@ -438,8 +449,8 @@ EvaluationOptions evaluation_options_from_json(const Value& v) {
       options.irdrop_preconditioner = CgPreconditioner::kMultigrid;
     } else {
       throw InvalidArgument(detail::concat(
-          "unknown irdrop_preconditioner \"", name,
-          "\" (expected \"auto\", \"jacobi\", \"ic0\" or \"multigrid\")"));
+          "unknown irdrop_preconditioner ", quote_for_error(name),
+          " (expected \"auto\", \"jacobi\", \"ic0\" or \"multigrid\")"));
     }
   }
   if (const Value* faults = r.get("faults")) {
@@ -625,8 +636,8 @@ IntegrationMethod method_from_json(const Value& v) {
   if (name == "trapezoidal") return IntegrationMethod::kTrapezoidal;
   if (name == "backward-euler") return IntegrationMethod::kBackwardEuler;
   throw InvalidArgument(detail::concat(
-      "unknown integration method \"", name,
-      "\" (expected \"trapezoidal\" or \"backward-euler\")"));
+      "unknown integration method ", quote_for_error(name),
+      " (expected \"trapezoidal\" or \"backward-euler\")"));
 }
 
 }  // namespace

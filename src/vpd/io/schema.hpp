@@ -65,6 +65,14 @@ void check_schema_version(const Value& v, const char* what);
 /// one, or when the id itself is unparseable or structured.
 Value recover_wire_id(std::string_view line);
 
+/// Longest client string an error message quotes whole.
+inline constexpr std::size_t kQuotedBytes = 64;
+/// A client-supplied string quoted for an error message: whole when it is
+/// at most kQuotedBytes long, otherwise its first kQuotedBytes bytes (cut
+/// on a UTF-8 character boundary), "...", and its byte length. An error
+/// reply stays short whatever a request line held.
+std::string quote_for_error(std::string_view s);
+
 // --- Enums -----------------------------------------------------------------
 
 Value to_json(ArchitectureKind kind);

@@ -159,8 +159,8 @@ bool LineSession::feed(std::string_view line) {
     } else {
       item.kind = Pending::Kind::kBody;
       item.body = error_body(
-          "unknown cmd \"" + cmd +
-          "\" (expected evaluate, evaluate_batch, transient, optimize, "
+          "unknown cmd " + io::quote_for_error(cmd) +
+          " (expected evaluate, evaluate_batch, transient, optimize, "
           "metrics, trace or shutdown)");
     }
   } catch (const Error& e) {

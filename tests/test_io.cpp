@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -211,6 +212,50 @@ TEST(JsonParser, DuplicateKeysLastWins) {
   EXPECT_EQ(io::parse(R"({"k":1,"k":2})").at("k").as_number(), 2.0);
 }
 
+/// Seconds io::parse takes on one object of `keys` distinct members;
+/// best of 3.
+double best_parse_seconds(std::size_t keys) {
+  std::string line = "{";
+  for (std::size_t k = 0; k < keys; ++k) {
+    if (k > 0) line += ',';
+    line += "\"key" + std::to_string(k) + "\":0";
+  }
+  line += '}';
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    const Value v = io::parse(line);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_EQ(v.size(), keys);
+    if (rep == 0 || seconds < best) best = seconds;
+  }
+  return best;
+}
+
+TEST(JsonParser, ObjectParseTimeIsLinearInTheMemberCount) {
+  // A duplicate-key scan over every earlier member costs ~N^2 / 2 key
+  // compares, so 8x the members would take ~64x the time (measured ~90x:
+  // 0.14 s at 10k keys, 12.5 s at 80k); indexing the keys takes ~8-13x.
+  const double small = best_parse_seconds(10000);
+  const double large = best_parse_seconds(80000);
+  ASSERT_GT(small, 0.0);
+  EXPECT_LT(large / small, 24.0)
+      << "10k keys: " << small << " s, 80k keys: " << large << " s";
+  // Duplicates past the indexed size keep the first position and the
+  // last value.
+  std::string line = "{";
+  for (int k = 0; k < 40; ++k) line += "\"k" + std::to_string(k) + "\":1,";
+  line += "\"k3\":7,\"k30\":8,\"k3\":9}";
+  const Value v = io::parse(line);
+  ASSERT_EQ(v.size(), 40u);
+  EXPECT_EQ(v.as_object()[3].first, "k3");
+  EXPECT_EQ(v.at("k3").as_number(), 9.0);
+  EXPECT_EQ(v.as_object()[30].first, "k30");
+  EXPECT_EQ(v.at("k30").as_number(), 8.0);
+}
+
 TEST(JsonParser, RoundTripsItsOwnOutput) {
   const std::string doc =
       R"({"s":"x\n","n":-0.125,"i":42,"a":[1,2,[3]],"o":{"k":null}})";
@@ -376,6 +421,47 @@ TEST(Schema, IrDropPreconditionerRoundTripsEveryKindStrictly) {
     EXPECT_NE(std::string(e.what()).find("multigrid"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(Schema, ErrorsQuoteABoundedPrefixOfTheClientString) {
+  // A 1 MiB value names its field in a short error: the first
+  // kQuotedBytes bytes and the value's length, never the value whole.
+  const std::string huge(std::size_t{1} << 20, 'x');
+  const auto expect_short = [&](const std::function<void()>& decode,
+                                const char* field) {
+    try {
+      decode();
+      ADD_FAILURE() << field << ": a 1 MiB value was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_LT(what.size(), 400u) << field;
+      EXPECT_NE(what.find(field), std::string::npos) << what.substr(0, 200);
+      EXPECT_NE(what.find("(1048576 bytes)"), std::string::npos)
+          << what.substr(0, 200);
+    }
+  };
+  expect_short([&] { io::architecture_from_json(Value(huge)); },
+               "architecture");
+  expect_short(
+      [&] {
+        Value options = io::to_json(EvaluationOptions{});
+        options.set("irdrop_preconditioner", huge);
+        io::evaluation_options_from_json(options);
+      },
+      "irdrop_preconditioner");
+  expect_short(
+      [&] {
+        Value config = io::to_json(DroopCampaignConfig{});
+        config.set("method", huge);
+        io::droop_campaign_config_from_json(config);
+      },
+      "integration method");
+  // Short values are still quoted whole, and a cut never splits a UTF-8
+  // character.
+  EXPECT_EQ(io::quote_for_error("A9"), "\"A9\"");
+  const std::string accented = std::string(63, 'a') + "\xc3\xa9" + "tail";
+  EXPECT_EQ(io::quote_for_error(accented),
+            "\"" + std::string(63, 'a') + "...\" (69 bytes)");
 }
 
 TEST(Schema, EveryFaultKindScenarioRoundTrips) {

@@ -308,6 +308,30 @@ TEST(LineSession, MalformedLineEchoesRecoveredId) {
   EXPECT_EQ(reply.find("status")->as_string(), "error");
 }
 
+TEST(LineSession, UnknownCmdErrorQuotesABoundedPrefix) {
+  // A 1 MiB cmd gets one short error line naming the verb and the
+  // value's length, never the value whole.
+  serve::ServiceConfig config;
+  config.threads = 1;
+  serve::EvaluationService service(config);
+  Collector out;
+  net::LineSession session(service, out.sink());
+  const std::string cmd(std::size_t{1} << 20, 'x');
+  EXPECT_TRUE(session.feed("{\"id\":5,\"cmd\":\"" + cmd + "\"}"));
+  session.drain();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_LT(out.at(0).size(), 512u);
+  const io::Value reply = io::parse(out.at(0));
+  EXPECT_EQ(reply.find("id")->as_number(), 5.0);
+  EXPECT_EQ(reply.find("status")->as_string(), "error");
+  const std::string error = reply.find("error")->as_string();
+  EXPECT_EQ(error.rfind("unknown cmd \"" + std::string(io::kQuotedBytes, 'x') +
+                            "...\" (1048576 bytes)",
+                        0),
+            0u)
+      << error;
+}
+
 // --- Socket server ---------------------------------------------------------
 
 class NetServerTest : public ::testing::Test {

@@ -1,5 +1,7 @@
 // Preconditioned solver core: IC(0)-vs-dense-reference property tests on
-// random SPD grid Laplacians, workspace/factorization reuse semantics,
+// random SPD grid Laplacians, the stencil products, fused CG passes and
+// planned MIC(1) refactor against the CSR references they replaced (bit
+// for bit), workspace/factorization reuse semantics,
 // batched solves, the CG edge paths (zero RHS, warm start at the
 // solution, max-iteration exit with certified acceptance), the SSOR
 // fallback, and the zero-scale fault-severing regressions (a fully cut
@@ -1130,6 +1132,541 @@ TEST(Multigrid, StencilCycleIsBitIdenticalToTheCsrReference) {
               << " refactor " << refactor << " rhs " << rhs;
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Stencil products, fused CG passes and the planned MIC(1) refactor against
+// the CSR references they replaced
+// ---------------------------------------------------------------------------
+
+/// The MIC(1) factor IcPreconditioner ran before its update targets and
+/// apply schedule were planned once per pattern: the level-1 pattern, a
+/// binary search for each Schur update's target, and the wavefront
+/// schedule rebuilt at every factorization. The planned factor must
+/// reproduce it bit for bit.
+class ReferenceIc {
+ public:
+  void factor(const CsrMatrix& a) {
+    build_pattern(a);
+    const std::size_t n = a.rows();
+    values_.resize(cols_.size());
+    for (std::size_t k = 0; k < values_.size(); ++k)
+      values_[k] = source_[k] == kNone ? 0.0 : a.values()[source_[k]];
+    diag_.assign(n, 0.0);
+    inv_diag_.assign(n, 0.0);
+    ssor_ = false;
+    const auto diag_slot = [&](std::size_t r) { return off_[r + 1] - 1; };
+    const auto find_slot = [&](std::size_t i, std::size_t j) {
+      const auto begin = cols_.begin() + static_cast<long>(off_[i]);
+      const auto end = cols_.begin() + static_cast<long>(diag_slot(i));
+      const auto it = std::lower_bound(begin, end, j);
+      if (it == end || *it != j) return kNone;
+      return static_cast<std::size_t>(it - cols_.begin());
+    };
+    for (std::size_t k = 0; k < n; ++k) {
+      const double d = values_[diag_slot(k)];
+      const double a_kk = a.values()[source_[diag_slot(k)]];
+      if (!(d > 1e-12 * std::fabs(a_kk))) {
+        for (std::size_t s = 0; s < values_.size(); ++s)
+          values_[s] = source_[s] == kNone ? 0.0 : a.values()[source_[s]];
+        for (std::size_t r = 0; r < n; ++r) {
+          diag_[r] = values_[diag_slot(r)];
+          inv_diag_[r] = 1.0 / diag_[r];
+        }
+        ssor_ = true;
+        build_schedule();
+        return;
+      }
+      const double l_kk = std::sqrt(d);
+      values_[diag_slot(k)] = l_kk;
+      diag_[k] = l_kk;
+      inv_diag_[k] = 1.0 / l_kk;
+      for (std::size_t p = col_off_[k]; p < col_off_[k + 1]; ++p)
+        values_[col_slots_[p]] *= inv_diag_[k];
+      for (std::size_t p = col_off_[k]; p < col_off_[k + 1]; ++p) {
+        const std::size_t i = col_rows_[p];
+        const double l_ik = values_[col_slots_[p]];
+        values_[diag_slot(i)] -= l_ik * l_ik;
+        for (std::size_t q = col_off_[k]; q < p; ++q) {
+          const std::size_t j = col_rows_[q];
+          const double update = l_ik * values_[col_slots_[q]];
+          const std::size_t slot = find_slot(i, j);
+          if (slot != kNone) {
+            values_[slot] -= update;
+          } else {
+            values_[diag_slot(i)] -= update;
+            values_[diag_slot(j)] -= update;
+          }
+        }
+      }
+    }
+    build_schedule();
+  }
+
+  bool ssor() const { return ssor_; }
+
+  Vector apply(const Vector& r) const {
+    const std::size_t n = inv_diag_.size();
+    Vector z = r;
+    for (std::size_t idx = 0; idx < n; ++idx) {
+      const std::size_t i = fwd_row_[idx];
+      double s = z[i];
+      for (std::size_t k = fwd_off_[idx]; k < fwd_off_[idx + 1]; ++k)
+        s -= fwd_vals_[k] * z[fwd_cols_[k]];
+      z[i] = s * inv_diag_[i];
+    }
+    if (ssor_)
+      for (std::size_t i = 0; i < n; ++i) z[i] *= diag_[i];
+    for (std::size_t idx = 0; idx < n; ++idx) {
+      const std::size_t i = bwd_row_[idx];
+      double s = z[i];
+      for (std::size_t k = bwd_off_[idx]; k < bwd_off_[idx + 1]; ++k)
+        s -= bwd_vals_[k] * z[bwd_cols_[k]];
+      z[i] = s * inv_diag_[i];
+    }
+    return z;
+  }
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  void build_pattern(const CsrMatrix& a) {
+    const std::size_t n = a.rows();
+    const auto& aoff = a.row_offsets();
+    const auto& acols = a.col_indices();
+    constexpr unsigned kInf = ~0u;
+    std::vector<unsigned> level(n, kInf);
+    std::vector<std::vector<std::pair<std::size_t, unsigned>>> colup(n);
+    std::vector<std::size_t> row;
+    off_.assign(n + 1, 0);
+    cols_.clear();
+    source_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      row.clear();
+      for (std::size_t k = aoff[i]; k < aoff[i + 1] && acols[k] <= i; ++k) {
+        level[acols[k]] = 0;
+        row.push_back(acols[k]);
+      }
+      for (std::size_t idx = 0; idx < row.size() && row[idx] < i; ++idx) {
+        const std::size_t k = row[idx];
+        for (const auto& [j, lev_jk] : colup[k]) {
+          if (j >= i) break;
+          const unsigned candidate = level[k] + lev_jk + 1;
+          if (candidate > IcSymbolic::kFillLevel || level[j] <= candidate)
+            continue;
+          if (level[j] == kInf)
+            row.insert(std::lower_bound(row.begin(), row.end(), j), j);
+          level[j] = candidate;
+        }
+      }
+      for (std::size_t c : row) {
+        cols_.push_back(c);
+        const auto begin = acols.begin() + static_cast<long>(aoff[i]);
+        const auto end = acols.begin() + static_cast<long>(aoff[i + 1]);
+        const auto it = std::lower_bound(begin, end, c);
+        source_.push_back(it != end && *it == c
+                              ? static_cast<std::size_t>(it - acols.begin())
+                              : kNone);
+        if (c < i) colup[c].push_back({i, level[c]});
+        level[c] = kInf;
+      }
+      off_[i + 1] = cols_.size();
+    }
+    col_off_.assign(n + 1, 0);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t k = off_[r]; k + 1 < off_[r + 1]; ++k)
+        ++col_off_[cols_[k] + 1];
+    for (std::size_t c = 0; c < n; ++c) col_off_[c + 1] += col_off_[c];
+    col_slots_.resize(col_off_[n]);
+    col_rows_.resize(col_off_[n]);
+    std::vector<std::size_t> cursor(col_off_.begin(), col_off_.end() - 1);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t k = off_[r]; k + 1 < off_[r + 1]; ++k) {
+        col_slots_[cursor[cols_[k]]] = k;
+        col_rows_[cursor[cols_[k]]++] = r;
+      }
+    }
+  }
+
+  void build_schedule() {
+    const std::size_t n = inv_diag_.size();
+    std::vector<std::size_t> level(n, 0);
+    std::vector<std::size_t> order;
+    const auto order_by_level = [&] {
+      order.clear();
+      const std::size_t depth =
+          n == 0 ? 0 : *std::max_element(level.begin(), level.end()) + 1;
+      for (std::size_t l = 0; l < depth; ++l)
+        for (std::size_t r = 0; r < n; ++r)
+          if (level[r] == l) order.push_back(r);
+    };
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t k = off_[r]; k + 1 < off_[r + 1]; ++k)
+        level[r] = std::max(level[r], level[cols_[k]] + 1);
+    order_by_level();
+    fwd_off_.assign(1, 0);
+    fwd_row_.clear();
+    fwd_cols_.clear();
+    fwd_vals_.clear();
+    for (std::size_t r : order) {
+      fwd_row_.push_back(r);
+      for (std::size_t k = off_[r]; k + 1 < off_[r + 1]; ++k) {
+        fwd_cols_.push_back(cols_[k]);
+        fwd_vals_.push_back(values_[k]);
+      }
+      fwd_off_.push_back(fwd_cols_.size());
+    }
+    level.assign(n, 0);
+    for (std::size_t r = n; r-- > 0;)
+      for (std::size_t p = col_off_[r]; p < col_off_[r + 1]; ++p)
+        level[r] = std::max(level[r], level[col_rows_[p]] + 1);
+    order_by_level();
+    bwd_off_.assign(1, 0);
+    bwd_row_.clear();
+    bwd_cols_.clear();
+    bwd_vals_.clear();
+    for (std::size_t r : order) {
+      bwd_row_.push_back(r);
+      for (std::size_t p = col_off_[r]; p < col_off_[r + 1]; ++p) {
+        bwd_cols_.push_back(col_rows_[p]);
+        bwd_vals_.push_back(values_[col_slots_[p]]);
+      }
+      bwd_off_.push_back(bwd_cols_.size());
+    }
+  }
+
+  std::vector<std::size_t> off_, cols_, source_, col_off_, col_slots_,
+      col_rows_;
+  std::vector<double> values_;
+  Vector diag_, inv_diag_;
+  bool ssor_{false};
+  std::vector<std::size_t> fwd_off_, fwd_row_, fwd_cols_, bwd_off_, bwd_row_,
+      bwd_cols_;
+  std::vector<double> fwd_vals_, bwd_vals_;
+};
+
+/// The CG loop solve_cg ran before its products came from grid stencils
+/// and its reductions were fused: CSR products, then separate dot, axpy
+/// and norm passes. `precondition(r, z)` applies the preconditioner.
+template <class Precondition>
+CgResult reference_cg(const CsrMatrix& a, const Vector& b, const Vector& x0,
+                      Precondition&& precondition) {
+  const std::size_t n = a.rows();
+  const double rtol = CgOptions{}.relative_tolerance;
+  const std::size_t max_iterations = 10 * n + 100;
+  const double a_inf = a.infinity_norm();
+  CgResult result;
+  const double b_norm = norm2(b);
+  if (b_norm == 0.0) {
+    result.x.assign(n, 0.0);
+    result.converged = true;
+    return result;
+  }
+  const double target = rtol * b_norm;
+  const auto certified = [&](const Vector& x) {
+    return rtol * (a_inf * norm2(x) + b_norm);
+  };
+  Vector r, z, p, ap;
+  if (x0.empty()) {
+    result.x.assign(n, 0.0);
+    r = b;
+  } else {
+    result.x = x0;
+    a.multiply_into(result.x, ap);
+    r.resize(n);
+    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
+    const double r_norm = norm2(r);
+    if (r_norm <= certified(result.x)) {
+      result.converged = true;
+      result.residual_norm = r_norm;
+      return result;
+    }
+  }
+  precondition(r, z);
+  p = z;
+  double rz = dot(r, z);
+  for (std::size_t iter = 0; iter < max_iterations; ++iter) {
+    a.multiply_into(p, ap);
+    const double alpha = rz / dot(p, ap);
+    axpy(alpha, p, result.x);
+    axpy(-alpha, ap, r);
+    result.iterations = iter + 1;
+    if (norm2(r) <= target) {
+      a.multiply_into(result.x, ap);
+      for (std::size_t i = 0; i < n; ++i) ap[i] = b[i] - ap[i];
+      const double true_norm = norm2(ap);
+      if (true_norm <= certified(result.x)) {
+        result.converged = true;
+        result.residual_norm = true_norm;
+        return result;
+      }
+      r = ap;
+      precondition(r, z);
+      p = z;
+      rz = dot(r, z);
+      continue;
+    }
+    precondition(r, z);
+    const double rz_next = dot(r, z);
+    const double beta = rz_next / rz;
+    rz = rz_next;
+    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+  }
+  a.multiply_into(result.x, ap);
+  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
+  result.residual_norm = norm2(r);
+  result.converged = result.residual_norm <= certified(result.x);
+  return result;
+}
+
+/// reference_cg with the preconditioner `kind` set up from scratch: the
+/// reference MIC(1), multigrid's V-cycle (bit-identical to its CSR form,
+/// see StencilCycleIsBitIdenticalToTheCsrReference) or Jacobi.
+CgResult reference_solve(const CsrMatrix& a, const Vector& b,
+                         const Vector& x0, CgPreconditioner kind,
+                         const MgSymbolic& grid) {
+  if (kind == CgPreconditioner::kIncompleteCholesky) {
+    ReferenceIc ic;
+    ic.factor(a);
+    return reference_cg(a, b, x0,
+                        [&](const Vector& r, Vector& z) { z = ic.apply(r); });
+  }
+  if (kind == CgPreconditioner::kMultigrid) {
+    MgPreconditioner mg;
+    mg.factor(a, grid);
+    return reference_cg(a, b, x0,
+                        [&](const Vector& r, Vector& z) { mg.apply(r, z); });
+  }
+  const Vector d = a.diagonal();
+  return reference_cg(a, b, x0, [&](const Vector& r, Vector& z) {
+    z.resize(r.size());
+    for (std::size_t i = 0; i < r.size(); ++i) z[i] = (1.0 / d[i]) * r[i];
+  });
+}
+
+/// Whether two solves agree bit for bit: x, iteration count, residual
+/// norm and convergence.
+::testing::AssertionResult same_solve(const CgResult& got,
+                                      const CgResult& expected) {
+  const std::ptrdiff_t at = first_bit_difference(got.x, expected.x);
+  if (at != -1)
+    return ::testing::AssertionFailure() << "x differs at entry " << at;
+  if (got.iterations != expected.iterations)
+    return ::testing::AssertionFailure()
+           << got.iterations << " iterations, expected "
+           << expected.iterations;
+  if (std::bit_cast<std::uint64_t>(got.residual_norm) !=
+          std::bit_cast<std::uint64_t>(expected.residual_norm) ||
+      got.converged != expected.converged)
+    return ::testing::AssertionFailure()
+           << "residual " << got.residual_norm << " vs "
+           << expected.residual_norm;
+  return ::testing::AssertionSuccess();
+}
+
+/// The grids of StencilCycleIsBitIdenticalToTheCsrReference: 1- and
+/// 2-wide coarse levels, even and odd dimensions, up to 65x65.
+struct TestGrid {
+  std::size_t nx;
+  std::size_t ny;
+};
+constexpr TestGrid kReferenceGrids[] = {{2, 200}, {200, 2}, {3, 100},
+                                        {8, 9},   {9, 9},   {10, 7},
+                                        {16, 15}, {15, 16}, {17, 17},
+                                        {65, 65}};
+
+enum class OperatorKind { kFivePoint, kNinePoint, kSevered };
+
+CsrMatrix reference_operator(Rng& rng, OperatorKind kind, TestGrid g) {
+  if (kind == OperatorKind::kFivePoint)
+    return random_spd_laplacian(rng, g.nx, g.ny, 4);
+  if (kind == OperatorKind::kNinePoint)
+    return random_nine_point_laplacian(rng, g.nx, g.ny, 4);
+  return severed_mesh_operator(rng, g.nx, g.ny);
+}
+
+TEST(SolverCore, PlannedIcFactorIsBitIdenticalToTheBinarySearchReference) {
+  // Each operator is factored, applied to two vectors, refactored with new
+  // values on the same pattern (the kept plan), and applied again.
+  std::uint64_t seed = 200;
+  for (const TestGrid g : kReferenceGrids) {
+    for (const OperatorKind kind : {OperatorKind::kFivePoint,
+                                    OperatorKind::kNinePoint,
+                                    OperatorKind::kSevered}) {
+      Rng rng(++seed);
+      CsrMatrix a = reference_operator(rng, kind, g);
+      IcPreconditioner planned;
+      for (int refactor = 0; refactor < 2; ++refactor) {
+        if (refactor == 1)
+          for (std::size_t r = 0; r < a.rows(); ++r)
+            a.add_to_entry(r, r, rng.uniform(0.0, 0.5));
+        planned.factor(a);
+        ReferenceIc reference;
+        reference.factor(a);
+        EXPECT_EQ(planned.ssor_fallback(), reference.ssor());
+        for (int rhs = 0; rhs < 2; ++rhs) {
+          const Vector r = random_vector(rng, a.rows());
+          Vector z;
+          planned.apply(r, z);
+          EXPECT_EQ(first_bit_difference(z, reference.apply(r)), -1)
+              << g.nx << "x" << g.ny << " operator " << static_cast<int>(kind)
+              << " refactor " << refactor << " rhs " << rhs;
+        }
+      }
+    }
+  }
+
+  // The SSOR fallback gathers its values through the same schedule.
+  TripletList t(2, 2);
+  t.add(0, 0, 1.0);
+  t.add(1, 1, 1.0);
+  t.add(0, 1, 2.0);
+  t.add(1, 0, 2.0);
+  const CsrMatrix indefinite(t);
+  IcPreconditioner planned;
+  planned.factor(indefinite);
+  ReferenceIc reference;
+  reference.factor(indefinite);
+  ASSERT_TRUE(planned.ssor_fallback());
+  ASSERT_TRUE(reference.ssor());
+  const Vector r{0.25, -1.5};
+  Vector z;
+  planned.apply(r, z);
+  EXPECT_EQ(first_bit_difference(z, reference.apply(r)), -1);
+}
+
+TEST(SolverCore, FusedStencilSolvesAreBitIdenticalToTheCsrReference) {
+  // Every preconditioner, with the grid (stencil products; multigrid's own
+  // fine level) and without it (CSR products), cold and warm
+  // started: x, iterations and residual bit for bit against the unfused
+  // CSR loop with the reference factors.
+  std::uint64_t seed = 300;
+  for (const TestGrid g : kReferenceGrids) {
+    for (const OperatorKind kind : {OperatorKind::kFivePoint,
+                                    OperatorKind::kNinePoint,
+                                    OperatorKind::kSevered}) {
+      Rng rng(++seed);
+      const CsrMatrix a = reference_operator(rng, kind, g);
+      const MgSymbolic grid(g.nx, g.ny);
+      const Vector b = random_vector(rng, a.rows());
+      const Vector x0 = random_vector(rng, a.rows());
+      for (const CgPreconditioner precond :
+           {CgPreconditioner::kIncompleteCholesky,
+            CgPreconditioner::kMultigrid, CgPreconditioner::kJacobi}) {
+        for (const bool with_grid : {true, false}) {
+          if (precond == CgPreconditioner::kMultigrid && !with_grid) continue;
+          for (const bool warm : {false, true}) {
+            const Vector& start = warm ? x0 : Vector{};
+            CgOptions options;
+            options.preconditioner = precond;
+            options.mg_symbolic = with_grid ? &grid : nullptr;
+            options.x0 = start;
+            EXPECT_TRUE(same_solve(solve_cg(a, b, options),
+                                   reference_solve(a, b, start, precond,
+                                                   grid)))
+                << g.nx << "x" << g.ny << " operator "
+                << static_cast<int>(kind) << " " << to_string(precond)
+                << (with_grid ? " with grid" : " without grid")
+                << (warm ? " warm" : " cold");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SolverCore, SwitchingKindsThroughOneWorkspaceStaysBitIdentical) {
+  // One operator and one workspace: every switch of preconditioner kind or
+  // grid (multigrid's fine level, the workspace's stencil, the CSR
+  // product) must keep each solve bit-identical to the reference, and a
+  // value change must reach the workspace's stencil.
+  Rng rng(401);
+  CsrMatrix a = random_spd_laplacian(rng, 33, 31, 6);
+  const MgSymbolic grid(33, 31);
+  const Vector b = random_vector(rng, a.rows());
+  const Vector x0 = random_vector(rng, a.rows());
+  struct Step {
+    CgPreconditioner kind;
+    bool with_grid;
+  };
+  const Step steps[] = {{CgPreconditioner::kIncompleteCholesky, true},
+                        {CgPreconditioner::kMultigrid, true},
+                        {CgPreconditioner::kIncompleteCholesky, true},
+                        {CgPreconditioner::kJacobi, true},
+                        {CgPreconditioner::kIncompleteCholesky, false},
+                        {CgPreconditioner::kMultigrid, true},
+                        {CgPreconditioner::kJacobi, false},
+                        {CgPreconditioner::kIncompleteCholesky, true}};
+  CgWorkspace ws;
+  for (int pass = 0; pass < 2; ++pass) {
+    if (pass == 1) a.add_to_entry(5, 5, 0.75);  // same pattern, new values
+    for (std::size_t s = 0; s < std::size(steps); ++s) {
+      CgOptions options;
+      options.preconditioner = steps[s].kind;
+      options.mg_symbolic = steps[s].with_grid ? &grid : nullptr;
+      options.x0 = x0;
+      EXPECT_TRUE(same_solve(solve_cg(a, b, options, ws),
+                             reference_solve(a, b, x0, steps[s].kind, grid)))
+          << "pass " << pass << " step " << s;
+    }
+  }
+}
+
+TEST(SolverCore, PatternOutsideTheGridFallsBackToTheCsrProduct) {
+  // IC and Jacobi solves given a grid their pattern does not fit (an
+  // entry two columns away) multiply through the CSR arrays instead of
+  // throwing, bit-identically to the reference.
+  constexpr std::size_t nx = 9;
+  Rng rng(409);
+  TripletList t = random_laplacian_triplets(rng, nx, nx, 3);
+  t.add(0, 0, 0.5);
+  t.add(2, 2, 0.5);
+  t.add(0, 2, -0.5);
+  t.add(2, 0, -0.5);
+  const CsrMatrix a(t);
+  const MgSymbolic grid(nx, nx);
+  GridStencil stencil;
+  std::pair<std::size_t, std::size_t> escape;
+  EXPECT_FALSE(stencil.assign(a, grid, &escape));
+  EXPECT_TRUE(stencil.empty());
+  EXPECT_EQ(escape, (std::pair<std::size_t, std::size_t>{0, 2}));
+  const Vector b = random_vector(rng, a.rows());
+  CgWorkspace ws;
+  for (const CgPreconditioner kind :
+       {CgPreconditioner::kIncompleteCholesky, CgPreconditioner::kJacobi}) {
+    CgOptions options;
+    options.preconditioner = kind;
+    options.mg_symbolic = &grid;
+    EXPECT_TRUE(same_solve(solve_cg(a, b, options, ws),
+                           reference_solve(a, b, {}, kind, grid)))
+        << to_string(kind);
+  }
+}
+
+TEST(GridStencil, ProductsAreBitIdenticalToTheCsrRowLoops) {
+  std::uint64_t seed = 500;
+  for (const TestGrid g : kReferenceGrids) {
+    for (const OperatorKind kind : {OperatorKind::kFivePoint,
+                                    OperatorKind::kNinePoint,
+                                    OperatorKind::kSevered}) {
+      Rng rng(++seed);
+      const CsrMatrix a = reference_operator(rng, kind, g);
+      GridStencil stencil;
+      ASSERT_TRUE(stencil.assign(a, MgSymbolic(g.nx, g.ny)));
+      const Vector x = random_vector(rng, a.rows());
+      const Vector rhs = random_vector(rng, a.rows());
+      const Vector ax = a.multiply(x);
+      Vector y(a.rows());
+      const double xy = stencil.multiply_dot(x.data(), y.data());
+      EXPECT_EQ(first_bit_difference(y, ax), -1) << g.nx << "x" << g.ny;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(xy),
+                std::bit_cast<std::uint64_t>(dot(x, ax)));
+      Vector expected(a.rows());
+      for (std::size_t i = 0; i < a.rows(); ++i) expected[i] = rhs[i] - ax[i];
+      stencil.residual(rhs.data(), x.data(), y.data());
+      EXPECT_EQ(first_bit_difference(y, expected), -1) << g.nx << "x" << g.ny;
     }
   }
 }
